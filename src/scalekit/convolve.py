@@ -8,14 +8,12 @@ applied.  Summation order is fixed (lexicographic) for reproducibility.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .signals import ScaleSignal, ScaleTimeSignal
 
 __all__ = [
     "group_convolve",
     "double_convolve",
-    "double_convolve_two_sided",
     "brute_force_double_convolve",
     "WORK_GUARD",
 ]
@@ -28,10 +26,7 @@ def group_convolve(h: ScaleSignal, u: ScaleSignal) -> ScaleSignal:
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
     out: dict = {}
-    for k, hv in h.items():
-        for j, uv in u.items():
-            key = tuple(a + b for a, b in zip(k, j))
-            out[key] = out.get(key, 0.0) + hv * uv
+    _accumulate_product(out, h, u)
     return ScaleSignal(out, arity=h.arity)
 
 
@@ -87,20 +82,6 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     return result
 
 
-def double_convolve_two_sided(h: ScaleTimeSignal, u: ScaleTimeSignal,
-                              h_origin: int = 0, u_origin: int = 0,
-                              scale_mode: str = "full",
-                              method: str = "direct"):
-    """Two-sided-in-time convolution, as a shift of the causal engine.
-
-    The stored slices of h and u are read as starting at time h_origin and
-    u_origin (possibly negative).  Returns (y, origin) where slice n of y
-    is the output at time origin + n.
-    """
-    y = double_convolve(h, u, scale_mode=scale_mode, method=method)
-    return y, int(h_origin) + int(u_origin)
-
-
 def _double_convolve_fft(h: ScaleTimeSignal, u: ScaleTimeSignal,
                          t_out: int) -> ScaleTimeSignal:
     if h.is_zero or u.is_zero:
@@ -109,7 +90,10 @@ def _double_convolve_fft(h: ScaleTimeSignal, u: ScaleTimeSignal,
         )
     dense_h, origin_h = h.to_dense()
     dense_u, origin_u = u.to_dense()
-    full = fftconvolve(dense_h, dense_u, mode="full")
+    shape = tuple(a + b - 1 for a, b in zip(dense_h.shape, dense_u.shape))
+    axes = tuple(range(len(shape)))
+    full = np.fft.ifftn(np.fft.fftn(dense_h, s=shape, axes=axes)
+                        * np.fft.fftn(dense_u, s=shape, axes=axes), axes=axes)
     origin = tuple(a + b for a, b in zip(origin_h, origin_u))
     return ScaleTimeSignal.from_dense(full, origin)
 

@@ -2,7 +2,9 @@
 
 The map sends the coefficients of f to those of (1/(b* z + a*)) f(phi(z)),
 where phi(z) = (a z + b)/(b* z + a*).  The operator is an isometry of the
-coefficient l2 norm; outputs carry a certified bound on the discarded tail.
+coefficient l2 norm; outputs carry a certified l2 bound on everything the
+returned head misses: the discarded tail and the aliasing of the sampled
+evaluation.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .group import ScaleGroup
 from .moebius import SuMatrix
@@ -62,23 +63,26 @@ def _as_coeffseq(f) -> CoeffSeq:
     return CoeffSeq(np.asarray(f, dtype=complex))
 
 
-def _div_linear(h: np.ndarray, c: complex, d: complex) -> np.ndarray:
-    """Coefficients of h(z) / (d + c z); stable since |c/d| < 1."""
-    if c == 0:
-        return h / d
-    return lfilter([1.0], [d, c], h)
+def _log_error_bound(log_base: float, log_r: float, n: int) -> float:
+    """log of C q (1 + q / (1 - q^2)) with C = exp(log_base), q = R^-n."""
+    x = n * log_r
+    return log_base - x + math.log1p(math.exp(-x) / -math.expm1(-2.0 * x))
 
 
 def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
                       max_len: int) -> tuple[int, float]:
-    """Smallest output length whose geometric l2 tail bound is <= tol.
+    """Smallest output length n whose certified l2 error bound is <= tol.
 
     The transformed series is analytic up to the pole -d/c of radius
     R0 = |d|/|c| > 1.  On a circle |z| = R < R0 the modulus is at most
     M(R) = sum_k |f_k| rho(R)^k / (|d| - |c| R) with
-    rho(R) = (|a| R + |b|) / (|d| - |c| R), and the coefficient tail beyond
-    N is bounded by M(R) R^-N / sqrt(1 - R^-2).  Minimized over a radius
-    ladder, in log space to avoid overflow.
+    rho(R) = (|a| R + |b|) / (|d| - |c| R), so |g_k| <= M(R) R^-k (Cauchy).
+    With C = M(R) / sqrt(1 - R^-2) and q = R^-n, the coefficient tail beyond
+    n has l2 norm <= C q, and sampling at N >= 2n roots of unity adds
+    g_{k+N} + g_{k+2N} + ... to each head coefficient, of l2 norm
+    <= C q^2 / (1 - q^2).  Requiring q <= tol / (C + tol) keeps the sum
+    <= tol.  Minimized over a radius ladder, in log space; a bound beyond
+    double range is reported as inf.
     """
     absf = np.abs(coeffs)
     mask = absf > 0.0
@@ -89,9 +93,10 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
     abs_a, abs_b = abs(m.a), abs(m.b)
     abs_c, abs_d = abs_b, abs_a
     r0 = abs_d / abs_c
+    log_tol = math.log(tol)
     best_n = None
     best_n_bound = tol
-    bound_at_cap = math.inf
+    log_at_cap = math.inf
     for s in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97):
         radius = r0 ** s
         if radius <= 1.0 or radius >= r0:
@@ -104,13 +109,17 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
         log_sum = float(np.logaddexp.reduce(logf + degrees * math.log(rho)))
         log_base = log_sum - math.log(den) - 0.5 * math.log1p(-radius ** -2)
         log_r = math.log(radius)
-        need = (log_base - math.log(tol)) / log_r
-        n_req = max(1, int(math.ceil(need)) if need > 0 else 1)
-        bound_at_cap = min(bound_at_cap, math.exp(log_base - max_len * log_r))
+        need = (float(np.logaddexp(log_base, log_tol)) - log_tol) / log_r
+        n_req = math.ceil(need)
+        log_at_cap = min(log_at_cap, _log_error_bound(log_base, log_r, max_len))
         if n_req <= max_len and (best_n is None or n_req < best_n):
             best_n = n_req
-            best_n_bound = min(tol, math.exp(log_base - n_req * log_r))
+            best_n_bound = min(tol, math.exp(_log_error_bound(log_base, log_r, n_req)))
     if best_n is None:
+        try:
+            bound_at_cap = math.exp(log_at_cap)
+        except OverflowError:
+            bound_at_cap = math.inf
         raise TruncationError(
             f"truncation not converged: certified bound {bound_at_cap:.3e} at "
             f"length {max_len} exceeds tol={tol:.3e}",
@@ -123,11 +132,13 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
                      max_len: int = DEFAULT_MAX_LEN) -> CoeffSeq:
     """Coefficients of the transformed series, with certified tail bound.
 
-    Uses Horner composition: g <- f_M, then g <- f_n + w g for n = M-1 .. 0
-    with w(z) = (a z + b)/(b* z + a*) kept as a truncated series, then one
-    final division by (b* z + a*).  Every step is lower triangular in the
-    coefficient index, so the returned head is exact up to roundoff; only
-    the certified output length depends on tol.
+    Samples g(z) = f(phi(z)) / (b* z + a*) at the N-th roots of unity, N the
+    power of two >= 2n for the certified output length n, evaluating f by
+    Horner's rule in w = phi(z).  One FFT (the periodic trapezoidal rule)
+    turns the samples into g_k + g_{k+N} + g_{k+2N} + ...; the first n are
+    returned.  g is analytic beyond the unit circle, so the aliased terms
+    obey the same Cauchy estimate as the discarded tail, and tail_bound
+    covers both (see _certified_length).
 
     Parameters
     ----------
@@ -136,7 +147,8 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
     f : CoeffSeq or array_like
         Input coefficients (finite).
     tol : float
-        Target l2 bound on the omitted output tail.
+        Target l2 bound on the error of the returned head against the
+        exact series (omitted tail plus aliasing).
     max_len : int
         Refuse to return more than this many coefficients.
     """
@@ -154,14 +166,11 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
         phase = (a / d) ** n / d
         return CoeffSeq(coeffs * phase, f.tail_bound)
     n_out, bound = _certified_length(coeffs, m, tol, max_len)
-    g = np.zeros(n_out, complex)
-    g[0] = coeffs[-1]
-    for fk in coeffs[-2::-1]:
-        h = b * g
-        h[1:] += a * g[:-1]
-        g = _div_linear(h, c, d)
-        g[0] += fk
-    out = _div_linear(g, c, d)
+    size = 1 << (2 * n_out - 1).bit_length()
+    z = np.exp(2j * math.pi * np.arange(size) / size)
+    den = c * z + d
+    samples = np.polynomial.polynomial.polyval((a * z + b) / den, coeffs) / den
+    out = np.fft.fft(samples, norm="forward")[:n_out]
     return CoeffSeq(out, bound + f.tail_bound)
 
 

@@ -15,8 +15,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import toeplitz
 
 __all__ = [
     "MomentSequence",
@@ -73,7 +71,9 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
     if t0 < 0.0:
         return PsdReport(False, t0, 0)
     col = np.asarray(ms.t, complex)
-    matrix = toeplitz(col, np.conj(col))
+    idx = np.arange(col.size)
+    diff = idx[:, None] - idx[None, :]
+    matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
     eigs = np.linalg.eigvalsh(matrix)
     min_eig = float(eigs[0])
     return PsdReport(bool(min_eig >= -tol), min_eig, len(ms.t))
@@ -122,4 +122,7 @@ def stieltjes_invert(ms: MomentSequence, a: float, b: float, r: float,
     panels = quad_points + (quad_points % 2)
     theta = np.linspace(a, b, panels + 1)
     vals = _herglotz_values(ms, r * np.exp(1j * theta)).real
-    return float(simpson(vals, x=theta) / TWO_PI)
+    weights = np.full(panels + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return float((b - a) / (3.0 * panels) * np.dot(weights, vals) / TWO_PI)

@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 __all__ = [
-    "GroupIndex",
     "NORM_KINDS",
     "as_index",
     "in_causal_cone",
@@ -24,7 +23,6 @@ __all__ = [
     "support_bound",
 ]
 
-GroupIndex = tuple
 NORM_KINDS = ("sup_l2", "energy", "l1_l2")
 
 

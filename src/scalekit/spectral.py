@@ -5,13 +5,21 @@ The forward transform pairs an exponent k with e^{-i k.theta} on a uniform
 torus grid; the Hermite transform relabels the same coefficients as powers
 z^k with no conjugation.  Evaluating the Hermite transform at e^{i theta}
 therefore reproduces the forward transform at -theta.
+
+Every torus evaluation goes through torus_values.  On the grid
+theta_j = 2 pi j / n the character e^{-i k theta_j} depends on k only
+modulo n, so coefficients are folded onto their residues (sums of
+coefficients with congruent exponents) and one FFT gives the grid values
+exactly, whatever the support width.  The converse needs the width guard:
+the inverse FFT returns the folded sums, which equal the coefficients only
+when no two exponents of the support are congruent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -21,6 +29,7 @@ from .signals import ScaleSignal, ScaleTimeSignal, as_index
 __all__ = [
     "SpectrumGrid",
     "LaurentPoly",
+    "torus_values",
     "scale_fourier",
     "scale_fourier_inverse",
     "transfer_grid",
@@ -80,6 +89,21 @@ def _check_alias(x, grid_sizes) -> tuple[int, ...]:
     return sizes
 
 
+def torus_values(items, sizes) -> np.ndarray:
+    """sum_e c_e e^{-i e.theta} on the grid theta_j = 2 pi j / sizes.
+
+    items are (exponent tuple, coefficient) pairs; exponents may be negative
+    and the support may be wider than the grid (congruent exponents fold
+    onto one residue, which keeps the values exact).  Callers wanting the
+    e^{+i e.theta} convention pass negated exponents.  The FFT runs in place
+    on the scatter grid, so only one full-size array is allocated.
+    """
+    grid = np.zeros(tuple(sizes), complex)
+    for e, v in items:
+        grid[tuple(k % n for k, n in zip(e, grid.shape))] += v
+    return np.fft.fftn(grid, out=grid)
+
+
 def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:
     """Forward transform sum_k x(k) e^{-i k.theta} on the torus grid.
 
@@ -87,12 +111,7 @@ def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:
     guard); then the grid mean of |values|^2 equals the signal energy.
     """
     sizes = _check_alias(x, grid_sizes)
-    angles = [2.0 * math.pi * np.arange(n) / n for n in sizes]
-    vals = np.zeros(sizes, complex)
-    for idx, v in x.items():
-        factors = [np.exp(-1j * idx[a] * angles[a]) for a in range(x.arity)]
-        vals += v * reduce(np.multiply.outer, factors)
-    return SpectrumGrid(sizes, vals)
+    return SpectrumGrid(sizes, torus_values(x.items(), sizes))
 
 
 def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
@@ -108,16 +127,11 @@ def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
     for a, (lo, hi) in enumerate(window):
         if lo > hi:
             raise ValueError(f"empty window on axis {a}")
-    angles = [grid.angles(a) for a in range(grid.arity)]
-    entries = {}
-    spans = [range(lo, hi + 1) for lo, hi in window]
-    idx_list = [()]
-    for span in spans:
-        idx_list = [prefix + (k,) for prefix in idx_list for k in span]
-    for idx in idx_list:
-        factors = [np.exp(1j * idx[a] * angles[a]) for a in range(grid.arity)]
-        phase = reduce(np.multiply.outer, factors)
-        entries[idx] = complex(np.mean(grid.values * phase))
+    residues = np.fft.ifftn(grid.values)
+    entries = {
+        idx: complex(residues[tuple(k % n for k, n in zip(idx, grid.grid_sizes))])
+        for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in window))
+    }
     return ScaleSignal(entries, arity=grid.arity)
 
 
@@ -129,15 +143,13 @@ def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
         raise ValueError(
             f"grid rank {len(sizes)} does not match signal arity {h.arity}"
         )
-    vals = np.zeros(sizes, complex)
+    items = []
     zn = 1.0 + 0.0j
     for s in h.slices:
-        if not s.is_zero:
-            vals += zn * scale_fourier(s, sizes).values
-        else:
-            _check_alias(s, sizes)
+        _check_alias(s, sizes)
+        items.extend((idx, zn * v) for idx, v in s.items())
         zn *= z
-    return SpectrumGrid(sizes, vals)
+    return SpectrumGrid(sizes, torus_values(items, sizes))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .convolve import double_convolve, group_convolve
 from .signals import ScaleSignal, ScaleTimeSignal
+from .spectral import generalized_transfer, torus_values
 
 __all__ = [
     "OperatorNormBracket",
@@ -82,17 +83,6 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def _grid_eval(items, sizes, scale=None) -> np.ndarray:
-    """Values of sum_e c_e e^{+i e.theta} on the uniform grid, with an
-    optional per-exponent coefficient weight (used for derivative grids)."""
-    arr = np.zeros(sizes, complex)
-    for e, v in items:
-        if scale is not None:
-            v = v * scale(e)
-        arr[tuple(k % n for k, n in zip(e, sizes))] += v
-    return np.fft.ifftn(arr, norm="forward")
-
-
 def _certify_sup(items, widths, tol, budget, fail_above=None) -> OperatorNormBracket:
     """Bracket the sup of |sum c_e e^{i e.theta}| over the torus.
 
@@ -108,9 +98,12 @@ def _certify_sup(items, widths, tol, budget, fail_above=None) -> OperatorNormBra
     axes = len(widths)
     lipschitz = sum(sum(abs(k) for k in e) * abs(v) for e, v in items)
     quad = sum(sum(abs(k) for k in e) ** 2 * abs(v) for e, v in items)
+    # torus_values pairs e with e^{-i e.theta}: negated exponents give the
+    # e^{+i e.theta} symbol, whose grid argmax is the reported witness
+    items = [(tuple(-k for k in e), v) for e, v in items]
     sizes = tuple(_next_pow2(max(w, 8)) for w in widths)
     while True:
-        vals = _grid_eval(items, sizes)
+        vals = torus_values(items, sizes)
         mags = np.abs(vals)
         flat = int(np.argmax(mags))
         pos = np.unravel_index(flat, sizes)
@@ -122,7 +115,7 @@ def _certify_sup(items, widths, tol, budget, fail_above=None) -> OperatorNormBra
         # |grad|h_j|^2|_1 delta + (L^2 + sup|h| Q) delta^2
         grad_sq = np.zeros(sizes)
         for a in range(axes):
-            dvals = _grid_eval(items, sizes, scale=lambda e, a=a: 1j * e[a])
+            dvals = torus_values([(e, -1j * e[a] * v) for e, v in items], sizes)
             grad_sq += np.abs(2.0 * np.real(np.conj(vals) * dvals))
         hessian_bound = lipschitz ** 2 + first_order * quad
         refined_sq = float(np.max(mags ** 2 + grad_sq * delta))
@@ -249,16 +242,13 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
 
     adjoints = [s.adjoint_reflect() for s in h.slices]
 
-    # Candidate angles from the grid argmax of the summed slice symbols.
+    # Candidate angles from the grid argmax of the summed slice symbols.  The
+    # adjoint images of the character e^{i k.theta} have norms
+    # |sum_k h_n(k) e^{-i k.theta}|, the forward convention of torus_values.
     cand_sizes = tuple(256 if p == 1 else 64 for _ in range(p))
     total = np.zeros(cand_sizes)
     for s in h.slices:
-        items = list(s.items())
-        if items:
-            arr = np.zeros(cand_sizes, complex)
-            for e, v in items:
-                arr[tuple(k % n for k, n in zip(e, cand_sizes))] += v
-            total += np.abs(np.fft.ifftn(arr, norm="forward"))
+        total += np.abs(torus_values(s.items(), cand_sizes))
     pos = np.unravel_index(int(np.argmax(total)), cand_sizes)
     theta_star = tuple(
         float(2.0 * math.pi * j / n) for j, n in zip(pos, cand_sizes)
@@ -331,10 +321,6 @@ def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal,
     return ScaleTimeSignal(slices, arity=h.arity)
 
 
-def _szego(z: complex, w: complex) -> complex:
-    return 1.0 / (1.0 - z * w.conjugate())
-
-
 def _sample_polydisc(rng, count: int, dims: int, radius: float = 0.9) -> np.ndarray:
     r = radius * np.sqrt(rng.random((count, dims)))
     phi = 2.0 * math.pi * rng.random((count, dims))
@@ -354,8 +340,6 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
     of the contractivity kernel against products of disc reproducing
     kernels on random point sets.
     """
-    from .spectral import generalized_transfer
-
     items = [((n,) + idx, v) for n, idx, v in h.items()]
     if not items:
         bracket = OperatorNormBracket(0.0, 0.0, True)
@@ -393,14 +377,9 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
             hv = np.array(
                 [generalized_transfer(h, pt[0], pt[1:]) for pt in pts]
             )
-            m = points_per_set
-            gram = np.empty((m, m), complex)
-            for i in range(m):
-                for j in range(m):
-                    kern = _szego(pts[i, 0], pts[j, 0])
-                    for a in range(1, h.arity + 1):
-                        kern *= _szego(pts[i, a], pts[j, a])
-                    gram[i, j] = (1.0 - hv[i] * hv[j].conjugate()) * kern
+            # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
+            kern = np.prod(1.0 / (1.0 - pts[:, None, :] * pts[None, :, :].conj()), axis=2)
+            gram = (1.0 - hv[:, None] * hv.conj()[None, :]) * kern
             gram = 0.5 * (gram + gram.conj().T)
             gram_min = min(gram_min, float(np.linalg.eigvalsh(gram)[0]))
         details["gram_min_eigenvalue"] = gram_min

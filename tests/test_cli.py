@@ -138,6 +138,21 @@ class TestTransformCommands:
         assert sig.slice(0).get((1,)) == pytest.approx(0.8)
         assert sig.slice(1).get((1,)) == pytest.approx(-0.48)
 
+    def test_scale_transform_bound_overflow_exits_uncertified(self, tmp_path, capsys):
+        g = make_group([make_scale_shift(0.6, 0.2)])
+        gp = tmp_path / "group.json"
+        gp.write_text(json.dumps(skio.group_to_dict(g)))
+        f = np.random.default_rng(255).standard_normal(256)
+        sp = tmp_path / "sig.json"
+        sp.write_text(json.dumps({"coeffs": [[x, 0.0] for x in f / np.linalg.norm(f)],
+                                  "tail_bound": 0.0}))
+        code = main(["scale-transform", "--signal", str(sp), "--group", str(gp),
+                     "--window", "[[7],[12]]", "--time-len", "8", "--tol", "1e-10",
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "scale index (12,)" in err and "certified bound inf" in err
+
     def test_spectrum(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         write_system(path, [{(1,): 1.0}])
@@ -208,3 +223,9 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["is_psd"] is True
+
+    def test_imports_without_scipy(self):
+        code = "import sys; sys.modules['scipy'] = None; import scalekit.cli"
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -8,7 +8,6 @@ from scalekit import (
     double_convolve,
     group_convolve,
 )
-from scalekit.convolve import double_convolve_two_sided
 from helpers import random_scale_signal, random_time_signal
 
 
@@ -130,14 +129,6 @@ class TestDoubleConvolve:
         h = random_time_signal(rng, 1, time_len=3)
         u = random_time_signal(rng, 1, time_len=5)
         assert double_convolve(h, u).time_len == 7
-
-    def test_two_sided_wrapper_shifts_origin(self):
-        rng = np.random.default_rng(47)
-        h = random_time_signal(rng, 1, time_len=2)
-        u = random_time_signal(rng, 1, time_len=3)
-        y, origin = double_convolve_two_sided(h, u, h_origin=-1, u_origin=-2)
-        assert origin == -3
-        assert y.distance(double_convolve(h, u)) == 0.0
 
 
 class TestBruteForce:

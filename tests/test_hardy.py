@@ -160,6 +160,47 @@ class TestTransformCoeffs:
         assert out.tail_bound >= 0.25
 
 
+class TestSampledTransform:
+    @pytest.mark.parametrize("mult, degree, scale, cap", [
+        (0.6, 15, 3, None),
+        (0.8, 255, 8, None),
+        (0.6, 63, 10, None),       # about 47.6k of the 65,536 budget
+        (0.6, 15, 12, "exact"),    # budget set to the certified length
+    ])
+    def test_head_matches_direct_evaluation(self, mult, degree, scale, cap):
+        # |sum_k e_k z^k| <= ||e||_2 / sqrt(1 - r^2) on |z| = r for the
+        # error e of the returned head, tail and aliasing included, plus
+        # roundoff of the samples (|g| <= sum|f_k| (|a| + |b|) on the circle)
+        rng = np.random.default_rng(degree + scale)
+        f = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f /= np.linalg.norm(f)
+        m = make_group([make_scale_shift(mult, 0.2)]).element((scale,))
+        tol = 1e-10
+        out = transform_coeffs(m, f, tol)
+        if cap == "exact":
+            out = transform_coeffs(m, f, tol, max_len=len(out))
+        assert out.tail_bound <= tol
+        r = 0.5
+        zs = r * np.exp(2j * np.pi * np.arange(16) / 16)
+        den = m.c * zs + m.d
+        direct = np.polynomial.polynomial.polyval((m.a * zs + m.b) / den, f) / den
+        head = np.polynomial.polynomial.polyval(zs, out.coeffs)
+        m1 = np.abs(f).sum() * (abs(m.a) + abs(m.b))
+        allowed = out.tail_bound / math.sqrt(1 - r * r) + 64 * 2.2e-16 * len(f) * m1
+        assert np.abs(head - direct).max() <= allowed
+
+    def test_bound_beyond_double_range_is_truncation_error(self):
+        rng = np.random.default_rng(255)
+        f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        f /= np.linalg.norm(f)
+        g = make_group([make_scale_shift(0.6, 0.2)])
+        # at scale 7 some ladder radii bound the budget length beyond double range
+        assert transform_coeffs(g.element((7,)), f, 1e-10).tail_bound <= 1e-10
+        with pytest.raises(TruncationError) as err:
+            transform_coeffs(g.element((12,)), f, 1e-10)
+        assert err.value.achieved_bound == math.inf
+
+
 class TestScaleTransform:
     def test_identity_window_column_equals_input(self):
         g = make_group([make_scale_shift(0.5, 0.0)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalekit import (
     ScaleSignal,
@@ -19,7 +20,56 @@ from scalekit import (
     transfer_grid,
     MomentSequence,
 )
+from scalekit.spectral import torus_values
 from helpers import random_scale_signal, random_time_signal
+
+
+def direct_sum(items, sizes, sign):
+    """sum_e c_e e^{sign i e.theta} term by term on the grid 2 pi j / sizes."""
+    thetas = np.meshgrid(*(2 * math.pi * np.arange(n) / n for n in sizes),
+                         indexing="ij")
+    out = np.zeros(tuple(sizes), complex)
+    for e, v in items:
+        out += v * np.exp(sign * 1j * sum(k * t for k, t in zip(e, thetas)))
+    return out
+
+
+@st.composite
+def torus_cases(draw):
+    """Items with exponents in [-20, 20] (often wider than the grid)."""
+    arity = draw(st.integers(1, 2))
+    sizes = tuple(draw(st.lists(st.integers(1, 9), min_size=arity, max_size=arity)))
+    coeff = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+    exps = st.tuples(*[st.integers(-20, 20)] * arity)
+    items = draw(st.lists(st.tuples(exps, coeff), max_size=12))
+    return items, sizes
+
+
+class TestTorusValues:
+    @settings(max_examples=200, deadline=None)
+    @given(torus_cases())
+    def test_matches_direct_sum(self, case):
+        items, sizes = case
+        scale = 1e-13 * (1.0 + sum(abs(v) for _, v in items))
+        got = torus_values(items, sizes)
+        assert got.shape == sizes
+        assert np.abs(got - direct_sum(items, sizes, -1)).max() < scale
+        negated = [(tuple(-k for k in e), v) for e, v in items]
+        plus = torus_values(negated, sizes)
+        assert np.abs(plus - direct_sum(items, sizes, +1)).max() < scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(torus_cases(), st.data())
+    def test_inverse_roundtrip(self, case, data):
+        # any support that fits the grid comes back, wherever it sits
+        items, sizes = case
+        shift = data.draw(st.tuples(*[st.integers(-30, 30)] * len(sizes)))
+        entries = {tuple(s + k % n for s, k, n in zip(shift, e, sizes)): v
+                   for e, v in items}
+        x = ScaleSignal(entries, arity=len(sizes))
+        window = [(s, s + n - 1) for s, n in zip(shift, sizes)]
+        back = scale_fourier_inverse(scale_fourier(x, sizes), window)
+        assert back.distance(x) < 1e-13 * (1.0 + sum(abs(v) for _, v in items))
 
 
 class TestScaleFourier:

@@ -11,6 +11,7 @@ from scalekit import (
     dissipativity_check,
     double_convolve,
     empirical_verify,
+    generalized_transfer,
     l1l2_gain,
     mult_operator_norm,
     resonant_input,
@@ -67,6 +68,20 @@ class TestMultOperatorNorm:
         assert not b.certified
         monkeypatch.delenv("SCALEKIT_MAX_GRID")
         assert mult_operator_norm(h, tol=1e-12).certified
+
+    def test_witness_angles_replay_lower_bound(self):
+        # the symbol is sum_k h(k) e^{+i k theta}, the convention of
+        # generalized_transfer on the torus; complex taps tell it from -theta
+        h = ScaleSignal({(0,): 1.0, (1,): 1j, (2,): 0.5}, arity=1)
+        b = mult_operator_norm(h, tol=1e-6)
+        (theta,) = b.witness_angles
+        value = abs(1.0 + 1j * np.exp(1j * theta) + 0.5 * np.exp(2j * theta))
+        assert value == pytest.approx(b.lower, rel=1e-12)
+        hs = ScaleTimeSignal([h, delta((1,), 1, 0.5j)], arity=1)
+        report = dissipativity_check(hs, sample_count=0)
+        phi, theta = report.witnesses["argmax_angles"]
+        value = abs(generalized_transfer(hs, np.exp(1j * phi), [np.exp(1j * theta)]))
+        assert value == pytest.approx(report.sup_bracket.lower, rel=1e-12)
 
     def test_bracket_contains_independent_sup(self):
         # certified upper bound must dominate values sampled on an
@@ -135,6 +150,17 @@ class TestBiboAnalysis:
         # undershoots it by O(1/window)
         assert report.necessary_lower <= report.sufficient_upper + 1e-12
         assert report.necessary_lower >= 2 * math.sqrt(2) - 5e-2
+
+    def test_character_start_maximizes_adjoint_images(self):
+        # the adjoint images of the character e^{i k theta} have norm
+        # |sum_k h(k) e^{-i k theta}|; the start angle maximizes that symbol,
+        # not its mirror image (they differ for complex taps)
+        h = ScaleTimeSignal([ScaleSignal({(0,): 1.0, (1,): 1j, (2,): 0.5}, arity=1)],
+                            arity=1)
+        theta = bibo_analysis(h).witnesses["character_angles"][0]
+        symbol = lambda t: np.abs(1.0 + 1j * np.exp(-1j * t) + 0.5 * np.exp(-2j * t))
+        fine = np.max(symbol(2 * math.pi * np.arange(4096) / 4096))
+        assert symbol(theta) >= fine - 0.05
 
     def test_bracket_order(self):
         rng = np.random.default_rng(11)
@@ -238,6 +264,29 @@ class TestDissipativity:
         report = dissipativity_check(h, sample_count=20, points_per_set=12, seed=4)
         assert report.verdict == "pass"
         assert report.details["gram_min_eigenvalue"] >= -1e-9
+
+
+    def test_gram_matches_elementwise_kernel(self):
+        # the broadcast Gram matrix against the entry-by-entry definition
+        # (1 - h_i conj(h_j)) prod_a 1 / (1 - z_ia conj(z_ja)), same samples
+        from scalekit.stability import _sample_polydisc
+        h = ScaleTimeSignal([delta((0,), 1, 0.3), delta((1,), 1, 0.4)], arity=1)
+        report = dissipativity_check(h, sample_count=3, points_per_set=5, seed=8)
+        rng = np.random.default_rng(8)
+        worst = math.inf
+        for _ in range(3):
+            pts = _sample_polydisc(rng, 5, 2)
+            hv = [generalized_transfer(h, pt[0], pt[1:]) for pt in pts]
+            gram = np.empty((5, 5), complex)
+            for i in range(5):
+                for j in range(5):
+                    kern = 1.0
+                    for a in range(2):
+                        kern /= 1.0 - pts[i, a] * np.conj(pts[j, a])
+                    gram[i, j] = (1.0 - hv[i] * np.conj(hv[j])) * kern
+            gram = 0.5 * (gram + gram.conj().T)
+            worst = min(worst, float(np.linalg.eigvalsh(gram)[0]))
+        assert report.details["gram_min_eigenvalue"] == pytest.approx(worst, abs=1e-12)
 
 
 class TestL1L2:
