@@ -7,31 +7,14 @@ NaN and infinity are rejected.
 
 from __future__ import annotations
 
+import json
 import math
 
 __all__ = ["dumps"]
 
-_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _write_str(s: str, out: list) -> None:
-    out.append('"')
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
+# the standard escapes: quote, backslash, \b \f \n \r \t, other control
+# characters as \u00xx; everything else, non-ASCII included, as is
+_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _write(obj, out: list) -> None:
@@ -42,7 +25,7 @@ def _write(obj, out: list) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        _write_str(obj, out)
+        out.append(_string(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -58,7 +41,7 @@ def _write(obj, out: list) -> None:
             if not first:
                 out.append(",")
             first = False
-            _write_str(key, out)
+            out.append(_string(key))
             out.append(":")
             _write(value, out)
         out.append("}")

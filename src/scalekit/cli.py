@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import io as skio
 from ._jsonfmt import dumps
-from .hardy import TruncationError, scale_transform, transform_coeffs
+from .hardy import TruncationError, scale_transform
 from .convolve import brute_force_double_convolve, double_convolve
 from .moments import stieltjes_invert, toeplitz_psd_check
 from .signals import as_index
@@ -50,13 +48,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_scale_transform(args) -> int:
     coeffs = skio.coeffseq_from_dict(_load_json_arg(args.signal))
     group = skio.group_from_dict(_load_json_arg(args.group))
-    window_raw = _load_json_arg(args.window)
-    window = [as_index(idx, group.p) for idx in window_raw]
-    try:
-        result = scale_transform(group, coeffs, window, args.time_len, args.tol)
-    except TruncationError as exc:
-        print(f"uncertified: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
+    window = [as_index(idx, group.p) for idx in _load_json_arg(args.window)]
+    result = scale_transform(group, coeffs, window, args.time_len, args.tol)
     if args.out and args.out.endswith(".csv"):
         skio.write_time_signal(result, args.out)
     else:
@@ -129,11 +122,7 @@ def _cmd_analyze(args) -> int:
     doc["tol"] = args.tol
     doc["seed"] = args.seed
     _emit(doc, args.out)
-    if report.verdict == "pass":
-        return EXIT_OK
-    if report.verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_UNCERTIFIED
+    return {"pass": EXIT_OK, "fail": EXIT_FAIL}.get(report.verdict, EXIT_UNCERTIFIED)
 
 
 def _cmd_verify(args) -> int:
@@ -158,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON list of exponent vectors (inline or path)")
     sp.add_argument("--time-len", type=int, required=True)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_scale_transform)
 
     for name, engine, help_text in (
@@ -170,27 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
         fp = sub.add_parser(name, help=help_text)
         fp.add_argument("--h", required=True, help="impulse response (.csv/.json)")
         fp.add_argument("--u", required=True, help="input signal (.csv/.json)")
-        fp.add_argument("--out")
         fp.set_defaults(func=lambda a, e=engine: _cmd_filter(a, e))
 
     gp = sub.add_parser("spectrum", help="torus transform of one time slice")
     gp.add_argument("--signal", required=True)
     gp.add_argument("--n", type=int, default=0, help="time slice index")
     gp.add_argument("--grid", required=True, help="comma-separated grid sizes")
-    gp.add_argument("--out")
     gp.set_defaults(func=_cmd_spectrum)
 
     tp = sub.add_parser("gtf-eval", help="evaluate the generalized transfer function")
     tp.add_argument("--system", required=True)
     tp.add_argument("--z", required=True, help="[re, im] JSON pair")
     tp.add_argument("--zs", default="", help="JSON list of [re, im] pairs")
-    tp.add_argument("--out")
     tp.set_defaults(func=_cmd_gtf_eval)
 
     mp = sub.add_parser("moments-check", help="Toeplitz positivity of moments")
     mp.add_argument("--moments", required=True, help='{"t": [[re,im], ...]} or path')
     mp.add_argument("--tol", type=float, default=1e-9)
-    mp.add_argument("--out")
     mp.set_defaults(func=_cmd_moments_check)
 
     ip = sub.add_parser("stieltjes", help="interval mass from boundary inversion")
@@ -199,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--b", type=float, required=True)
     ip.add_argument("--r", type=float, required=True)
     ip.add_argument("--quad-points", type=int, default=4096)
-    ip.add_argument("--out")
     ip.set_defaults(func=_cmd_stieltjes)
 
     ap = sub.add_parser("analyze", help="run a certified stability analyzer")
@@ -210,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cone", action="store_true",
                     help="restrict operators to the scale-causal cone")
-    ap.add_argument("--out")
     ap.set_defaults(func=_cmd_analyze)
 
     vp = sub.add_parser("verify", help="Monte-Carlo check of an analyzer bound")
@@ -219,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--system", required=True)
     vp.add_argument("--trials", type=int, default=50)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--out")
     vp.set_defaults(func=_cmd_verify)
 
+    for command in sub.choices.values():
+        command.add_argument("--out")
     return parser
 
 

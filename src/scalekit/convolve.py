@@ -2,14 +2,16 @@
 convolution.
 
 All convolutions are non-circular (support-growing); circular wrap is never
-applied.  Summation order is fixed (lexicographic) for reproducibility.
+applied.  The direct paths add shifted copies of one operand's box, one per
+nonzero of the other, in a fixed order, so each output entry sums its
+products in the order of the lexicographic reference loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .signals import ScaleSignal, ScaleTimeSignal
+from .signals import ScaleSignal, ScaleTimeSignal, check_box, zeros_box
 
 __all__ = [
     "group_convolve",
@@ -21,27 +23,28 @@ __all__ = [
 WORK_GUARD = 10 ** 8
 
 
+def box_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
+    """Full linear convolution of two boxes by shifted adds.
+
+    For each nonzero position of h (lexicographic unless positions gives
+    another order) adds h(k) * u into the output window at offset k.  An
+    empty operand gives an empty box.
+    """
+    out = zeros_box(a + b - 1 if h.size and u.size else 0
+                    for a, b in zip(h.shape, u.shape))
+    if positions is None:
+        positions = np.argwhere(h)
+    for pos in map(tuple, positions.tolist()):
+        out[tuple(slice(k, k + n) for k, n in zip(pos, u.shape))] += h[pos] * u
+    return out
+
+
 def group_convolve(h: ScaleSignal, u: ScaleSignal) -> ScaleSignal:
     """(h * u)(k) = sum_j h(k - j) u(j) over the exponent lattice."""
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
-    out: dict = {}
-    _accumulate_product(out, h, u)
-    return ScaleSignal(out, arity=h.arity)
-
-
-def _accumulate_product(acc: dict, h: ScaleSignal, u: ScaleSignal) -> None:
-    for k, hv in h.items():
-        for j, uv in u.items():
-            key = tuple(a + b for a, b in zip(k, j))
-            acc[key] = acc.get(key, 0.0) + hv * uv
-
-
-def _validate_cone(h: ScaleTimeSignal, u: ScaleTimeSignal) -> None:
-    if not h.is_cone_supported():
-        raise ValueError("impulse response not scale-causal")
-    if not u.is_cone_supported():
-        raise ValueError("input signal not scale-causal")
+    origin = tuple(a + b for a, b in zip(h.origin, u.origin))
+    return ScaleSignal._from_box(box_convolve(h.array, u.array), origin)
 
 
 def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
@@ -52,7 +55,8 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     Output time length is T_h + T_u - 1.  With scale_mode="causal_cone" both
     operands must be supported on the scale-causal cone (and then so is the
     output).  method="direct" is the reference summation; method="fft" is the
-    accelerated dense path, which tests compare against the reference.
+    accelerated dense path, which tests compare against the reference.  Both
+    store entries only on the exact product support.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
@@ -60,42 +64,43 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
         raise ValueError(f"unknown scale_mode {scale_mode!r}")
     if method not in ("direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
-    if scale_mode == "causal_cone":
-        _validate_cone(h, u)
-    t_out = h.time_len + u.time_len - 1
+    if scale_mode == "causal_cone" and not h.is_cone_supported():
+        raise ValueError("impulse response not scale-causal")
+    if scale_mode == "causal_cone" and not u.is_cone_supported():
+        raise ValueError("input signal not scale-causal")
     if h.time_len == 0 or u.time_len == 0:
         return ScaleTimeSignal([], arity=h.arity)
+    dense_h, origin_h = h.to_dense()
+    dense_u, origin_u = u.to_dense()
     if method == "fft":
-        result = _double_convolve_fft(h, u, t_out)
+        full = _convolve_fft(dense_h, dense_u)
     else:
-        slices = []
-        for n in range(t_out):
-            acc: dict = {}
-            for m in range(u.time_len):
-                j = n - m
-                if 0 <= j < h.time_len:
-                    _accumulate_product(acc, h.slices[j], u.slices[m])
-            slices.append(ScaleSignal(acc, arity=h.arity))
-        result = ScaleTimeSignal(slices, arity=h.arity)
+        # h's time index descending, then its scale index ascending: each
+        # output entry sums over input time m ascending, as y_n's formula reads
+        pos = np.argwhere(dense_h)
+        full = box_convolve(dense_h, dense_u, pos[np.argsort(-pos[:, 0], kind="stable")])
+    origin = tuple(a + b for a, b in zip(origin_h, origin_u))
+    result = ScaleTimeSignal._from_box(full, origin)
     if scale_mode == "causal_cone" and not result.is_cone_supported():
         raise AssertionError("cone-supported inputs produced off-cone output")
     return result
 
 
-def _double_convolve_fft(h: ScaleTimeSignal, u: ScaleTimeSignal,
-                         t_out: int) -> ScaleTimeSignal:
-    if h.is_zero or u.is_zero:
-        return ScaleTimeSignal(
-            [ScaleSignal.zero(h.arity) for _ in range(t_out)], arity=h.arity
-        )
-    dense_h, origin_h = h.to_dense()
-    dense_u, origin_u = u.to_dense()
-    shape = tuple(a + b - 1 for a, b in zip(dense_h.shape, dense_u.shape))
+def _convolve_fft(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Dense FFT convolution, zeroed off the exact product support.
+
+    The support is where the convolution of the two nonzero indicators
+    (a count of products, at least 1) exceeds one half; elsewhere the FFT
+    leaves only roundoff.
+    """
+    shape = check_box(a + b - 1 for a, b in zip(h.shape, u.shape))
     axes = tuple(range(len(shape)))
-    full = np.fft.ifftn(np.fft.fftn(dense_h, s=shape, axes=axes)
-                        * np.fft.fftn(dense_u, s=shape, axes=axes), axes=axes)
-    origin = tuple(a + b for a, b in zip(origin_h, origin_u))
-    return ScaleTimeSignal.from_dense(full, origin)
+    full = np.fft.ifftn(np.fft.fftn(h, s=shape, axes=axes)
+                        * np.fft.fftn(u, s=shape, axes=axes), axes=axes)
+    count = np.fft.irfftn(np.fft.rfftn(h != 0, s=shape, axes=axes)
+                          * np.fft.rfftn(u != 0, s=shape, axes=axes), s=shape, axes=axes)
+    full[count < 0.5] = 0.0
+    return full
 
 
 def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,

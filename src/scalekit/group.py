@@ -8,7 +8,6 @@ cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .moebius import MapClass, SuMatrix

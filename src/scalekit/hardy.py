@@ -16,7 +16,7 @@ import numpy as np
 
 from .group import ScaleGroup
 from .moebius import SuMatrix
-from .signals import ScaleSignal, ScaleTimeSignal, as_index
+from .signals import ScaleTimeSignal, as_index, zeros_box
 
 __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform",
            "DEFAULT_MAX_LEN"]
@@ -180,7 +180,7 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
 
     Column at index idx is transform_coeffs(group.element(idx), x) truncated
     or zero-padded to time_len rows; row n collects the n-th coefficient of
-    every column.
+    every column.  The columns fill one (time_len, window box) array.
     """
     x = _as_coeffseq(x)
     window = [as_index(idx, group.p) for idx in scale_window]
@@ -191,7 +191,9 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
     time_len = int(time_len)
     if time_len < 1:
         raise ValueError(f"time_len must be >= 1, got {time_len}")
-    columns: dict[tuple, np.ndarray] = {}
+    mins = tuple(map(min, zip(*window)))
+    widths = tuple(hi - lo + 1 for lo, hi in zip(mins, map(max, zip(*window))))
+    dense = zeros_box((time_len,) + widths)
     for idx in window:
         mat = group.element(idx)
         try:
@@ -202,13 +204,7 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
             ) from exc
         except ValueError as exc:
             raise ValueError(f"scale index {idx}: {exc}") from exc
-        padded = np.zeros(time_len, complex)
         take = min(time_len, len(col))
-        padded[:take] = col.coeffs[:take]
-        columns[idx] = padded
-    slices = []
-    for n in range(time_len):
-        slices.append(
-            ScaleSignal({idx: columns[idx][n] for idx in window}, arity=group.p)
-        )
-    return ScaleTimeSignal(slices, arity=group.p)
+        column = (slice(0, take),) + tuple(k - lo for k, lo in zip(idx, mins))
+        dense[column] = col.coeffs[:take]
+    return ScaleTimeSignal._from_box(dense, mins)

@@ -3,6 +3,7 @@
 Complex numbers are always [re, im] pairs.  Signals travel either as CSV
 with columns (n, k1..kp, re, im) sorted lexicographically, or as a dense
 JSON tensor {arity, shape, origin, data} with data flattened in C order.
+Both are read into and written from the (T, box) array of the signal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
 from .moments import MomentSequence
-from .signals import ScaleSignal, ScaleTimeSignal
+from .signals import ScaleSignal, ScaleTimeSignal, zeros_box
 from .spectral import SpectrumGrid
 from .stability import EmpiricalReport, OperatorNormBracket, StabilityReport
 
@@ -100,7 +101,7 @@ def signal_to_dict(sig: ScaleTimeSignal) -> dict:
         "arity": sig.arity,
         "shape": list(dense.shape),
         "origin": list(origin),
-        "data": [pair(z) for z in dense.reshape(-1)],
+        "data": dense.reshape(-1, 1).view(float).tolist(),
     }
 
 
@@ -108,18 +109,21 @@ def signal_from_dict(obj) -> ScaleTimeSignal:
     try:
         shape = tuple(int(s) for s in obj["shape"])
         origin = tuple(int(o) for o in obj["origin"])
-        data = [unpair(z) for z in obj["data"]]
-    except (KeyError, TypeError) as exc:
+        data = np.asarray(obj["data"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed signal object: {type(obj)!r}") from exc
     arity = int(obj.get("arity", len(shape) - 1))
     if len(shape) != arity + 1 or len(origin) != arity:
         raise ValueError(f"inconsistent signal shape {shape!r} / origin {origin!r}")
-    if len(data) != math.prod(shape):
+    if data.ndim == 2 and data.shape[1] == 2:
+        data = np.ascontiguousarray(data).view(complex)
+    elif data.ndim != 1:
+        raise ValueError("signal data must be [re, im] pairs or real numbers")
+    if data.size != math.prod(shape):
         raise ValueError(
-            f"signal data length {len(data)} does not match shape {shape!r}"
+            f"signal data length {data.size} does not match shape {shape!r}"
         )
-    arr = np.asarray(data, complex).reshape(shape)
-    return ScaleTimeSignal.from_dense(arr, origin)
+    return ScaleTimeSignal.from_dense(data.reshape(shape), origin)
 
 
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:
@@ -139,30 +143,33 @@ def read_signal_csv(fh) -> ScaleTimeSignal:
     arity = len(header) - 3
     if arity < 1:
         raise ValueError("CSV header must declare at least one scale axis")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != arity + 3:
-            raise ValueError(f"line {lineno}: expected {arity + 3} fields")
-        try:
-            n = int(row[0])
-            idx = tuple(int(x) for x in row[1:1 + arity])
-            value = complex(float(row[-2]), float(row[-1]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        if n < 0:
-            raise ValueError(f"line {lineno}: negative time index")
-        rows.append((n, idx, value))
-    t_len = max((n for n, _, _ in rows), default=-1) + 1
-    slices = [dict() for _ in range(t_len)]
-    for n, idx, value in rows:
-        slices[n][idx] = slices[n].get(idx, 0.0) + value
-    if t_len == 0:
+    time_len = 0
+
+    def rows():
+        nonlocal time_len
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != arity + 3:
+                raise ValueError(f"line {lineno}: expected {arity + 3} fields")
+            try:
+                key = tuple(map(int, row[:1 + arity]))
+                value = complex(float(row[-2]), float(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            if key[0] < 0:
+                raise ValueError(f"line {lineno}: negative time index")
+            time_len = max(time_len, key[0] + 1)
+            yield key, value
+
+    # the rows as one signal on (n, k1..kp), placed in a box from time 0
+    stacked = ScaleSignal(rows(), arity=arity + 1)
+    if time_len == 0:
         return ScaleTimeSignal([ScaleSignal.zero(arity)], arity=arity)
-    return ScaleTimeSignal(
-        [ScaleSignal(s, arity=arity) for s in slices], arity=arity
-    )
+    dense = zeros_box((time_len,) + stacked.array.shape[1:])
+    start = stacked.origin[0]
+    dense[start:start + stacked.array.shape[0]] = stacked.array
+    return ScaleTimeSignal._from_box(dense, stacked.origin[1:])
 
 
 def read_time_signal(path: str) -> ScaleTimeSignal:
@@ -215,12 +222,6 @@ def moments_from_dict(obj) -> MomentSequence:
         raise ValueError(f"malformed moments object: {obj!r}") from exc
 
 
-def _scale_signal_to_entries(sig: ScaleSignal) -> list:
-    return [
-        {"k": list(idx), "value": pair(v)} for idx, v in sig.items()
-    ]
-
-
 def bracket_to_dict(b: OperatorNormBracket) -> dict:
     return {
         "lower": float(b.lower),
@@ -235,7 +236,7 @@ def _detail_value(value):
     if isinstance(value, OperatorNormBracket):
         return bracket_to_dict(value)
     if isinstance(value, ScaleSignal):
-        return _scale_signal_to_entries(value)
+        return [{"k": list(idx), "value": pair(v)} for idx, v in value.items()]
     if isinstance(value, (list, tuple)):
         return [_detail_value(v) for v in value]
     if isinstance(value, dict):

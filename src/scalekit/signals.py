@@ -1,9 +1,12 @@
-"""Sparse signals on the scale lattice and time-indexed stacks of them.
+"""Scale signals on the exponent lattice, stored as dense boxes, and
+time-indexed stacks of them.
 
 A scale signal is a finitely supported map from p-tuples of integer
-exponents to complex values.  A scale-time signal is a finite sequence of
-scale signals, one per time step.  Entries that are exactly zero are never
-stored.
+exponents to complex values, held as one read-only complex array trimmed to
+the bounding box of its nonzeros plus the exponent of the box's first cell.
+Exact zeros are never entries.  The public constructor validates; internal
+code hands over arrays it owns to ScaleSignal._from_box.  No box may exceed
+MAX_BOX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "NORM_KINDS",
+    "MAX_BOX_CELLS",
     "as_index",
     "in_causal_cone",
     "ScaleSignal",
@@ -25,13 +29,17 @@ __all__ = [
 
 NORM_KINDS = ("sup_l2", "energy", "l1_l2")
 
+# Largest box (time steps included) a signal or convolution may allocate:
+# 2^24 complex cells are 256 MB.
+MAX_BOX_CELLS = 1 << 24
+
 
 def as_index(idx, arity: int) -> tuple:
     """Coerce idx to a tuple of `arity` Python ints; rejects non-integers."""
     if isinstance(idx, (int, np.integer)):
         idx = (idx,)
     try:
-        out = tuple(operator.index(k) for k in idx)
+        out = tuple(map(operator.index, idx))
     except TypeError as exc:
         raise TypeError(f"group index entries must be integers: {idx!r}") from exc
     if len(out) != arity:
@@ -44,17 +52,55 @@ def in_causal_cone(idx: tuple) -> bool:
     return all(k >= 0 for k in idx)
 
 
-def _clean_value(value) -> complex:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"signal entries must be finite, got {value!r}")
-    return value
+def check_box(shape) -> tuple:
+    """The box shape as a tuple; ValueError beyond MAX_BOX_CELLS cells."""
+    shape = tuple(int(n) for n in shape)
+    if math.prod(shape) > MAX_BOX_CELLS:
+        raise ValueError(f"signal box {shape} exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
+    return shape
+
+
+def zeros_box(shape) -> np.ndarray:
+    """Complex zeros of a checked box shape."""
+    return np.zeros(check_box(shape), complex)
+
+
+def trim_box(array: np.ndarray, origin) -> tuple[np.ndarray, tuple]:
+    """View of array on the bounding box of its nonzeros, and its origin;
+    an array without nonzeros gives an empty box at the zero origin."""
+    hits = np.nonzero(array)
+    if hits[0].size == 0:
+        return array[(slice(0, 0),) * array.ndim], (0,) * array.ndim
+    cut = tuple(slice(int(h.min()), int(h.max()) + 1) for h in hits)
+    return array[cut], tuple(int(o) + c.start for o, c in zip(origin, cut))
+
+
+def cone_box(array: np.ndarray, origin) -> tuple[np.ndarray, tuple]:
+    """View of a box on the scale-causal cone (all exponents >= 0)."""
+    cut = tuple(slice(max(0, -o), None) for o in origin)
+    return array[cut], tuple(max(0, o) for o in origin)
+
+
+def overlap(origin_a, shape_a, origin_b, shape_b):
+    """Slices of box a and of box b that cover their intersection, or None."""
+    cut_a, cut_b = [], []
+    for oa, na, ob, nb in zip(origin_a, shape_a, origin_b, shape_b):
+        lo, hi = max(oa, ob), min(oa + na, ob + nb)
+        if lo >= hi:
+            return None
+        cut_a.append(slice(lo - oa, hi - oa))
+        cut_b.append(slice(lo - ob, hi - ob))
+    return tuple(cut_a), tuple(cut_b)
 
 
 class ScaleSignal:
-    """Finitely supported complex function on the exponent lattice Z^p."""
+    """Finitely supported complex function on the exponent lattice Z^p.
 
-    __slots__ = ("arity", "_entries")
+    `array` is read-only and trimmed to the bounding box of the nonzeros;
+    `origin` is the exponent of its first cell.
+    """
+
+    __slots__ = ("arity", "array", "origin")
 
     def __init__(self, entries=(), arity: int | None = None):
         if arity is None:
@@ -63,16 +109,40 @@ class ScaleSignal:
         if arity < 1:
             raise ValueError(f"arity must be >= 1, got {arity}")
         items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict = {}
+        keys, values = [], []
         for idx, value in items:
-            idx = as_index(idx, arity)
-            value = _clean_value(value)
-            if value != 0:
-                store[idx] = store.get(idx, 0.0) + value
-                if store[idx] == 0:
-                    del store[idx]
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_entries", store)
+            keys.append(as_index(idx, arity))
+            values.append(complex(value))
+        values = np.array(values, complex)
+        if not np.isfinite(values).all():
+            raise ValueError("signal entries must be finite")
+        keys = [k for k, v in zip(keys, values) if v != 0]
+        box, mins = np.zeros((0,) * arity, complex), (0,) * arity
+        if keys:
+            columns = list(zip(*keys))
+            mins = tuple(map(min, columns))
+            shape = check_box(max(c) - m + 1 for c, m in zip(columns, mins))
+            # unbuffered, in entry order: duplicates sum as they are listed,
+            # onto -0.0, the exact additive identity (signed zeros survive)
+            box = np.full(shape, complex(-0.0, -0.0))
+            rel = tuple(np.array([k - m for k in c], np.intp) for c, m in zip(columns, mins))
+            np.add.at(box, rel, values[values != 0])
+            box[box == 0] = 0
+        self._set(box, mins)
+
+    def _set(self, array: np.ndarray, origin) -> None:
+        array, origin = trim_box(array, origin)
+        array.setflags(write=False)
+        object.__setattr__(self, "arity", array.ndim)
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "origin", origin)
+
+    @classmethod
+    def _from_box(cls, array: np.ndarray, origin) -> "ScaleSignal":
+        """Trusted constructor: takes ownership of a finite complex array."""
+        out = cls.__new__(cls)
+        out._set(array, origin)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaleSignal is immutable")
@@ -86,78 +156,76 @@ class ScaleSignal:
         return cls({as_index(idx, arity): value}, arity=arity)
 
     def get(self, idx) -> complex:
-        return self._entries.get(as_index(idx, self.arity), 0.0)
+        idx = as_index(idx, self.arity)
+        pos = tuple(k - o for k, o in zip(idx, self.origin))
+        if all(0 <= x < n for x, n in zip(pos, self.array.shape)):
+            return complex(self.array[pos])
+        return 0.0
 
     def items(self) -> Iterator[tuple[tuple, complex]]:
-        """Entries in lexicographic index order."""
-        for idx in sorted(self._entries):
-            yield idx, self._entries[idx]
+        """Entries (the nonzeros) in lexicographic index order."""
+        pos = np.argwhere(self.array).tolist()
+        values = self.array[self.array != 0].tolist()
+        for row, value in zip(pos, values):
+            yield tuple(map(operator.add, self.origin, row)), value
 
     def support(self) -> tuple[tuple, ...]:
-        return tuple(sorted(self._entries))
+        return tuple(idx for idx, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self.array))
 
     @property
     def is_zero(self) -> bool:
-        return not self._entries
+        return self.array.size == 0
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self._entries.values()))
+        return float(np.linalg.norm(self.array))
 
     def scaled(self, factor) -> "ScaleSignal":
-        factor = complex(factor)
-        return ScaleSignal(
-            {idx: factor * v for idx, v in self._entries.items()}, arity=self.arity
-        )
+        return ScaleSignal._from_box(complex(factor) * self.array, self.origin)
 
     def adjoint_reflect(self) -> "ScaleSignal":
         """Kernel of the adjoint convolution operator: k -> conj(value at -k)."""
-        return ScaleSignal(
-            {tuple(-k for k in idx): v.conjugate() for idx, v in self._entries.items()},
-            arity=self.arity,
-        )
+        flipped = np.conj(self.array[(slice(None, None, -1),) * self.arity])
+        origin = tuple(-(o + n - 1) for o, n in zip(self.origin, self.array.shape))
+        return ScaleSignal._from_box(flipped, origin)
 
     def is_cone_supported(self) -> bool:
-        return all(in_causal_cone(idx) for idx in self._entries)
+        return all(o >= 0 for o in self.origin)
 
     def project_cone(self) -> "ScaleSignal":
         """Drop every entry outside the scale-causal cone."""
-        return ScaleSignal(
-            {idx: v for idx, v in self._entries.items() if in_causal_cone(idx)},
-            arity=self.arity,
-        )
+        return ScaleSignal._from_box(*cone_box(self.array, self.origin))
 
     def support_box(self) -> tuple[tuple, tuple] | None:
         """Per-axis (min, max) exponents, or None for the zero signal."""
-        if not self._entries:
+        if self.is_zero:
             return None
-        keys = list(self._entries)
-        mins = tuple(min(k[a] for k in keys) for a in range(self.arity))
-        maxs = tuple(max(k[a] for k in keys) for a in range(self.arity))
-        return mins, maxs
+        return self.origin, tuple(o + n - 1 for o, n in zip(self.origin, self.array.shape))
 
     def distance(self, other: "ScaleSignal") -> float:
+        """Largest entrywise modulus of self - other."""
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        keys = set(self._entries) | set(other._entries)
-        return max(
-            (abs(self._entries.get(k, 0.0) - other._entries.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
+        mine, theirs = np.abs(self.array), np.abs(other.array)
+        cuts = overlap(self.origin, self.array.shape, other.origin, other.array.shape)
+        if cuts is not None:
+            mine[cuts[0]] = np.abs(self.array[cuts[0]] - other.array[cuts[1]])
+            theirs[cuts[1]] = 0.0
+        return float(max(mine.max(initial=0.0), theirs.max(initial=0.0)))
 
     def inner(self, other: "ScaleSignal") -> complex:
         """<self, other> = sum self(k) * conj(other(k))."""
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        small, large = self._entries, other._entries
-        if len(large) < len(small):
-            return other.inner(self).conjugate()
-        return sum(v * large[k].conjugate() for k, v in small.items() if k in large)
+        cuts = overlap(self.origin, self.array.shape, other.origin, other.array.shape)
+        if cuts is None:
+            return 0j
+        return complex(np.vdot(other.array[cuts[1]], self.array[cuts[0]]))
 
     def __repr__(self) -> str:
-        return f"ScaleSignal({dict(sorted(self._entries.items()))!r}, arity={self.arity})"
+        return f"ScaleSignal({dict(self.items())!r}, arity={self.arity})"
 
 
 def support_bound(u: ScaleSignal) -> int | None:
@@ -170,10 +238,10 @@ def support_bound(u: ScaleSignal) -> int | None:
         raise ValueError("support bound defined on ordered cyclic cone")
     if u.is_zero:
         return None
-    keys = [idx[0] for idx in u.support()]
-    if keys[0] < 0:
+    (lo,), (hi,) = u.support_box()
+    if lo < 0:
         raise ValueError("support bound defined on ordered cyclic cone")
-    return keys[-1]
+    return hi
 
 
 class ScaleTimeSignal:
@@ -199,6 +267,13 @@ class ScaleTimeSignal:
     def __setattr__(self, name, value):
         raise AttributeError("ScaleTimeSignal is immutable")
 
+    @classmethod
+    def _from_box(cls, array: np.ndarray, origin) -> "ScaleTimeSignal":
+        """Trusted constructor from a finite (T, w_1, ..., w_p) array that
+        the caller hands over."""
+        return cls([ScaleSignal._from_box(a, origin) for a in array],
+                   arity=array.ndim - 1)
+
     @property
     def time_len(self) -> int:
         return len(self.slices)
@@ -210,9 +285,7 @@ class ScaleTimeSignal:
         return ScaleSignal.zero(self.arity)
 
     def items(self) -> Iterator[tuple[int, tuple, complex]]:
-        for n, s in enumerate(self.slices):
-            for idx, v in s.items():
-                yield n, idx, v
+        return ((n, idx, v) for n, s in enumerate(self.slices) for idx, v in s.items())
 
     @property
     def is_zero(self) -> bool:
@@ -237,8 +310,7 @@ class ScaleTimeSignal:
         return all(s.is_cone_supported() for s in self.slices)
 
     def support_box(self) -> tuple[tuple, tuple] | None:
-        boxes = [s.support_box() for s in self.slices]
-        boxes = [bx for bx in boxes if bx is not None]
+        boxes = [s.support_box() for s in self.slices if not s.is_zero]
         if not boxes:
             return None
         mins = tuple(min(bx[0][a] for bx in boxes) for a in range(self.arity))
@@ -253,31 +325,24 @@ class ScaleTimeSignal:
 
     def to_dense(self) -> tuple[np.ndarray, tuple]:
         """Dense tensor of shape (T, w_1, ..., w_p) plus the scale origin."""
-        box = self.support_box()
-        if box is None:
-            return np.zeros((self.time_len,) + (1,) * self.arity, complex), (0,) * self.arity
-        mins, maxs = box
-        widths = tuple(maxs[a] - mins[a] + 1 for a in range(self.arity))
-        arr = np.zeros((self.time_len,) + widths, complex)
-        for n, idx, v in self.items():
-            arr[(n,) + tuple(idx[a] - mins[a] for a in range(self.arity))] = v
+        mins, maxs = self.support_box() or ((0,) * self.arity, (0,) * self.arity)
+        arr = zeros_box((self.time_len,) + tuple(b - a + 1 for a, b in zip(mins, maxs)))
+        for n, s in enumerate(self.slices):
+            if not s.is_zero:
+                arr[n][overlap(s.origin, s.array.shape, mins, arr.shape[1:])[1]] = s.array
+        arr[arr == 0] = 0  # cells that hold no entry read +0, whatever their sign
         return arr, mins
 
     @classmethod
     def from_dense(cls, arr: np.ndarray, origin: tuple) -> "ScaleTimeSignal":
-        arr = np.asarray(arr, complex)
+        arr = np.array(arr, dtype=complex)
         arity = arr.ndim - 1
         origin = tuple(int(o) for o in origin)
-        if len(origin) != arity:
-            raise ValueError("origin length must match the number of scale axes")
-        slices = []
-        for n in range(arr.shape[0]):
-            entries = {}
-            for pos in np.argwhere(arr[n] != 0):
-                idx = tuple(int(pos[a]) + origin[a] for a in range(arity))
-                entries[idx] = complex(arr[(n,) + tuple(int(x) for x in pos)])
-            slices.append(ScaleSignal(entries, arity=arity))
-        return cls(slices, arity=arity)
+        if arity < 1 or len(origin) != arity:
+            raise ValueError("dense signals have shape (T, w_1..w_p), p = len(origin) >= 1")
+        if not np.isfinite(arr).all():
+            raise ValueError("signal entries must be finite")
+        return cls._from_box(arr, origin)
 
     def __repr__(self) -> str:
         return f"ScaleTimeSignal(T={self.time_len}, arity={self.arity})"

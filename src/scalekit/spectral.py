@@ -17,14 +17,13 @@ when no two exponents of the support are congruent.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import ScaleGroup
-from .signals import ScaleSignal, ScaleTimeSignal, as_index
+from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box
 
 __all__ = [
     "SpectrumGrid",
@@ -76,31 +75,28 @@ def _check_alias(x, grid_sizes) -> tuple[int, ...]:
         )
     if any(s < 1 for s in sizes):
         raise ValueError(f"grid sizes must be positive, got {sizes!r}")
-    box = x.support_box()
-    if box is not None:
-        mins, maxs = box
-        for a in range(x.arity):
-            width = maxs[a] - mins[a] + 1
-            if sizes[a] < width:
-                raise ValueError(
-                    f"aliasing on axis {a}: grid size {sizes[a]} < support "
-                    f"width {width}"
-                )
+    for a, (size, width) in enumerate(zip(sizes, x.array.shape)):
+        if size < width:
+            raise ValueError(
+                f"aliasing on axis {a}: grid size {size} < support width {width}"
+            )
     return sizes
 
 
-def torus_values(items, sizes) -> np.ndarray:
+def torus_values(array: np.ndarray, origin, sizes) -> np.ndarray:
     """sum_e c_e e^{-i e.theta} on the grid theta_j = 2 pi j / sizes.
 
-    items are (exponent tuple, coefficient) pairs; exponents may be negative
-    and the support may be wider than the grid (congruent exponents fold
-    onto one residue, which keeps the values exact).  Callers wanting the
-    e^{+i e.theta} convention pass negated exponents.  The FFT runs in place
-    on the scatter grid, so only one full-size array is allocated.
+    The coefficients c_e form a dense box: array, whose first cell has
+    exponent origin.  Exponents may be negative and the box may be wider
+    than the grid (congruent exponents fold onto one residue, which keeps
+    the values exact).  Callers wanting the e^{+i e.theta} convention pass
+    the flipped box with negated origin.  The FFT runs in place on the fold
+    grid, so only one full-size array is allocated.
     """
     grid = np.zeros(tuple(sizes), complex)
-    for e, v in items:
-        grid[tuple(k % n for k, n in zip(e, grid.shape))] += v
+    residues = np.ix_(*[(o + np.arange(w)) % n
+                        for o, w, n in zip(origin, array.shape, grid.shape)])
+    np.add.at(grid, residues, array)
     return np.fft.fftn(grid, out=grid)
 
 
@@ -111,7 +107,7 @@ def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:
     guard); then the grid mean of |values|^2 equals the signal energy.
     """
     sizes = _check_alias(x, grid_sizes)
-    return SpectrumGrid(sizes, torus_values(x.items(), sizes))
+    return SpectrumGrid(sizes, torus_values(x.array, x.origin, sizes))
 
 
 def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
@@ -127,29 +123,34 @@ def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
     for a, (lo, hi) in enumerate(window):
         if lo > hi:
             raise ValueError(f"empty window on axis {a}")
+    check_box(hi - lo + 1 for lo, hi in window)
     residues = np.fft.ifftn(grid.values)
-    entries = {
-        idx: complex(residues[tuple(k % n for k, n in zip(idx, grid.grid_sizes))])
-        for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in window))
-    }
-    return ScaleSignal(entries, arity=grid.arity)
+    box = residues[np.ix_(*[np.arange(lo, hi + 1) % n
+                            for (lo, hi), n in zip(window, grid.grid_sizes)])]
+    return ScaleSignal._from_box(box, tuple(lo for lo, _ in window))
+
+
+def _powers(w: complex, lo: int, count: int) -> np.ndarray:
+    return complex(w) ** np.arange(lo, lo + count)
+
+
+def _evaluate(array: np.ndarray, origin, points) -> complex:
+    """sum_e c_e prod_a points_a^e_a over the box (array, origin): each
+    leading axis is contracted with the powers of its variable in turn."""
+    for w, lo in zip(points, origin):
+        rest = array.shape[1:]
+        flat = array.reshape(len(array), math.prod(rest))
+        array = (_powers(w, lo, len(array)) @ flat).reshape(rest)
+    return complex(array)
 
 
 def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
     """H(z, theta) = sum_n z^n hhat_n(theta) sampled on the torus grid."""
-    z = complex(z)
-    sizes = tuple(int(s) for s in grid_sizes)
-    if len(sizes) != h.arity:
-        raise ValueError(
-            f"grid rank {len(sizes)} does not match signal arity {h.arity}"
-        )
-    items = []
-    zn = 1.0 + 0.0j
-    for s in h.slices:
-        _check_alias(s, sizes)
-        items.extend((idx, zn * v) for idx, v in s.items())
-        zn *= z
-    return SpectrumGrid(sizes, torus_values(items, sizes))
+    for s in h.slices or (ScaleSignal.zero(h.arity),):
+        sizes = _check_alias(s, grid_sizes)
+    dense, origin = h.to_dense()
+    folded = np.tensordot(_powers(z, 0, h.time_len), dense, axes=(0, 0))
+    return SpectrumGrid(sizes, torus_values(folded, origin, sizes))
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,8 @@ class LaurentPoly:
 
     def __post_init__(self):
         arity = int(self.arity)
-        clean = {}
-        for idx, v in dict(self.terms).items():
-            idx = as_index(idx, arity)
-            v = complex(v)
-            if v != 0:
-                clean[idx] = v
-        object.__setattr__(self, "terms", clean)
+        clean = ScaleSignal(dict(self.terms), arity=arity)
+        object.__setattr__(self, "terms", dict(clean.items()))
         object.__setattr__(self, "arity", arity)
 
     def get(self, idx) -> complex:
@@ -189,22 +185,13 @@ class LaurentPoly:
         zs = [complex(z) for z in zs]
         if len(zs) != self.arity:
             raise ValueError(f"expected {self.arity} point coordinates")
-        neg_axes = {
-            a for idx in self.terms for a in range(self.arity) if idx[a] < 0
-        }
-        for a in neg_axes:
-            if zs[a] == 0:
+        x = ScaleSignal(self.terms, arity=self.arity)
+        for a, (z, lo) in enumerate(zip(zs, x.origin)):
+            if lo < 0 and z == 0:
                 raise ZeroDivisionError(
                     f"variable {a} is zero but negative powers are present"
                 )
-        total = 0.0 + 0.0j
-        for idx, v in sorted(self.terms.items()):
-            term = v
-            for a in range(self.arity):
-                if idx[a]:
-                    term *= zs[a] ** idx[a]
-            total += term
-        return total
+        return _evaluate(x.array, x.origin, zs)
 
     def distance(self, other: "LaurentPoly") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -230,19 +217,11 @@ def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
     zs = [complex(w) for w in zs]
     if len(zs) != h.arity:
         raise ValueError(f"expected {h.arity} scale coordinates")
-    box = h.support_box()
-    if box is not None:
-        mins, _ = box
-        for a in range(h.arity):
-            if mins[a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
-                raise ValueError("Laurent evaluation requires torus points")
-    total = 0.0 + 0.0j
-    zn = 1.0 + 0.0j
-    for s in h.slices:
-        if not s.is_zero:
-            total += zn * hermite_transform(s)(zs)
-        zn *= z
-    return total
+    dense, origin = h.to_dense()
+    for a in range(h.arity):
+        if origin[a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
+            raise ValueError("Laurent evaluation requires torus points")
+    return _evaluate(dense, (0,) + origin, [z] + zs)
 
 
 def haar_moment(group: ScaleGroup, idx) -> complex:

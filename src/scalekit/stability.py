@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import double_convolve, group_convolve
-from .signals import ScaleSignal, ScaleTimeSignal
+from .convolve import box_convolve, double_convolve
+from .signals import (
+    ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, trim_box, zeros_box,
+)
 from .spectral import generalized_transfer, torus_values
 
 __all__ = [
@@ -83,27 +85,43 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def _certify_sup(items, widths, tol, budget, fail_above=None) -> OperatorNormBracket:
+def _exponents(origin, shape) -> list:
+    """Per-axis exponent arrays of a box, shaped to broadcast against it."""
+    p = len(shape)
+    return [(o + np.arange(n)).reshape((-1,) + (1,) * (p - 1 - a))
+            for a, (o, n) in enumerate(zip(origin, shape))]
+
+
+def _certify_sup(array, origin, widths, tol, budget,
+                 fail_above=None) -> OperatorNormBracket:
     """Bracket the sup of |sum c_e e^{i e.theta}| over the torus.
 
-    Per grid cell the bound is the smaller of the Lipschitz form
-    grid_value + L * delta (L the l1-weighted coefficient sum) and a
-    second-order form on the squared modulus, whose gradient is computed
-    on the grid and vanishes at interior maxima, so the bracket width
-    shrinks quadratically with the spacing.  Grids double until the
-    bracket is within a tol fraction of the grid max or the point budget
-    is exceeded.  If fail_above is given and the grid max passes it, the
-    sweep stops early (the lower bound already decides the verdict).
+    The coefficients c_e form the dense box (array, origin).  Per grid cell
+    the bound is the smaller of the Lipschitz form grid_value + L * delta
+    (L the l1-weighted coefficient sum) and a second-order form on the
+    squared modulus, whose gradient is computed on the grid and vanishes at
+    interior maxima, so the bracket width shrinks quadratically with the
+    spacing.  Grids double until the bracket is within a tol fraction of
+    the grid max or the point budget is exceeded.  If fail_above is given
+    and the grid max passes it, the sweep stops early (the lower bound
+    already decides the verdict).  A box with at most one term is exact.
     """
-    axes = len(widths)
-    lipschitz = sum(sum(abs(k) for k in e) * abs(v) for e, v in items)
-    quad = sum(sum(abs(k) for k in e) ** 2 * abs(v) for e, v in items)
-    # torus_values pairs e with e^{-i e.theta}: negated exponents give the
-    # e^{+i e.theta} symbol, whose grid argmax is the reported witness
-    items = [(tuple(-k for k in e), v) for e, v in items]
+    if np.count_nonzero(array) <= 1:
+        value = float(np.abs(array).max(initial=0.0))
+        return OperatorNormBracket(value, value, True)
+    axes = array.ndim
+    # torus_values pairs e with e^{-i e.theta}: the flipped box with negated
+    # exponents gives the e^{+i e.theta} symbol, whose grid argmax is the
+    # reported witness
+    array = array[(slice(None, None, -1),) * axes]
+    origin = tuple(-(o + n - 1) for o, n in zip(origin, array.shape))
+    exps = _exponents(origin, array.shape)
+    weight = sum(np.abs(e) for e in exps)
+    lipschitz = float(np.sum(weight * np.abs(array)))
+    quad = float(np.sum(weight ** 2 * np.abs(array)))
     sizes = tuple(_next_pow2(max(w, 8)) for w in widths)
     while True:
-        vals = torus_values(items, sizes)
+        vals = torus_values(array, origin, sizes)
         mags = np.abs(vals)
         flat = int(np.argmax(mags))
         pos = np.unravel_index(flat, sizes)
@@ -112,14 +130,23 @@ def _certify_sup(items, widths, tol, budget, fail_above=None) -> OperatorNormBra
         delta = max(math.pi / n for n in sizes)
         first_order = grid_max + lipschitz * delta
         # squared-modulus refinement: |h|^2(theta + d) <= |h_j|^2 +
-        # |grad|h_j|^2|_1 delta + (L^2 + sup|h| Q) delta^2
+        # |grad|h_j|^2|_1 delta + (L^2 + sup|h| Q) delta^2, with
+        # d|h|^2/d theta_a = 2 Re(conj(h) dh_a), computed in place in dh_a
         grad_sq = np.zeros(sizes)
         for a in range(axes):
-            dvals = torus_values([(e, -1j * e[a] * v) for e, v in items], sizes)
-            grad_sq += np.abs(2.0 * np.real(np.conj(vals) * dvals))
+            dvals = torus_values(-1j * exps[a] * array, origin, sizes)
+            np.multiply(dvals.real, vals.real, out=dvals.real)
+            np.multiply(dvals.imag, vals.imag, out=dvals.imag)
+            dvals.real += dvals.imag
+            grad_sq += np.abs(dvals.real, out=dvals.real)
+            del dvals
+        del vals
+        grad_sq *= 2.0 * delta
+        grad_sq += np.square(mags, out=mags)
+        del mags
         hessian_bound = lipschitz ** 2 + first_order * quad
-        refined_sq = float(np.max(mags ** 2 + grad_sq * delta))
-        refined_sq += hessian_bound * delta ** 2
+        refined_sq = float(np.max(grad_sq)) + hessian_bound * delta ** 2
+        del grad_sq
         upper = min(first_order, math.sqrt(max(refined_sq, 0.0)))
         if fail_above is not None and grid_max > fail_above:
             return OperatorNormBracket(grid_max, upper, False, sizes, angles)
@@ -141,49 +168,45 @@ def mult_operator_norm(h: ScaleSignal, cone: bool = False, tol: float = 1e-6,
     """
     if cone and not h.is_cone_supported():
         raise ValueError("symbol not scale-causal")
-    if h.is_zero:
-        return OperatorNormBracket(0.0, 0.0, True)
-    items = list(h.items())
-    if len(items) == 1:
-        value = abs(items[0][1])
-        return OperatorNormBracket(value, value, True)
-    mins, maxs = h.support_box()
-    widths = tuple(maxs[a] - mins[a] + 1 for a in range(h.arity))
-    return _certify_sup(items, widths, tol, _grid_budget(max_grid))
+    return _certify_sup(h.array, h.origin, h.array.shape, tol, _grid_budget(max_grid))
 
 
-def _adjoint_apply(h_adj: ScaleSignal, v: ScaleSignal, cone: bool) -> ScaleSignal:
-    out = group_convolve(h_adj, v)
-    return out.project_cone() if cone else out
+def _box_apply(kernel, box, cone: bool):
+    """Convolve the (array, origin) box by a kernel box, then project onto
+    the scale-causal cone if asked."""
+    (k, k_origin), (x, x_origin) = kernel, box
+    out = box_convolve(k, x), tuple(a + b for a, b in zip(k_origin, x_origin))
+    return cone_box(*out) if cone else out
 
 
-def _bibo_objective(adjoints, v: ScaleSignal, cone: bool) -> tuple[float, list]:
-    images = [_adjoint_apply(ha, v, cone) for ha in adjoints]
-    return sum(img.l2_norm() for img in images), images
+def _bibo_objective(adjoints, v, cone: bool) -> tuple[float, list]:
+    images = [_box_apply(adj, v, cone) for adj in adjoints]
+    return sum(float(np.linalg.norm(img)) for img, _ in images), images
 
 
-def _bibo_ascent(slices, adjoints, v: ScaleSignal, cone: bool,
-                 window: frozenset, iters: int) -> tuple[ScaleSignal, float]:
+def _bibo_ascent(kernels, adjoints, v, cone: bool, window, iters: int):
     """Monotone fixed-point ascent of v -> sum_n ||M_n^* v|| on the unit
-    sphere of the window subspace."""
+    sphere of the window subspace.
+
+    v and the kernels are (array, origin) boxes; window is the (origin,
+    shape) of the box the ascent projects onto.
+    """
+    w_origin, w_shape = window
     value, images = _bibo_objective(adjoints, v, cone)
     for _ in range(iters):
-        acc: dict = {}
-        for h_n, image in zip(slices, images):
-            norm = image.l2_norm()
+        g = zeros_box(w_shape)
+        for kernel, (image, origin) in zip(kernels, images):
+            norm = float(np.linalg.norm(image))
             if norm == 0.0:
                 continue
-            forward = group_convolve(h_n, image.scaled(1.0 / norm))
-            if cone:
-                forward = forward.project_cone()
-            for k, val in forward.items():
-                if k in window:
-                    acc[k] = acc.get(k, 0.0) + val
-        g = ScaleSignal(acc, arity=v.arity)
-        gn = g.l2_norm()
+            forward, f_origin = _box_apply(kernel, (image * (1.0 / norm), origin), cone)
+            cuts = overlap(w_origin, w_shape, f_origin, forward.shape)
+            if cuts is not None:
+                g[cuts[0]] += forward[cuts[1]]
+        gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
-        v_next = g.scaled(1.0 / gn)
+        v_next = (g * (1.0 / gn), w_origin)
         next_value, next_images = _bibo_objective(adjoints, v_next, cone)
         improved = next_value > value + 1e-11 * max(1.0, value)
         if next_value >= value:
@@ -191,27 +214,6 @@ def _bibo_ascent(slices, adjoints, v: ScaleSignal, cone: bool,
         if not improved:
             break
     return v, value
-
-
-def _window_box(h: ScaleTimeSignal, cone: bool, margin: int) -> list[range]:
-    box = h.support_box()
-    if box is None:
-        mins = maxs = (0,) * h.arity
-    else:
-        mins, maxs = box
-    spans = []
-    for a in range(h.arity):
-        lo = 0 if cone else mins[a] - margin
-        hi = maxs[a] + margin
-        spans.append(range(lo, hi + 1))
-    return spans
-
-
-def _box_indices(spans) -> list[tuple]:
-    out = [()]
-    for span in spans:
-        out = [prefix + (k,) for prefix in out for k in span]
-    return out
 
 
 def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
@@ -235,12 +237,14 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
 
     if window_margin is None:
         window_margin = 24 if p == 1 else (5 if p == 2 else 3)
-    spans = _window_box(h, cone, window_margin)
-    window_keys = _box_indices(spans)
-    window = frozenset(window_keys)
-    wsize = len(window_keys)
+    spans = [(0 if cone else lo - window_margin, hi + window_margin)
+             for lo, hi in zip(*(h.support_box() or ((0,) * p, (0,) * p)))]
+    w_origin = tuple(lo for lo, _ in spans)
+    w_shape = check_box(hi - lo + 1 for lo, hi in spans)
+    wsize = math.prod(w_shape)
 
-    adjoints = [s.adjoint_reflect() for s in h.slices]
+    kernels = [(s.array, s.origin) for s in h.slices]
+    adjoints = [(a.array, a.origin) for a in (s.adjoint_reflect() for s in h.slices)]
 
     # Candidate angles from the grid argmax of the summed slice symbols.  The
     # adjoint images of the character e^{i k.theta} have norms
@@ -248,33 +252,24 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     cand_sizes = tuple(256 if p == 1 else 64 for _ in range(p))
     total = np.zeros(cand_sizes)
     for s in h.slices:
-        total += np.abs(torus_values(s.items(), cand_sizes))
+        total += np.abs(torus_values(s.array, s.origin, cand_sizes))
     pos = np.unravel_index(int(np.argmax(total)), cand_sizes)
     theta_star = tuple(
         float(2.0 * math.pi * j / n) for j, n in zip(pos, cand_sizes)
     )
 
-    def character(angles) -> ScaleSignal:
-        amp = 1.0 / math.sqrt(wsize)
-        return ScaleSignal(
-            {
-                k: amp * complex(math.cos(x), math.sin(x))
-                for k in window_keys
-                for x in (sum(ki * ti for ki, ti in zip(k, angles)),)
-            },
-            arity=p,
-        )
-
+    phase = sum(t * e for t, e in zip(theta_star, _exponents(w_origin, w_shape)))
     rng = np.random.default_rng(seed)
-    starts = [character(theta_star), ScaleSignal.delta((0,) * p, arity=p)]
+    starts = [(np.exp(1j * phase) / math.sqrt(wsize), w_origin),
+              (np.ones((1,) * p, complex), (0,) * p)]
     for _ in range(2):
         vals = rng.standard_normal(wsize) + 1j * rng.standard_normal(wsize)
-        raw = ScaleSignal(dict(zip(window_keys, vals)), arity=p)
-        starts.append(raw.scaled(1.0 / raw.l2_norm()))
+        starts.append(((vals * (1.0 / np.linalg.norm(vals))).reshape(w_shape), w_origin))
 
     best_v, best_val = None, -1.0
     for v0 in starts:
-        v, value = _bibo_ascent(h.slices, adjoints, v0, cone, window, ascent_iters)
+        v, value = _bibo_ascent(kernels, adjoints, v0, cone, (w_origin, w_shape),
+                                ascent_iters)
         if value > best_val:
             best_v, best_val = v, value
     necessary_lower = min(best_val, sufficient_upper)
@@ -284,11 +279,12 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
         verdict="pass" if certified else "inconclusive",
         sufficient_upper=sufficient_upper,
         necessary_lower=float(necessary_lower),
-        witnesses={"maximizer": best_v, "character_angles": theta_star},
+        witnesses={"maximizer": ScaleSignal._from_box(*best_v),
+                   "character_angles": theta_star},
         details={
             "slice_brackets": brackets,
             "certified": certified,
-            "window_spans": [(s.start, s.stop - 1) for s in spans],
+            "window_spans": spans,
             "cone": cone,
             "seed": seed,
         },
@@ -315,9 +311,11 @@ def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal,
         if j >= h.time_len:
             slices.append(ScaleSignal.zero(h.arity))
             continue
-        image = _adjoint_apply(h.slices[j].adjoint_reflect(), v, cone)
-        norm = image.l2_norm()
-        slices.append(image.scaled(1.0 / norm) if norm > 0.0 else image)
+        adj = h.slices[j].adjoint_reflect()
+        image, origin = _box_apply((adj.array, adj.origin), (v.array, v.origin), cone)
+        norm = float(np.linalg.norm(image))
+        slices.append(ScaleSignal._from_box(
+            image * (1.0 / norm) if norm > 0.0 else image, origin))
     return ScaleTimeSignal(slices, arity=h.arity)
 
 
@@ -340,22 +338,14 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
     of the contractivity kernel against products of disc reproducing
     kernels on random point sets.
     """
-    items = [((n,) + idx, v) for n, idx, v in h.items()]
-    if not items:
-        bracket = OperatorNormBracket(0.0, 0.0, True)
-    elif len(items) == 1:
-        value = abs(items[0][1])
-        bracket = OperatorNormBracket(value, value, True)
-    else:
-        exps = np.array([e for e, _ in items])
-        widths = tuple(
-            int(exps[:, a].max() - exps[:, a].min() + 1) for a in range(exps.shape[1])
-        )
-        if grid_sizes is not None:
-            widths = tuple(max(w, int(g)) for w, g in zip(widths, grid_sizes))
-        bracket = _certify_sup(
-            items, widths, tol, _grid_budget(max_grid), fail_above=1.0 + tol
-        )
+    dense, origin = h.to_dense()
+    dense, origin = trim_box(dense, (0,) + origin)
+    widths = dense.shape
+    if grid_sizes is not None:
+        widths = tuple(max(w, int(g)) for w, g in zip(widths, grid_sizes))
+    bracket = _certify_sup(
+        dense, origin, widths, tol, _grid_budget(max_grid), fail_above=1.0 + tol
+    )
 
     witnesses: dict = {}
     if bracket.lower > 1.0 + tol:
@@ -406,7 +396,7 @@ def l1l2_gain(h: ScaleTimeSignal) -> StabilityReport:
     sum is finite, and the squared norm is the plain coefficient energy;
     the Hermite-side statement gives the same number.
     """
-    total = sum(abs(v) ** 2 for _, _, v in h.items())
+    total = float(sum(np.vdot(s.array, s.array).real for s in h.slices))
     gain = math.sqrt(total)
     return StabilityReport(
         property="l1_l2",
@@ -426,16 +416,13 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) != arity:
         thetas = (0.0,) * arity
-    keys = _box_indices([range(lo, hi + 1) for lo, hi in box]) if box else [(0,) * arity]
-    amp = 1.0 / math.sqrt(time_len * len(keys))
-    slices = []
-    for m in range(time_len):
-        entries = {}
-        for k in keys:
-            phase = m * phi + sum(ki * ti for ki, ti in zip(k, thetas))
-            entries[k] = amp * complex(math.cos(phase), math.sin(phase))
-        slices.append(ScaleSignal(entries, arity=arity))
-    return ScaleTimeSignal(slices, arity=arity)
+    origin = tuple(int(lo) for lo, _ in box) if box else (0,) * arity
+    widths = tuple(int(hi) - int(lo) + 1 for lo, hi in box) if box else (1,) * arity
+    shape = check_box((time_len,) + widths)
+    exps = _exponents((0,) + origin, shape)
+    phase = exps[0] * phi + sum(e * t for e, t in zip(exps[1:], thetas))
+    amp = 1.0 / math.sqrt(math.prod(shape))
+    return ScaleTimeSignal._from_box(amp * np.exp(1j * phase), origin)
 
 
 _NORM_BY_PROPERTY = {"bibo": "sup_l2", "dissipative": "energy", "l1_l2": "l1_l2"}
@@ -472,24 +459,22 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         bound = report.gain
         measure = lambda y: math.sqrt(y.norm("energy"))
 
-    box = h.support_box()
-    mins, maxs = box if box is not None else ((0,) * p, (0,) * p)
-    spans = [range(min(0, mins[a]) - 1, maxs[a] + 2) for a in range(p)]
-    keys = _box_indices(spans)
+    mins, maxs = h.support_box() or ((0,) * p, (0,) * p)
+    origin = tuple(min(0, lo) - 1 for lo in mins)
     time_len = max(3, h.time_len)
+    shape = check_box((time_len,) + tuple(hi + 2 - lo for lo, hi in zip(origin, maxs)))
+    cells = math.prod(shape[1:])
     rng = np.random.default_rng(seed)
 
     max_ratio = 0.0
     for _ in range(trials):
-        slices = []
-        for _ in range(time_len):
-            vals = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-            slices.append(ScaleSignal(dict(zip(keys, vals)), arity=p))
-        u = ScaleTimeSignal(slices, arity=p)
-        unorm = u.norm(_NORM_BY_PROPERTY[prop])
+        # per time step: the real parts, then the imaginary parts
+        draws = rng.standard_normal((time_len, 2, cells))
+        vals = (draws[:, 0] + 1j * draws[:, 1]).reshape(shape)
+        unorm = ScaleTimeSignal._from_box(vals, origin).norm(_NORM_BY_PROPERTY[prop])
         if prop == "dissipative":
             unorm = math.sqrt(unorm)
-        u = ScaleTimeSignal([s.scaled(1.0 / unorm) for s in u.slices], arity=p)
+        u = ScaleTimeSignal._from_box(vals * (1.0 / unorm), origin)
         observed = measure(double_convolve(h, u))
         if bound == 0.0:
             ratio = 0.0 if observed == 0.0 else math.inf

@@ -91,6 +91,25 @@ class TestFilterOracle:
         yo = skio.read_time_signal(str(got_oracle))
         assert yf.distance(yo) < 1e-12
 
+    def test_same_rows_within_1e_12(self, tmp_path):
+        # the README's claim: the same entries (rows), values within 1e-12
+        rng = np.random.default_rng(6)
+        for p in (1, 2):
+            paths = []
+            for name, t in (("h", 3), ("u", 4)):
+                paths.append(tmp_path / f"{name}{p}.csv")
+                skio.write_time_signal(random_time_signal(rng, p, time_len=t), str(paths[-1]))
+            rows = []
+            for cmd in ("filter", "oracle"):
+                out = tmp_path / f"{cmd}{p}.csv"
+                assert main([cmd, "--h", str(paths[0]), "--u", str(paths[1]),
+                             "--out", str(out)]) == 0
+                rows.append([r.split(",") for r in out.read_text().splitlines()])
+            assert [r[:-2] for r in rows[0]] == [r[:-2] for r in rows[1]]
+            for a, b in zip(rows[0][1:], rows[1][1:]):
+                assert abs(complex(float(a[-2]), float(a[-1]))
+                           - complex(float(b[-2]), float(b[-1]))) <= 1e-12
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["filter", "--h", str(tmp_path / "no.csv"),
                      "--u", str(tmp_path / "no.csv")])
