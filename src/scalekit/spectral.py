@@ -130,18 +130,19 @@ def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
     return ScaleSignal._from_box(box, tuple(lo for lo, _ in window))
 
 
-def _powers(w: complex, lo: int, count: int) -> np.ndarray:
-    return complex(w) ** np.arange(lo, lo + count)
+def _powers(w, lo: int, count: int) -> np.ndarray:
+    return np.asarray(w, complex)[..., None] ** np.arange(lo, lo + count)
 
 
-def _evaluate(array: np.ndarray, origin, points) -> complex:
-    """sum_e c_e prod_a points_a^e_a over the box (array, origin): each
-    leading axis is contracted with the powers of its variable in turn."""
-    for w, lo in zip(points, origin):
-        rest = array.shape[1:]
-        flat = array.reshape(len(array), math.prod(rest))
-        array = (_powers(w, lo, len(array)) @ flat).reshape(rest)
-    return complex(array)
+def _evaluate(array: np.ndarray, origin, points) -> np.ndarray:
+    """sum_e c_e prod_a z_a^e_a over the box (array, origin) at each row z
+    of points (shape (count, p)): each leading axis is contracted with the
+    powers of its variable in turn, for all points at once."""
+    points = np.asarray(points, complex)
+    out = np.broadcast_to(array, (len(points),) + array.shape)
+    for w, lo in zip(points.T, origin):
+        out = np.einsum("ij,ij...->i...", _powers(w, lo, out.shape[1]), out)
+    return out
 
 
 def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
@@ -191,7 +192,7 @@ class LaurentPoly:
                 raise ZeroDivisionError(
                     f"variable {a} is zero but negative powers are present"
                 )
-        return _evaluate(x.array, x.origin, zs)
+        return complex(_evaluate(x.array, x.origin, [zs])[0])
 
     def distance(self, other: "LaurentPoly") -> float:
         keys = set(self.terms) | set(other.terms)
@@ -221,7 +222,7 @@ def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
     for a in range(h.arity):
         if origin[a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
             raise ValueError("Laurent evaluation requires torus points")
-    return _evaluate(dense, (0,) + origin, [z] + zs)
+    return complex(_evaluate(dense, (0,) + origin, [[z] + zs])[0])
 
 
 def haar_moment(group: ScaleGroup, idx) -> complex:

@@ -2,9 +2,14 @@
 
 Three system properties are analyzed: bounded input / bounded output gain,
 energy dissipativity, and l1-to-l2 boundedness.  Torus suprema are
-certified with explicit Lipschitz constants (l1-weighted coefficient sums)
-on auto-refining uniform grids; every report carries enough data (bounds,
-witnesses, grids, seeds) to replay the verdict.
+certified on auto-refining uniform grids by one inequality (Ehlich and
+Zeller, Math. Z. 1964): a real trigonometric polynomial of degree <= n_a
+in theta_a, sampled on M_a > 2 n_a equispaced points per axis, has
+supremum at most its grid maximum over prod_a cos(pi n_a / M_a), the
+constant applied axis by axis.  |h|^2 is such a polynomial with n_a the
+support width minus one.  FFT roundoff is not yet inside the bound.  Every
+report carries enough data (bounds, witnesses, grids, seeds) to replay the
+verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .convolve import box_convolve, double_convolve
 from .signals import (
     ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, trim_box, zeros_box,
 )
-from .spectral import generalized_transfer, torus_values
+from .spectral import _evaluate, torus_values
 
 __all__ = [
     "OperatorNormBracket",
@@ -92,62 +97,47 @@ def _exponents(origin, shape) -> list:
             for a, (o, n) in enumerate(zip(origin, shape))]
 
 
-def _certify_sup(array, origin, widths, tol, budget,
+def _certify_sup(array, origin, min_sizes, tol, budget,
                  fail_above=None) -> OperatorNormBracket:
-    """Bracket the sup of |sum c_e e^{i e.theta}| over the torus.
+    """Bracket the sup of |h| = |sum c_e e^{i e.theta}| over the torus.
 
-    The coefficients c_e form the dense box (array, origin).  Per grid cell
-    the bound is the smaller of the Lipschitz form grid_value + L * delta
-    (L the l1-weighted coefficient sum) and a second-order form on the
-    squared modulus, whose gradient is computed on the grid and vanishes at
-    interior maxima, so the bracket width shrinks quadratically with the
-    spacing.  Grids double until the bracket is within a tol fraction of
-    the grid max or the point budget is exceeded.  If fail_above is given
-    and the grid max passes it, the sweep stops early (the lower bound
-    already decides the verdict).  A box with at most one term is exact.
+    The coefficients c_e form the dense box (array, origin), of width w_a
+    on axis a, so |h|^2 is a real trigonometric polynomial of degree at
+    most n_a = w_a - 1 in theta_a.  The grid inequality of Ehlich and
+    Zeller: a real trigonometric polynomial T of degree <= n in one
+    variable satisfies sup|T| <= max_j |T(theta_j)| / cos(pi n / M) on any
+    M > 2n equispaced points theta_j.  Applied axis by axis (free one axis
+    at a time, the others held on their grid values),
+
+        sup|h|^2 <= max_grid|h|^2 / prod_a cos(pi n_a / M_a),   M_a > 2 n_a,
+
+    and upper = grid_max / sqrt(prod_a cos(pi n_a / M_a)).  The first grid
+    has M_a = next_pow2(max(2 w_a - 1, min_sizes[a], 8)), so the hypothesis
+    holds from the start and doubling keeps it.  Grids double until the
+    bracket is within a tol fraction of the grid max or the point budget is
+    exceeded.  If fail_above is given and the grid max passes it, the sweep
+    stops early (the lower bound already decides the verdict).  A box with
+    at most one term is exact.  FFT roundoff is not yet inside the bound.
     """
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
         return OperatorNormBracket(value, value, True)
-    axes = array.ndim
     # torus_values pairs e with e^{-i e.theta}: the flipped box with negated
     # exponents gives the e^{+i e.theta} symbol, whose grid argmax is the
     # reported witness
-    array = array[(slice(None, None, -1),) * axes]
+    array = array[(slice(None, None, -1),) * array.ndim]
     origin = tuple(-(o + n - 1) for o, n in zip(origin, array.shape))
-    exps = _exponents(origin, array.shape)
-    weight = sum(np.abs(e) for e in exps)
-    lipschitz = float(np.sum(weight * np.abs(array)))
-    quad = float(np.sum(weight ** 2 * np.abs(array)))
-    sizes = tuple(_next_pow2(max(w, 8)) for w in widths)
+    sizes = tuple(_next_pow2(max(2 * w - 1, int(m), 8))
+                  for w, m in zip(array.shape, min_sizes))
     while True:
-        vals = torus_values(array, origin, sizes)
-        mags = np.abs(vals)
-        flat = int(np.argmax(mags))
-        pos = np.unravel_index(flat, sizes)
-        angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
+        mags = np.abs(torus_values(array, origin, sizes))
+        pos = np.unravel_index(int(np.argmax(mags)), sizes)
         grid_max = float(mags[pos])
-        delta = max(math.pi / n for n in sizes)
-        first_order = grid_max + lipschitz * delta
-        # squared-modulus refinement: |h|^2(theta + d) <= |h_j|^2 +
-        # |grad|h_j|^2|_1 delta + (L^2 + sup|h| Q) delta^2, with
-        # d|h|^2/d theta_a = 2 Re(conj(h) dh_a), computed in place in dh_a
-        grad_sq = np.zeros(sizes)
-        for a in range(axes):
-            dvals = torus_values(-1j * exps[a] * array, origin, sizes)
-            np.multiply(dvals.real, vals.real, out=dvals.real)
-            np.multiply(dvals.imag, vals.imag, out=dvals.imag)
-            dvals.real += dvals.imag
-            grad_sq += np.abs(dvals.real, out=dvals.real)
-            del dvals
-        del vals
-        grad_sq *= 2.0 * delta
-        grad_sq += np.square(mags, out=mags)
         del mags
-        hessian_bound = lipschitz ** 2 + first_order * quad
-        refined_sq = float(np.max(grad_sq)) + hessian_bound * delta ** 2
-        del grad_sq
-        upper = min(first_order, math.sqrt(max(refined_sq, 0.0)))
+        angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
+        shrink = math.prod(math.cos(math.pi * (w - 1) / n)
+                           for w, n in zip(array.shape, sizes))
+        upper = grid_max / math.sqrt(shrink)
         if fail_above is not None and grid_max > fail_above:
             return OperatorNormBracket(grid_max, upper, False, sizes, angles)
         if upper - grid_max <= tol * grid_max:
@@ -168,7 +158,7 @@ def mult_operator_norm(h: ScaleSignal, cone: bool = False, tol: float = 1e-6,
     """
     if cone and not h.is_cone_supported():
         raise ValueError("symbol not scale-causal")
-    return _certify_sup(h.array, h.origin, h.array.shape, tol, _grid_budget(max_grid))
+    return _certify_sup(h.array, h.origin, (0,) * h.arity, tol, _grid_budget(max_grid))
 
 
 def _box_apply(kernel, box, cone: bool):
@@ -340,12 +330,8 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
     """
     dense, origin = h.to_dense()
     dense, origin = trim_box(dense, (0,) + origin)
-    widths = dense.shape
-    if grid_sizes is not None:
-        widths = tuple(max(w, int(g)) for w, g in zip(widths, grid_sizes))
-    bracket = _certify_sup(
-        dense, origin, widths, tol, _grid_budget(max_grid), fail_above=1.0 + tol
-    )
+    bracket = _certify_sup(dense, origin, grid_sizes or (0,) * dense.ndim, tol,
+                           _grid_budget(max_grid), fail_above=1.0 + tol)
 
     witnesses: dict = {}
     if bracket.lower > 1.0 + tol:
@@ -364,9 +350,7 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
         gram_min = math.inf
         for _ in range(sample_count):
             pts = _sample_polydisc(rng, points_per_set, h.arity + 1)
-            hv = np.array(
-                [generalized_transfer(h, pt[0], pt[1:]) for pt in pts]
-            )
+            hv = _evaluate(dense, origin, pts)
             # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
             kern = np.prod(1.0 / (1.0 - pts[:, None, :] * pts[None, :, :].conj()), axis=2)
             gram = (1.0 - hv[:, None] * hv.conj()[None, :]) * kern

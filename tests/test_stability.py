@@ -12,6 +12,7 @@ from scalekit import (
     double_convolve,
     empirical_verify,
     generalized_transfer,
+    group_convolve,
     l1l2_gain,
     mult_operator_norm,
     resonant_input,
@@ -27,6 +28,14 @@ def geometric_system(a=0.5, arity=1, floor=1e-16):
     n_terms = 1 + int(math.floor(math.log(floor) / math.log(abs(a))))
     slices = [delta((0,) * arity, arity, a ** n) for n in range(n_terms)]
     return ScaleTimeSignal(slices, arity=arity)
+
+
+def maximizer_value(h, report, cone=False):
+    """sum_n ||adjoint(h_n) * v|| at the reported maximizer v, re-derived
+    through the public convolution (projected onto the cone if asked)."""
+    v = report.witnesses["maximizer"]
+    images = (group_convolve(s.adjoint_reflect(), v) for s in h.slices)
+    return sum((img.project_cone() if cone else img).l2_norm() for img in images)
 
 
 class TestMultOperatorNorm:
@@ -84,19 +93,33 @@ class TestMultOperatorNorm:
         assert value == pytest.approx(report.sup_bracket.lower, rel=1e-12)
 
     def test_bracket_contains_independent_sup(self):
-        # certified upper bound must dominate values sampled on an
-        # incommensurate randomly offset grid the sweep never saw
+        # the certified upper bound must dominate values sampled on a randomly
+        # offset dense grid the sweep never saw (2^16 points for p=1, 256^2
+        # for p=2); tol 1.0 stops on the first, coarsest grid, where the grid
+        # inequality is least tight, tol 1e-3 a few doublings later
         rng = np.random.default_rng(97)
-        for _ in range(10):
-            items = {
-                (int(k),): complex(rng.standard_normal(), rng.standard_normal())
-                for k in rng.integers(-4, 5, 4)
-            }
-            h = ScaleSignal(items, arity=1)
-            b = mult_operator_norm(h, tol=1e-4)
-            theta = 2 * np.pi * np.arange(4001) / 4001 + rng.uniform(0, 1)
-            vals = sum(v * np.exp(1j * k * theta) for (k,), v in h.items())
-            assert float(np.abs(vals).max()) <= b.upper + 1e-12
+        for p, size in ((1, 1 << 16), (2, 256)):
+            for _ in range(10):
+                width = int(rng.integers(2, 10))
+                lo = int(rng.integers(-6, 1))
+                keys = [(lo,) * p, (lo + width - 1,) * p]
+                keys += [tuple(int(k) for k in rng.integers(lo, lo + width, p))
+                         for _ in range(3)]
+                h = ScaleSignal({k: complex(rng.standard_normal(), rng.standard_normal())
+                                 for k in keys}, arity=p)
+                theta = [2 * np.pi * (np.arange(size) + rng.uniform(0, 1)) / size
+                         for _ in range(p)]
+                vals = 0.0
+                for k, v in h.items():
+                    term = v
+                    for a, (e, t) in enumerate(zip(k, theta)):
+                        term = term * np.exp(1j * e * t).reshape((-1,) + (1,) * (p - 1 - a))
+                    vals = vals + term
+                dense_max = float(np.abs(vals).max())
+                for tol in (1.0, 1e-3):
+                    b = mult_operator_norm(h, tol=tol)
+                    assert b.certified
+                    assert dense_max <= b.upper + 1e-12
 
     def test_matches_dense_svd_on_truncation(self):
         # operator matrix on a window is a section of the full operator, so
@@ -148,6 +171,7 @@ class TestBiboAnalysis:
         assert report.sufficient_upper == pytest.approx(4.0, abs=1e-4)
         # the true gain sup equals 2 sqrt(2); a finite search window
         # undershoots it by O(1/window)
+        assert maximizer_value(h, report) <= report.sufficient_upper * (1 + 1e-12)
         assert report.necessary_lower <= report.sufficient_upper + 1e-12
         assert report.necessary_lower >= 2 * math.sqrt(2) - 5e-2
 
@@ -163,11 +187,21 @@ class TestBiboAnalysis:
         assert symbol(theta) >= fine - 0.05
 
     def test_bracket_order(self):
+        # necessary_lower is clipped to sufficient_upper, so the order is
+        # checked on the value re-derived from the reported maximizer
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            h = random_time_signal(rng, 1, time_len=3, width=2, terms=3)
-            report = bibo_analysis(h)
-            assert report.necessary_lower <= report.sufficient_upper + 1e-12
+        cases = [random_time_signal(rng, 1, time_len=3, width=2, terms=3)
+                 for _ in range(5)]
+        cases += [random_time_signal(rng, 2, time_len=2, width=1, terms=3)
+                  for _ in range(2)]
+        for h, cone in [(h, False) for h in cases] + [
+                (cases[0].scale_causal_projection(), True),
+                (cases[5].scale_causal_projection(), True)]:
+            report = bibo_analysis(h, cone=cone, tol=1e-6 if h.arity == 1 else 1e-3)
+            derived = maximizer_value(h, report, cone)
+            assert derived <= report.sufficient_upper * (1 + 1e-12)
+            assert report.necessary_lower == pytest.approx(
+                min(derived, report.sufficient_upper), rel=1e-9)
 
 
 class TestAdversarialInput:
@@ -249,6 +283,19 @@ class TestDissipativity:
         b1 = dissipativity_check(h, tol=1e-6).sup_bracket
         b2 = dissipativity_check(scaled, tol=1e-6).sup_bracket
         assert b2.lower == pytest.approx(s * b1.lower, abs=1e-12)
+
+    def test_first_grid_meets_the_grid_inequality_hypothesis(self):
+        # width 9 on both axes, sup 4: the sweep fails on its first grid, and
+        # that grid already has M_a > 2 (w_a - 1) points on every axis
+        taps = ScaleSignal({(0,): 1.0, (8,): 1.0}, arity=1)
+        h = ScaleTimeSignal([taps] + [ScaleSignal.zero(1)] * 7 + [taps], arity=1)
+        report = dissipativity_check(h, sample_count=0)
+        assert report.verdict == "fail"
+        bracket = report.sup_bracket
+        assert all(m > 2 * (9 - 1) for m in bracket.grid_sizes)
+        # requested grid sizes are a floor on the first grid
+        bracket = dissipativity_check(h, grid_sizes=(64, 8), sample_count=0).sup_bracket
+        assert bracket.grid_sizes == (64, 32)
 
     def test_gram_skipped_off_cone(self):
         h = ScaleTimeSignal([delta((-1,), 1, 0.5)], arity=1)
