@@ -39,11 +39,16 @@ rhs = transfer_grid(h, z, [16]).values * transfer_grid(u, z, [16]).values
 print("pointwise product identity residual:", np.abs(lhs - rhs).max())
 
 # Polynomial picture: convolution on the lattice = product of polynomials.
+# The Hermite transform evaluates the coefficients as a Laurent polynomial;
+# on as many torus points as the product is wide, values determine it.
 f = ScaleSignal({(0,): 1.0, (1,): 2.0}, arity=1)
 g = ScaleSignal({(0,): -1.0, (2,): 1.0}, arity=1)
-conv_poly = hermite_transform(group_convolve(f, g))
-prod_poly = hermite_transform(f) * hermite_transform(g)
-print("polynomial multiplicativity residual:", conv_poly.distance(prod_poly))
+fg = group_convolve(f, g)
+points = np.exp(2j * np.pi * np.arange(fg.array.shape[0]) / fg.array.shape[0])[:, None]
+conv_vals = hermite_transform(fg, points)
+prod_vals = hermite_transform(f, points) * hermite_transform(g, points)
+print("polynomial multiplicativity residual:", np.abs(conv_vals - prod_vals).max())
+print("f(z) at z = 0.5:", hermite_transform(f, [[0.5]])[0], "(expect 2)")
 
 # The generalized transfer function evaluates anywhere in the polydisc for
 # cone-supported systems.

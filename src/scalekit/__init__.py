@@ -22,7 +22,6 @@ from .convolve import (
     group_convolve,
 )
 from .spectral import (
-    LaurentPoly,
     SpectrumGrid,
     generalized_transfer,
     haar_moment,
@@ -61,7 +60,7 @@ __all__ = [
     "support_bound",
     "CoeffSeq", "TruncationError", "scale_transform", "transform_coeffs",
     "brute_force_double_convolve", "double_convolve", "group_convolve",
-    "LaurentPoly", "SpectrumGrid", "generalized_transfer", "haar_moment",
+    "SpectrumGrid", "generalized_transfer", "haar_moment",
     "hermite_transform", "scale_fourier", "scale_fourier_inverse",
     "transfer_grid",
     "HerglotzValue", "MomentSequence", "PsdReport", "herglotz_eval",

@@ -50,10 +50,10 @@ def _cmd_scale_transform(args) -> int:
     group = skio.group_from_dict(_load_json_arg(args.group))
     window = [as_index(idx, group.p) for idx in _load_json_arg(args.window)]
     result = scale_transform(group, coeffs, window, args.time_len, args.tol)
-    if args.out and args.out.endswith(".csv"):
+    if args.out:
         skio.write_time_signal(result, args.out)
     else:
-        _emit(skio.signal_to_dict(result), args.out)
+        _emit(skio.signal_to_dict(result), None)
     return EXIT_OK
 
 
@@ -61,9 +61,7 @@ def _cmd_filter(args, engine) -> int:
     h = skio.read_time_signal(args.h)
     u = skio.read_time_signal(args.u)
     y = engine(h, u)
-    if args.out and not args.out.endswith(".csv"):
-        _emit(skio.signal_to_dict(y), args.out)
-    elif args.out:
+    if args.out:
         skio.write_time_signal(y, args.out)
     else:
         skio.write_signal_csv(y, sys.stdout)

@@ -70,20 +70,18 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
         raise ValueError("input signal not scale-causal")
     if h.time_len == 0 or u.time_len == 0:
         return ScaleTimeSignal([], arity=h.arity)
-    dense_h, origin_h = h.to_dense()
-    dense_u, origin_u = u.to_dense()
-    if method == "fft":
-        full = _convolve_fft(dense_h, dense_u)
+    # the stacks on (n, k): the double convolution is their convolution
+    hs, us = h.stack, u.stack
+    if method == "fft" and not (hs.is_zero or us.is_zero):
+        full = _convolve_fft(hs.array, us.array)
     else:
         # h's time index descending, then its scale index ascending: each
         # output entry sums over input time m ascending, as y_n's formula reads
-        pos = np.argwhere(dense_h)
-        full = box_convolve(dense_h, dense_u, pos[np.argsort(-pos[:, 0], kind="stable")])
-    origin = tuple(a + b for a, b in zip(origin_h, origin_u))
-    result = ScaleTimeSignal._from_box(full, origin)
-    if scale_mode == "causal_cone" and not result.is_cone_supported():
-        raise AssertionError("cone-supported inputs produced off-cone output")
-    return result
+        pos = np.argwhere(hs.array)
+        full = box_convolve(hs.array, us.array, pos[np.argsort(-pos[:, 0], kind="stable")])
+    # the origins add, so cone-supported operands give a cone-supported output
+    stack = ScaleSignal._from_box(full, tuple(a + b for a, b in zip(hs.origin, us.origin)))
+    return ScaleTimeSignal._from_stack(stack, h.time_len + u.time_len - 1)
 
 
 def _convolve_fft(h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -114,16 +112,17 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     if h.time_len == 0 or u.time_len == 0:
         return ScaleTimeSignal([], arity=h.arity)
     t_out = h.time_len + u.time_len - 1
+    h_slices, u_slices = h.slices, u.slices
     candidates = sorted(
         {
             tuple(a + b for a, b in zip(kh, ku))
-            for hs in h.slices
+            for hs in h_slices
             for kh in hs.support()
-            for us in u.slices
+            for us in u_slices
             for ku in us.support()
         }
     )
-    supp_sizes = sum(len(us) for us in u.slices)
+    supp_sizes = sum(len(us) for us in u_slices)
     work = t_out * len(candidates) * max(1, supp_sizes)
     if work > work_guard:
         raise ValueError(f"work guard exceeded: estimated {work} > {work_guard}")
@@ -136,8 +135,8 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
                 j = n - m
                 if not 0 <= j < h.time_len:
                     continue
-                hs = h.slices[j]
-                for phi, uv in u.slices[m].items():
+                hs = h_slices[j]
+                for phi, uv in u_slices[m].items():
                     total += hs.get(tuple(a - b for a, b in zip(gamma, phi))) * uv
             entries[gamma] = total
         slices.append(ScaleSignal(entries, arity=h.arity))

@@ -3,7 +3,8 @@
 Complex numbers are always [re, im] pairs.  Signals travel either as CSV
 with columns (n, k1..kp, re, im) sorted lexicographically, or as a dense
 JSON tensor {arity, shape, origin, data} with data flattened in C order.
-Both are read into and written from the (T, box) array of the signal.
+CSV rows are the signal's stack on (n, k); the JSON tensor is its to_dense
+layout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
 from .moments import MomentSequence
-from .signals import ScaleSignal, ScaleTimeSignal, zeros_box
+from .signals import ScaleSignal, ScaleTimeSignal
 from .spectral import SpectrumGrid
 from .stability import EmpiricalReport, OperatorNormBracket, StabilityReport
 
@@ -162,14 +163,9 @@ def read_signal_csv(fh) -> ScaleTimeSignal:
             time_len = max(time_len, key[0] + 1)
             yield key, value
 
-    # the rows as one signal on (n, k1..kp), placed in a box from time 0
-    stacked = ScaleSignal(rows(), arity=arity + 1)
-    if time_len == 0:
-        return ScaleTimeSignal([ScaleSignal.zero(arity)], arity=arity)
-    dense = zeros_box((time_len,) + stacked.array.shape[1:])
-    start = stacked.origin[0]
-    dense[start:start + stacked.array.shape[0]] = stacked.array
-    return ScaleTimeSignal._from_box(dense, stacked.origin[1:])
+    # the rows are the signal's stack on (n, k1..kp); no rows is one zero step
+    stack = ScaleSignal(rows(), arity=arity + 1)
+    return ScaleTimeSignal._from_stack(stack, max(time_len, 1))
 
 
 def read_time_signal(path: str) -> ScaleTimeSignal:

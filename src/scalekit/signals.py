@@ -1,5 +1,5 @@
-"""Scale signals on the exponent lattice, stored as dense boxes, and
-time-indexed stacks of them.
+"""Scale signals on the exponent lattice, stored as dense boxes, and time
+signals, each held as one scale signal on (n, k_1, ..., k_p).
 
 A scale signal is a finitely supported map from p-tuples of integer
 exponents to complex values, held as one read-only complex array trimmed to
@@ -245,9 +245,12 @@ def support_bound(u: ScaleSignal) -> int | None:
 
 
 class ScaleTimeSignal:
-    """Finite sequence of scale signals indexed by time n = 0 .. T-1."""
+    """Scale signals at times n = 0 .. T-1, held as one scale signal `stack`
+    on (n, k_1..k_p) plus `time_len` T (trailing zero steps count).  Slices
+    are views trimmed to their own boxes.  T times the slices' union box may
+    not exceed MAX_BOX_CELLS, so drifting supports cost T x the union width."""
 
-    __slots__ = ("arity", "slices")
+    __slots__ = ("arity", "stack", "time_len")
 
     def __init__(self, slices: Iterable[ScaleSignal] = (), arity: int | None = None):
         slices = tuple(slices)
@@ -261,35 +264,48 @@ class ScaleTimeSignal:
                 raise TypeError(f"slices must be ScaleSignal, got {type(s)!r}")
             if s.arity != arity:
                 raise ValueError("all slices must share the group arity")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "slices", slices)
+        entries = (((n,) + idx, v) for n, s in enumerate(slices) for idx, v in s.items())
+        self._set(ScaleSignal(entries, arity=arity + 1), len(slices))
+
+    def _set(self, stack: ScaleSignal, time_len: int) -> None:
+        check_box((time_len,) + tuple(max(w, 1) for w in stack.array.shape[1:]))
+        object.__setattr__(self, "arity", stack.arity - 1)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "time_len", int(time_len))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaleTimeSignal is immutable")
 
     @classmethod
+    def _from_stack(cls, stack: ScaleSignal, time_len: int) -> "ScaleTimeSignal":
+        """Trusted constructor from a stack that lies in times 0 .. time_len-1."""
+        out = cls.__new__(cls)
+        out._set(stack, time_len)
+        return out
+
+    @classmethod
     def _from_box(cls, array: np.ndarray, origin) -> "ScaleTimeSignal":
         """Trusted constructor from a finite (T, w_1, ..., w_p) array that
-        the caller hands over."""
-        return cls([ScaleSignal._from_box(a, origin) for a in array],
-                   arity=array.ndim - 1)
+        the caller hands over; origin is the exponent of its first scale cell."""
+        return cls._from_stack(ScaleSignal._from_box(array, (0,) + tuple(origin)), len(array))
 
     @property
-    def time_len(self) -> int:
-        return len(self.slices)
+    def slices(self) -> tuple[ScaleSignal, ...]:
+        return tuple(map(self.slice, range(self.time_len)))
 
     def slice(self, n: int) -> ScaleSignal:
         """Time slice n; zero outside the stored range."""
-        if 0 <= n < len(self.slices):
-            return self.slices[n]
+        row = n - self.stack.origin[0]
+        if 0 <= row < len(self.stack.array):
+            return ScaleSignal._from_box(self.stack.array[row], self.stack.origin[1:])
         return ScaleSignal.zero(self.arity)
 
     def items(self) -> Iterator[tuple[int, tuple, complex]]:
-        return ((n, idx, v) for n, s in enumerate(self.slices) for idx, v in s.items())
+        return ((idx[0], idx[1:], v) for idx, v in self.stack.items())
 
     @property
     def is_zero(self) -> bool:
-        return all(s.is_zero for s in self.slices)
+        return self.stack.is_zero
 
     def norm(self, kind: str) -> float:
         """One of "sup_l2" (max over time of slice l2), "energy" (sum of
@@ -304,34 +320,29 @@ class ScaleTimeSignal:
         return float(sum(slice_norms))
 
     def scale_causal_projection(self) -> "ScaleTimeSignal":
-        return ScaleTimeSignal([s.project_cone() for s in self.slices], arity=self.arity)
+        return ScaleTimeSignal._from_stack(self.stack.project_cone(), self.time_len)
 
     def is_cone_supported(self) -> bool:
-        return all(s.is_cone_supported() for s in self.slices)
+        return self.stack.is_cone_supported()
 
     def support_box(self) -> tuple[tuple, tuple] | None:
-        boxes = [s.support_box() for s in self.slices if not s.is_zero]
-        if not boxes:
-            return None
-        mins = tuple(min(bx[0][a] for bx in boxes) for a in range(self.arity))
-        maxs = tuple(max(bx[1][a] for bx in boxes) for a in range(self.arity))
-        return mins, maxs
+        """Per-axis (min, max) scale exponents over all slices, or None."""
+        box = self.stack.support_box()
+        return None if box is None else (box[0][1:], box[1][1:])
 
     def distance(self, other: "ScaleTimeSignal") -> float:
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        t = max(self.time_len, other.time_len)
-        return max((self.slice(n).distance(other.slice(n)) for n in range(t)), default=0.0)
+        return self.stack.distance(other.stack)
 
     def to_dense(self) -> tuple[np.ndarray, tuple]:
-        """Dense tensor of shape (T, w_1, ..., w_p) plus the scale origin."""
-        mins, maxs = self.support_box() or ((0,) * self.arity, (0,) * self.arity)
-        arr = zeros_box((self.time_len,) + tuple(b - a + 1 for a, b in zip(mins, maxs)))
-        for n, s in enumerate(self.slices):
-            if not s.is_zero:
-                arr[n][overlap(s.origin, s.array.shape, mins, arr.shape[1:])[1]] = s.array
+        """Dense tensor of shape (T, w_1, ..., w_p) plus the scale origin,
+        the layout of the JSON format; a zero signal is (T, 1, ..., 1)."""
+        stack = self.stack
+        if stack.is_zero:
+            return zeros_box((self.time_len,) + (1,) * self.arity), (0,) * self.arity
+        arr = zeros_box((self.time_len,) + stack.array.shape[1:])
+        arr[stack.origin[0]:stack.origin[0] + len(stack.array)] = stack.array
         arr[arr == 0] = 0  # cells that hold no entry read +0, whatever their sign
-        return arr, mins
+        return arr, stack.origin[1:]
 
     @classmethod
     def from_dense(cls, arr: np.ndarray, origin: tuple) -> "ScaleTimeSignal":

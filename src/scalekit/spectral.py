@@ -1,5 +1,5 @@
 """Fourier analysis on the scale lattice, transfer functions, and the
-Hermite transform onto Laurent polynomials.
+Hermite transform, which evaluates a scale signal as a Laurent polynomial.
 
 The forward transform pairs an exponent k with e^{-i k.theta} on a uniform
 torus grid; the Hermite transform relabels the same coefficients as powers
@@ -27,7 +27,6 @@ from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box
 
 __all__ = [
     "SpectrumGrid",
-    "LaurentPoly",
     "torus_values",
     "scale_fourier",
     "scale_fourier_inverse",
@@ -149,62 +148,22 @@ def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
     """H(z, theta) = sum_n z^n hhat_n(theta) sampled on the torus grid."""
     for s in h.slices or (ScaleSignal.zero(h.arity),):
         sizes = _check_alias(s, grid_sizes)
-    dense, origin = h.to_dense()
-    folded = np.tensordot(_powers(z, 0, h.time_len), dense, axes=(0, 0))
-    return SpectrumGrid(sizes, torus_values(folded, origin, sizes))
+    stack = h.stack
+    folded = np.tensordot(_powers(z, stack.origin[0], len(stack.array)), stack.array,
+                          axes=(0, 0))
+    return SpectrumGrid(sizes, torus_values(folded, stack.origin[1:], sizes))
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Finitely supported Laurent polynomial in p variables."""
-
-    terms: dict
-    arity: int
-
-    def __post_init__(self):
-        arity = int(self.arity)
-        clean = ScaleSignal(dict(self.terms), arity=arity)
-        object.__setattr__(self, "terms", dict(clean.items()))
-        object.__setattr__(self, "arity", arity)
-
-    def get(self, idx) -> complex:
-        return self.terms.get(as_index(idx, self.arity), 0.0)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        out: dict = {}
-        for k, a in sorted(self.terms.items()):
-            for j, b in sorted(other.terms.items()):
-                key = tuple(x + y for x, y in zip(k, j))
-                out[key] = out.get(key, 0.0) + a * b
-        return LaurentPoly(out, self.arity)
-
-    def __call__(self, zs) -> complex:
-        zs = [complex(z) for z in zs]
-        if len(zs) != self.arity:
-            raise ValueError(f"expected {self.arity} point coordinates")
-        x = ScaleSignal(self.terms, arity=self.arity)
-        for a, (z, lo) in enumerate(zip(zs, x.origin)):
-            if lo < 0 and z == 0:
-                raise ZeroDivisionError(
-                    f"variable {a} is zero but negative powers are present"
-                )
-        return complex(_evaluate(x.array, x.origin, [zs])[0])
-
-    def distance(self, other: "LaurentPoly") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
-
-
-def hermite_transform(x: ScaleSignal) -> LaurentPoly:
-    """Relabel group coefficients as Laurent coefficients: delta_k -> z^k."""
-    return LaurentPoly(dict(x.items()), x.arity)
+def hermite_transform(x: ScaleSignal, points) -> np.ndarray:
+    """The Hermite transform sum_k x(k) z^k (delta_k -> z^k, no
+    conjugation) evaluated at each row z of points, shape (count, p)."""
+    points = np.asarray(points, complex)
+    if points.ndim != 2 or points.shape[1] != x.arity:
+        raise ValueError(f"points must have shape (count, {x.arity})")
+    for a, lo in enumerate(x.origin):
+        if lo < 0 and not points[:, a].all():
+            raise ZeroDivisionError(f"variable {a} is zero but negative powers are present")
+    return _evaluate(x.array, x.origin, points)
 
 
 def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
@@ -218,11 +177,11 @@ def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
     zs = [complex(w) for w in zs]
     if len(zs) != h.arity:
         raise ValueError(f"expected {h.arity} scale coordinates")
-    dense, origin = h.to_dense()
+    stack = h.stack
     for a in range(h.arity):
-        if origin[a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
+        if stack.origin[1 + a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
             raise ValueError("Laurent evaluation requires torus points")
-    return complex(_evaluate(dense, (0,) + origin, [[z] + zs])[0])
+    return complex(_evaluate(stack.array, stack.origin, [[z] + zs])[0])
 
 
 def haar_moment(group: ScaleGroup, idx) -> complex:

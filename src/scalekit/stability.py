@@ -22,7 +22,7 @@ import numpy as np
 
 from .convolve import box_convolve, double_convolve
 from .signals import (
-    ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, trim_box, zeros_box,
+    ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, zeros_box,
 )
 from .spectral import _evaluate, torus_values
 
@@ -218,10 +218,8 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     regardless of the window.
     """
     p = h.arity
-    brackets = [
-        mult_operator_norm(s, cone=cone, tol=tol, max_grid=max_grid)
-        for s in h.slices
-    ]
+    slices = h.slices
+    brackets = [mult_operator_norm(s, cone=cone, tol=tol, max_grid=max_grid) for s in slices]
     sufficient_upper = float(sum(b.upper for b in brackets))
     certified = all(b.certified for b in brackets)
 
@@ -233,15 +231,15 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     w_shape = check_box(hi - lo + 1 for lo, hi in spans)
     wsize = math.prod(w_shape)
 
-    kernels = [(s.array, s.origin) for s in h.slices]
-    adjoints = [(a.array, a.origin) for a in (s.adjoint_reflect() for s in h.slices)]
+    kernels = [(s.array, s.origin) for s in slices]
+    adjoints = [(a.array, a.origin) for a in (s.adjoint_reflect() for s in slices)]
 
     # Candidate angles from the grid argmax of the summed slice symbols.  The
     # adjoint images of the character e^{i k.theta} have norms
     # |sum_k h_n(k) e^{-i k.theta}|, the forward convention of torus_values.
     cand_sizes = tuple(256 if p == 1 else 64 for _ in range(p))
     total = np.zeros(cand_sizes)
-    for s in h.slices:
+    for s in slices:
         total += np.abs(torus_values(s.array, s.origin, cand_sizes))
     pos = np.unravel_index(int(np.argmax(total)), cand_sizes)
     theta_star = tuple(
@@ -297,11 +295,7 @@ def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal,
         raise ValueError("time index must be nonnegative")
     slices = []
     for m in range(n + 1):
-        j = n - m
-        if j >= h.time_len:
-            slices.append(ScaleSignal.zero(h.arity))
-            continue
-        adj = h.slices[j].adjoint_reflect()
+        adj = h.slice(n - m).adjoint_reflect()  # zero beyond h's last step
         image, origin = _box_apply((adj.array, adj.origin), (v.array, v.origin), cone)
         norm = float(np.linalg.norm(image))
         slices.append(ScaleSignal._from_box(
@@ -328,9 +322,11 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
     of the contractivity kernel against products of disc reproducing
     kernels on random point sets.
     """
-    dense, origin = h.to_dense()
-    dense, origin = trim_box(dense, (0,) + origin)
-    bracket = _certify_sup(dense, origin, grid_sizes or (0,) * dense.ndim, tol,
+    stack = h.stack
+    if grid_sizes and len(grid_sizes) != stack.arity:
+        raise ValueError(f"grid_sizes needs p + 1 = {stack.arity} sizes (time first), "
+                         f"got {len(grid_sizes)}")
+    bracket = _certify_sup(stack.array, stack.origin, grid_sizes or (0,) * stack.arity, tol,
                            _grid_budget(max_grid), fail_above=1.0 + tol)
 
     witnesses: dict = {}
@@ -350,7 +346,7 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
         gram_min = math.inf
         for _ in range(sample_count):
             pts = _sample_polydisc(rng, points_per_set, h.arity + 1)
-            hv = _evaluate(dense, origin, pts)
+            hv = _evaluate(stack.array, stack.origin, pts)
             # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
             kern = np.prod(1.0 / (1.0 - pts[:, None, :] * pts[None, :, :].conj()), axis=2)
             gram = (1.0 - hv[:, None] * hv.conj()[None, :]) * kern

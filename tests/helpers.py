@@ -48,6 +48,13 @@ def random_time_signal(rng, arity, time_len, width=3, terms=4) -> ScaleTimeSigna
     return ScaleTimeSignal(slices, arity=arity)
 
 
+def torus_points(sizes) -> np.ndarray:
+    """The product grid of sizes[a] roots of unity per axis, one point per
+    row: shape (prod(sizes), len(sizes))."""
+    axes = [np.exp(2j * np.pi * np.arange(m) / m) for m in sizes]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def disc_point(rng, radius=0.99) -> complex:
     r = radius * np.sqrt(rng.random())
     phi = 2.0 * np.pi * rng.random()

@@ -157,6 +157,33 @@ class TestTransformCommands:
         assert sig.slice(0).get((1,)) == pytest.approx(0.8)
         assert sig.slice(1).get((1,)) == pytest.approx(-0.48)
 
+    def test_one_signal_writer(self, tmp_path, capsys):
+        # --out goes through io.write_time_signal for filter and scale-transform;
+        # stdout stays CSV for filter and JSON for scale-transform
+        g = make_group([make_scale_shift(0.25, 0.0)])
+        gp = tmp_path / "group.json"
+        gp.write_text(json.dumps(skio.group_to_dict(g)))
+        sp = tmp_path / "sig.json"
+        sp.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.0, -0.5]], "tail_bound": 0.0}))
+        transform = ["scale-transform", "--signal", str(sp), "--group", str(gp),
+                     "--window", "[[0],[2]]", "--time-len", "5", "--tol", "1e-9"]
+        hp, up = tmp_path / "h.csv", tmp_path / "u.csv"
+        rng = np.random.default_rng(7)
+        skio.write_time_signal(random_time_signal(rng, 2, time_len=2), str(hp))
+        skio.write_time_signal(random_time_signal(rng, 2, time_len=3), str(up))
+        filt = ["filter", "--h", str(hp), "--u", str(up)]
+        for argv, stdout_ext in ((transform, ".json"), (filt, ".csv")):
+            capsys.readouterr()
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            for ext in (".json", ".csv"):
+                out, ref = tmp_path / f"out{ext}", tmp_path / f"ref{ext}"
+                assert main(argv + ["--out", str(out)]) == 0
+                skio.write_time_signal(skio.read_time_signal(str(out)), str(ref))
+                assert out.read_bytes() == ref.read_bytes()
+                if ext == stdout_ext:
+                    assert out.read_text() == printed
+
     def test_scale_transform_bound_overflow_exits_uncertified(self, tmp_path, capsys):
         g = make_group([make_scale_shift(0.6, 0.2)])
         gp = tmp_path / "group.json"

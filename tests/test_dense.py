@@ -7,6 +7,7 @@ must match the references bit for bit, support included.
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ def time_signal_pairs(draw, values=EXACT):
         return ScaleTimeSignal(slices, arity=arity)
 
     return stack(), stack()
+
+
+@st.composite
+def step_lists(draw, arity=None):
+    """(arity, one entry list per time step) for T = 0..4 steps; empty lists
+    are all-zero steps, leading and trailing ones included."""
+    arity = arity or draw(st.integers(1, 2))
+    step = st.one_of(st.just([]), entry_lists(arity=arity).map(lambda case: case[1]))
+    return arity, draw(st.lists(step, max_size=4))
+
+
+def time_signal(arity, steps) -> ScaleTimeSignal:
+    return ScaleTimeSignal([ScaleSignal(e, arity=arity) for e in steps], arity=arity)
 
 
 def dict_of(entries) -> dict:
@@ -189,6 +203,74 @@ class TestMethodsAgainstDicts:
         assert a.distance(a) == 0.0
 
 
+class TestStackedTimeSignal:
+    """The (n, k) stack against one reference dict per time step."""
+
+    @settings(max_examples=300)
+    @given(step_lists())
+    def test_matches_per_step_dicts(self, case):
+        arity, steps = case
+        sig = time_signal(arity, steps)
+        ref = [dict_of(e) for e in steps]
+        rows = [(n, k, v) for n, d in enumerate(ref) for k, v in sorted(d.items())]
+        keys = [k for _, k, _ in rows]
+        assert sig.time_len == len(ref)
+        assert list(sig.items()) == rows
+        assert sig.is_zero == (not rows)
+        assert sig.support_box() == (
+            (tuple(map(min, zip(*keys))), tuple(map(max, zip(*keys)))) if keys else None)
+        assert_trimmed(sig.stack)
+        assert len(sig.slices) == len(ref)
+        for s, d in zip(sig.slices, ref):
+            assert_trimmed(s)
+            assert dict(s.items()) == d
+        for n in range(-2, len(ref) + 2):
+            got = sig.slice(n)
+            assert got.arity == arity
+            assert dict(got.items()) == (ref[n] if 0 <= n < len(ref) else {})
+        # slice by slice, in time order; dyadic values keep every sum exact
+        l2 = [math.sqrt(sum(v.real ** 2 + v.imag ** 2 for v in d.values())) for d in ref]
+        assert sig.norm("sup_l2") == max(l2, default=0.0)
+        assert sig.norm("energy") == sum(x * x for x in l2)
+        assert sig.norm("l1_l2") == sum(l2)
+        cone = sig.scale_causal_projection()
+        assert cone.time_len == len(ref)
+        assert list(cone.items()) == [r for r in rows if min(r[1]) >= 0]
+        assert cone.is_cone_supported()
+        assert sig.is_cone_supported() == all(min(k) >= 0 for k in keys)
+
+    @settings(max_examples=200)
+    @given(step_lists().flatmap(lambda case: st.tuples(st.just(case), step_lists(case[0]))))
+    def test_distance(self, cases):
+        (arity, a), (_, b) = cases
+        ra, rb = [dict_of(e) for e in a], [dict_of(e) for e in b]
+        ra += [{}] * (len(rb) - len(ra))
+        rb += [{}] * (len(ra) - len(rb))
+        dist = max((abs(x.get(k, 0.0) - y.get(k, 0.0))
+                    for x, y in zip(ra, rb) for k in set(x) | set(y)), default=0.0)
+        got = time_signal(arity, a).distance(time_signal(arity, b))
+        # numpy's complex modulus may differ from Python's hypot by an ulp
+        assert got == pytest.approx(dist, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200)
+    @given(step_lists())
+    def test_dense_round_trip(self, case):
+        arity, steps = case
+        sig = time_signal(arity, steps)
+        dense, origin = sig.to_dense()
+        box = sig.support_box()
+        if box is None:
+            assert dense.shape == (len(steps),) + (1,) * arity
+            assert origin == (0,) * arity and not dense.any()
+        else:
+            assert origin == box[0]
+            assert dense.shape == (len(steps),) + tuple(b - a + 1 for a, b in zip(*box))
+        back = ScaleTimeSignal.from_dense(dense, origin)
+        assert back.time_len == sig.time_len
+        assert list(back.items()) == list(sig.items())
+        assert_trimmed(back.stack)
+
+
 FINITE = st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
 
 
@@ -240,3 +322,23 @@ class TestBoxCap:
         small.write_text("n,k1,re,im\n0,0,1,0\n")
         assert main(["filter", "--h", str(wide), "--u", str(small)]) == 2
         assert "MAX_BOX_CELLS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1,0", "0,0"])
+    def test_csv_reader_refuses_long_time_axis(self, value):
+        text = f"n,k1,re,im\n1000000000,0,{value}\n"
+        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+            skio.read_signal_csv(io.StringIO(text))
+
+    def test_cli_exits_2_on_long_time_axis(self, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("n,k1,re,im\n1000000000,0,1,0\n")
+        assert main(["analyze", "--property", "l1l2", "--system", str(long)]) == 2
+        assert "MAX_BOX_CELLS" in capsys.readouterr().err
+
+    def test_drifting_time_signal_refused_at_construction(self):
+        # slice n sits at k = n: the stack's union box is T x T cells
+        time_len = 5000
+        assert time_len * time_len > MAX_BOX_CELLS
+        slices = [ScaleSignal.delta((n,), arity=1) for n in range(time_len)]
+        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+            ScaleTimeSignal(slices)

@@ -21,7 +21,7 @@ from scalekit import (
     MomentSequence,
 )
 from scalekit.spectral import torus_values
-from helpers import random_scale_signal, random_time_signal
+from helpers import random_scale_signal, random_time_signal, torus_points
 
 
 def direct_sum(items, sizes, sign):
@@ -152,13 +152,15 @@ class TestTransferGrid:
 
 class TestHermite:
     def test_delta_is_constant_one(self):
-        poly = hermite_transform(ScaleSignal.delta((0,), 1))
-        assert poly.terms == {(0,): 1.0}
+        pts = np.array([[0.0], [0.5 - 0.25j], [2.0], [np.exp(1.0j)]])
+        vals = hermite_transform(ScaleSignal.delta((0,), 1), pts)
+        assert vals.tolist() == [1.0] * 4
 
     def test_monomial(self):
-        poly = hermite_transform(ScaleSignal.delta((3,), 1))
-        assert poly.terms == {(3,): 1.0}
-        assert poly([0.5]) == pytest.approx(0.125)
+        x = ScaleSignal.delta((3,), 1)
+        assert hermite_transform(x, [[0.5]])[0] == pytest.approx(0.125)
+        pts = np.array([[0.0], [-1.5], [0.3 + 0.4j], [np.exp(2.0j)]])
+        assert np.abs(hermite_transform(x, pts) - pts[:, 0] ** 3).max() < 1e-15
 
     def test_multiplicative_under_convolution(self):
         rng = np.random.default_rng(17)
@@ -166,9 +168,12 @@ class TestHermite:
             arity = int(rng.integers(1, 3))
             f = random_scale_signal(rng, arity, width=3, terms=4)
             g = random_scale_signal(rng, arity, width=3, terms=4)
-            lhs = hermite_transform(group_convolve(f, g))
-            rhs = hermite_transform(f) * hermite_transform(g)
-            assert lhs.distance(rhs) < 1e-13
+            fg = group_convolve(f, g)
+            # the product's width of torus points per axis: an invertible DFT
+            pts = torus_points(fg.array.shape)
+            lhs = hermite_transform(fg, pts)
+            rhs = hermite_transform(f, pts) * hermite_transform(g, pts)
+            assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_matches_fourier_at_reflected_angle(self):
         # evaluating the Hermite transform on the torus reproduces the
@@ -177,9 +182,7 @@ class TestHermite:
         for _ in range(20):
             x = random_scale_signal(rng, 1, width=3, terms=4)
             grid = scale_fourier(x, [16])
-            poly = hermite_transform(x)
-            theta = grid.angles(0)
-            vals = np.array([poly([complex(np.cos(t), np.sin(t))]) for t in theta])
+            vals = hermite_transform(x, np.exp(1j * grid.angles(0))[:, None])
             reflected = grid.values[(-np.arange(16)) % 16]
             assert np.abs(vals - reflected).max() < 1e-12
 
@@ -192,15 +195,16 @@ class TestHermite:
             }
             x = ScaleSignal(entries, arity=1)
             grid = scale_fourier(x, [16])
-            poly = hermite_transform(x)
-            theta = grid.angles(0)
-            vals = np.array([poly([complex(np.cos(t), np.sin(t))]) for t in theta])
+            vals = hermite_transform(x, np.exp(1j * grid.angles(0))[:, None])
             assert np.abs(vals - np.conj(grid.values)).max() < 1e-12
 
     def test_negative_power_needs_nonzero_point(self):
-        poly = hermite_transform(ScaleSignal.delta((-1,), 1))
+        x = ScaleSignal.delta((-1,), 1)
         with pytest.raises(ZeroDivisionError):
-            poly([0.0])
+            hermite_transform(x, [[0.0]])
+        with pytest.raises(ZeroDivisionError):
+            hermite_transform(ScaleSignal({(0, -1): 1.0}, arity=2), [[1.0, 2.0], [0.5, 0.0]])
+        assert hermite_transform(x, [[2.0]])[0] == 0.5
 
 
 class TestGeneralizedTransfer:

@@ -297,6 +297,13 @@ class TestDissipativity:
         bracket = dissipativity_check(h, grid_sizes=(64, 8), sample_count=0).sup_bracket
         assert bracket.grid_sizes == (64, 32)
 
+    def test_grid_sizes_need_one_per_axis(self):
+        # one size for time and one per scale axis: p + 1 = 2 here
+        h = ScaleTimeSignal([ScaleSignal({(0,): 0.5, (1,): 0.25}, arity=1)], arity=1)
+        for sizes in ((64,), (64, 8, 8)):
+            with pytest.raises(ValueError, match=r"p \+ 1 = 2 sizes"):
+                dissipativity_check(h, grid_sizes=sizes)
+
     def test_gram_skipped_off_cone(self):
         h = ScaleTimeSignal([delta((-1,), 1, 0.5)], arity=1)
         report = dissipativity_check(h)
