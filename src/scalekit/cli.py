@@ -85,17 +85,14 @@ def _cmd_gtf_eval(args) -> int:
     z = skio.unpair(json.loads(args.z))
     zs = [skio.unpair(w) for w in json.loads(args.zs)] if args.zs else []
     value = generalized_transfer(h, z, zs)
-    _emit({"z": skio.pair(z), "zs": [skio.pair(w) for w in zs],
-           "value": skio.pair(value)}, args.out)
+    _emit(skio.to_dict({"z": z, "zs": zs, "value": value}), args.out)
     return EXIT_OK
 
 
 def _cmd_moments_check(args) -> int:
     ms = skio.moments_from_dict(_load_json_arg(args.moments))
     report = toeplitz_psd_check(ms, tol=args.tol)
-    _emit({"is_psd": bool(report.is_psd),
-           "min_eigenvalue": float(report.min_eigenvalue),
-           "order": int(report.order)}, args.out)
+    _emit(report._asdict(), args.out)
     return EXIT_OK if report.is_psd else EXIT_FAIL
 
 

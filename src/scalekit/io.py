@@ -4,26 +4,31 @@ Complex numbers are always [re, im] pairs.  Signals travel either as CSV
 with columns (n, k1..kp, re, im) sorted lexicographically, or as a dense
 JSON tensor {arity, shape, origin, data} with data flattened in C order.
 CSV rows are the signal's stack on (n, k); the JSON tensor is its to_dense
-layout.
+layout.  One codec per format: every value but a group and a signal goes
+to JSON through the to_dict walk, every CSV table is written by
+_write_table, and numpy parses CSV rows in one pass over the handle.
 """
 
 from __future__ import annotations
 
-import csv
+import json
 import math
+import warnings
+from dataclasses import fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
+from ._jsonfmt import dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
 from .moments import MomentSequence
 from .signals import ScaleSignal, ScaleTimeSignal
 from .spectral import SpectrumGrid
-from .stability import EmpiricalReport, OperatorNormBracket, StabilityReport
 
 __all__ = [
-    "pair", "unpair",
+    "pair", "unpair", "to_dict",
     "sumatrix_to_dict", "sumatrix_from_dict",
     "group_to_dict", "group_from_dict",
     "coeffseq_to_dict", "coeffseq_from_dict",
@@ -35,7 +40,7 @@ __all__ = [
     "read_time_signal", "write_time_signal",
 ]
 
-_FLOAT = ".17g"
+_CHUNK_ROWS = 1 << 14
 
 
 def pair(z: complex) -> list:
@@ -51,8 +56,31 @@ def unpair(obj) -> complex:
     return complex(float(obj[0]), float(obj[1]))
 
 
-def sumatrix_to_dict(m: SuMatrix) -> dict:
-    return {"a": pair(m.a), "b": pair(m.b)}
+def to_dict(value):
+    """The JSON value of a scalekit value: a dataclass becomes its fields in
+    declaration order minus those that are None, a complex number or array
+    [re, im] pairs (an array flattened in C order), a ScaleSignal its entry
+    list; lists, tuples and dicts are walked, numpy scalars become Python's."""
+    if is_dataclass(value):
+        return {f.name: to_dict(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, complex):
+        return pair(value)
+    if isinstance(value, np.ndarray):
+        return np.stack((value.real, value.imag), -1).reshape(-1, 2).tolist()
+    if isinstance(value, ScaleSignal):
+        return [{"k": list(idx), "value": pair(v)} for idx, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [to_dict(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): to_dict(v) for k, v in value.items()}
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+sumatrix_to_dict = coeffseq_to_dict = spectrum_to_dict = moments_to_dict = to_dict
+bracket_to_dict = report_to_dict = empirical_to_dict = to_dict
 
 
 def sumatrix_from_dict(obj) -> SuMatrix:
@@ -63,10 +91,7 @@ def sumatrix_from_dict(obj) -> SuMatrix:
 
 
 def group_to_dict(g: ScaleGroup) -> dict:
-    return {
-        "p": g.p,
-        "generators": [sumatrix_to_dict(m) for m in g.generators],
-    }
+    return {"p": g.p, "generators": to_dict(g.generators)}
 
 
 def group_from_dict(obj) -> ScaleGroup:
@@ -81,13 +106,6 @@ def group_from_dict(obj) -> ScaleGroup:
     return group
 
 
-def coeffseq_to_dict(f: CoeffSeq) -> dict:
-    return {
-        "coeffs": [pair(z) for z in f.coeffs],
-        "tail_bound": float(f.tail_bound),
-    }
-
-
 def coeffseq_from_dict(obj) -> CoeffSeq:
     try:
         coeffs = [unpair(z) for z in obj["coeffs"]]
@@ -98,12 +116,8 @@ def coeffseq_from_dict(obj) -> CoeffSeq:
 
 def signal_to_dict(sig: ScaleTimeSignal) -> dict:
     dense, origin = sig.to_dense()
-    return {
-        "arity": sig.arity,
-        "shape": list(dense.shape),
-        "origin": list(origin),
-        "data": dense.reshape(-1, 1).view(float).tolist(),
-    }
+    return {"arity": sig.arity, "shape": list(dense.shape), "origin": list(origin),
+            "data": dense.reshape(-1, 1).view(float).tolist()}
 
 
 def signal_from_dict(obj) -> ScaleTimeSignal:
@@ -121,51 +135,72 @@ def signal_from_dict(obj) -> ScaleTimeSignal:
     elif data.ndim != 1:
         raise ValueError("signal data must be [re, im] pairs or real numbers")
     if data.size != math.prod(shape):
-        raise ValueError(
-            f"signal data length {data.size} does not match shape {shape!r}"
-        )
+        raise ValueError(f"signal data length {data.size} does not match shape {shape!r}")
     return ScaleTimeSignal.from_dense(data.reshape(shape), origin)
 
 
+def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
+    """A CSV header, then per row the key of cell flat[i] of a box of this
+    shape and origin, and the real and imaginary part of values[i] with 17
+    significant digits; the keys are built one chunk of rows at a time."""
+    fh.write(",".join(header) + "\n")
+    row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
+    origin = np.array(origin, dtype=object)  # exact Python-int keys, whatever the origin
+    for start in range(0, len(values), _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        keys = np.stack(np.unravel_index(flat[part], shape), -1) + origin
+        cols = [*keys.T.tolist(), values[part].real.tolist(), values[part].imag.tolist()]
+        fh.write(row * len(cols[-1]) % tuple(chain.from_iterable(zip(*cols))))
+
+
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["n"] + [f"k{a + 1}" for a in range(sig.arity)] + ["re", "im"])
-    for n, idx, v in sig.items():
-        writer.writerow(
-            [n, *idx, format(v.real, _FLOAT), format(v.imag, _FLOAT)]
-        )
+    box, flat = sig.stack.array, np.flatnonzero(sig.stack.array)
+    _write_table(fh, ["n"] + [f"k{a + 1}" for a in range(sig.arity)] + ["re", "im"],
+                 box.shape, sig.stack.origin, flat, box.reshape(-1)[flat])
+
+
+def _parse_rows(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
+        try:
+            rows = np.loadtxt(lines, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except DeprecationWarning as exc:  # releases that cast a float-like int only warn
+            raise ValueError(exc) from None
+    if (rows["key"][:, 0] < 0).any():
+        raise ValueError("negative time index")
+    return rows
 
 
 def read_signal_csv(fh) -> ScaleTimeSignal:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if not header or header[0] != "n" or header[-2:] != ["re", "im"]:
+    """Read a signal from a text handle; numpy parses the rows in one pass,
+    and only a bad row sends a seekable handle back to name its line."""
+    header = [f.strip('"') for f in fh.readline().rstrip("\r\n").split(",")]
+    if header[0] != "n" or header[-2:] != ["re", "im"]:
         raise ValueError("bad CSV header: expected n,k1..kp,re,im")
     arity = len(header) - 3
     if arity < 1:
         raise ValueError("CSV header must declare at least one scale axis")
-    time_len = 0
-
-    def rows():
-        nonlocal time_len
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != arity + 3:
-                raise ValueError(f"line {lineno}: expected {arity + 3} fields")
+    dtype = [("key", np.int64, (arity + 1,)), ("value", float, (2,))]
+    start = fh.tell() if fh.seekable() else None
+    try:
+        rows = _parse_rows(fh, dtype)
+    except ValueError:
+        if start is None:
+            raise
+        # numpy's row numbers skip blank lines: find the file line again
+        fh.seek(start)
+        for lineno, line in enumerate(fh, start=2):
             try:
-                key = tuple(map(int, row[:1 + arity]))
-                value = complex(float(row[-2]), float(row[-1]))
+                _parse_rows([line], dtype)
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            if key[0] < 0:
-                raise ValueError(f"line {lineno}: negative time index")
-            time_len = max(time_len, key[0] + 1)
-            yield key, value
-
+                raise ValueError(f"line {lineno}: {str(exc).split(' at row')[0]}") from exc
+        raise
+    keys = rows["key"]
+    values = np.ascontiguousarray(rows["value"]).view(complex)[:, 0]
     # the rows are the signal's stack on (n, k1..kp); no rows is one zero step
-    stack = ScaleSignal(rows(), arity=arity + 1)
-    return ScaleTimeSignal._from_stack(stack, max(time_len, 1))
+    time_len = int(keys[:, 0].max()) + 1 if len(keys) else 1
+    return ScaleTimeSignal._from_stack(ScaleSignal._from_entries(keys, values), time_len)
 
 
 def read_time_signal(path: str) -> ScaleTimeSignal:
@@ -173,8 +208,6 @@ def read_time_signal(path: str) -> ScaleTimeSignal:
     if path.endswith(".csv"):
         with open(path, newline="") as fh:
             return read_signal_csv(fh)
-    import json
-
     with open(path) as fh:
         return signal_from_dict(json.load(fh))
 
@@ -184,31 +217,14 @@ def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
         with open(path, "w", newline="") as fh:
             write_signal_csv(sig, fh)
         return
-    from ._jsonfmt import dumps
-
     with open(path, "w") as fh:
         fh.write(dumps(signal_to_dict(sig)) + "\n")
 
 
-def spectrum_to_dict(grid: SpectrumGrid) -> dict:
-    return {
-        "grid_sizes": list(grid.grid_sizes),
-        "values": [pair(z) for z in grid.values.reshape(-1)],
-    }
-
-
 def write_spectrum_csv(grid: SpectrumGrid, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([f"j{a + 1}" for a in range(grid.arity)] + ["re", "im"])
-    for pos in np.ndindex(*grid.grid_sizes):
-        z = grid.values[pos]
-        writer.writerow(
-            [*pos, format(z.real, _FLOAT), format(z.imag, _FLOAT)]
-        )
-
-
-def moments_to_dict(ms: MomentSequence) -> dict:
-    return {"t": [pair(z) for z in ms.t]}
+    values = grid.values.reshape(-1)
+    _write_table(fh, [f"j{a + 1}" for a in range(grid.arity)] + ["re", "im"],
+                 grid.grid_sizes, (0,) * grid.arity, range(values.size), values)
 
 
 def moments_from_dict(obj) -> MomentSequence:
@@ -216,58 +232,3 @@ def moments_from_dict(obj) -> MomentSequence:
         return MomentSequence(tuple(unpair(z) for z in obj["t"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed moments object: {obj!r}") from exc
-
-
-def bracket_to_dict(b: OperatorNormBracket) -> dict:
-    return {
-        "lower": float(b.lower),
-        "upper": float(b.upper),
-        "certified": bool(b.certified),
-        "grid_sizes": list(b.grid_sizes),
-        "witness_angles": [float(x) for x in b.witness_angles],
-    }
-
-
-def _detail_value(value):
-    if isinstance(value, OperatorNormBracket):
-        return bracket_to_dict(value)
-    if isinstance(value, ScaleSignal):
-        return [{"k": list(idx), "value": pair(v)} for idx, v in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [_detail_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _detail_value(v) for k, v in value.items()}
-    if isinstance(value, complex):
-        return pair(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
-def report_to_dict(report: StabilityReport) -> dict:
-    out = {"property": report.property, "verdict": report.verdict}
-    if report.sufficient_upper is not None:
-        out["sufficient_upper"] = float(report.sufficient_upper)
-    if report.necessary_lower is not None:
-        out["necessary_lower"] = float(report.necessary_lower)
-    if report.sup_bracket is not None:
-        out["sup_bracket"] = bracket_to_dict(report.sup_bracket)
-    if report.gain is not None:
-        out["gain"] = float(report.gain)
-    out["witnesses"] = _detail_value(report.witnesses)
-    out["details"] = _detail_value(report.details)
-    return out
-
-
-def empirical_to_dict(report: EmpiricalReport) -> dict:
-    return {
-        "property": report.property,
-        "trials": report.trials,
-        "seed": report.seed,
-        "bound": float(report.bound),
-        "max_ratio": float(report.max_ratio),
-        "ok": bool(report.ok),
-        "analyzer_verdict": report.analyzer_verdict,
-    }

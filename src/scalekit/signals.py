@@ -4,9 +4,10 @@ signals, each held as one scale signal on (n, k_1, ..., k_p).
 A scale signal is a finitely supported map from p-tuples of integer
 exponents to complex values, held as one read-only complex array trimmed to
 the bounding box of its nonzeros plus the exponent of the box's first cell.
-Exact zeros are never entries.  The public constructor validates; internal
-code hands over arrays it owns to ScaleSignal._from_box.  No box may exceed
-MAX_BOX_CELLS cells.
+Exact zeros are never entries.  The public constructor validates each
+entry, then sums them in ScaleSignal._from_entries, which the CSV reader
+calls on its parsed arrays; internal code hands over boxes it owns to
+ScaleSignal._from_box.  No box may exceed MAX_BOX_CELLS cells.
 """
 
 from __future__ import annotations
@@ -113,22 +114,9 @@ class ScaleSignal:
         for idx, value in items:
             keys.append(as_index(idx, arity))
             values.append(complex(value))
-        values = np.array(values, complex)
-        if not np.isfinite(values).all():
-            raise ValueError("signal entries must be finite")
-        keys = [k for k, v in zip(keys, values) if v != 0]
-        box, mins = np.zeros((0,) * arity, complex), (0,) * arity
-        if keys:
-            columns = list(zip(*keys))
-            mins = tuple(map(min, columns))
-            shape = check_box(max(c) - m + 1 for c, m in zip(columns, mins))
-            # unbuffered, in entry order: duplicates sum as they are listed,
-            # onto -0.0, the exact additive identity (signed zeros survive)
-            box = np.full(shape, complex(-0.0, -0.0))
-            rel = tuple(np.array([k - m for k in c], np.intp) for c, m in zip(columns, mins))
-            np.add.at(box, rel, values[values != 0])
-            box[box == 0] = 0
-        self._set(box, mins)
+        core = ScaleSignal._from_entries(np.array(keys, np.int64).reshape(-1, arity),
+                                         np.array(values, complex))
+        self._set(core.array, core.origin)
 
     def _set(self, array: np.ndarray, origin) -> None:
         array, origin = trim_box(array, origin)
@@ -143,6 +131,26 @@ class ScaleSignal:
         out = cls.__new__(cls)
         out._set(array, origin)
         return out
+
+    @classmethod
+    def _from_entries(cls, keys: np.ndarray, values: np.ndarray) -> "ScaleSignal":
+        """Signal from int64 keys, one row per entry, and complex values.
+
+        Non-finite values are refused and zeros dropped.  The rest are added
+        unbuffered, in row order, onto -0.0, the exact additive identity:
+        duplicates sum as they are listed and signed zeros survive.
+        """
+        if not np.isfinite(values).all():
+            raise ValueError("signal entries must be finite")
+        keep = values != 0
+        keys, values = keys[keep], values[keep]
+        if not len(values):
+            return cls._from_box(np.zeros((0,) * keys.shape[1], complex), (0,) * keys.shape[1])
+        lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
+        box = np.full(check_box(b - a + 1 for a, b in zip(lo, hi)), complex(-0.0, -0.0))
+        np.add.at(box, tuple((keys - lo).T), values)
+        box[box == 0] = 0
+        return cls._from_box(box, lo)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaleSignal is immutable")

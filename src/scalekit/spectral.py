@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import ScaleGroup
-from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box
+from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box, zeros_box
 
 __all__ = [
     "SpectrumGrid",
@@ -90,9 +90,10 @@ def torus_values(array: np.ndarray, origin, sizes) -> np.ndarray:
     than the grid (congruent exponents fold onto one residue, which keeps
     the values exact).  Callers wanting the e^{+i e.theta} convention pass
     the flipped box with negated origin.  The FFT runs in place on the fold
-    grid, so only one full-size array is allocated.
+    grid, so only one full-size array is allocated, and no grid may exceed
+    MAX_BOX_CELLS points.
     """
-    grid = np.zeros(tuple(sizes), complex)
+    grid = zeros_box(sizes)
     residues = np.ix_(*[(o + np.arange(w)) % n
                         for o, w, n in zip(origin, array.shape, grid.shape)])
     np.add.at(grid, residues, array)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .convolve import box_convolve, double_convolve
 from .signals import (
-    ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, zeros_box,
+    MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, zeros_box,
 )
 from .spectral import _evaluate, torus_values
 
@@ -41,15 +41,20 @@ __all__ = [
     "GRID_BUDGET_ENV",
 ]
 
-DEFAULT_GRID_BUDGET = 1 << 24
+DEFAULT_GRID_BUDGET = MAX_BOX_CELLS
 GRID_BUDGET_ENV = "SCALEKIT_MAX_GRID"
+
+# bibo_analysis: window margin per axis for p = 1, 2, >= 3; ascent steps per start
+WINDOW_MARGINS = (24, 5, 3)
+ASCENT_ITERS = 300
 
 
 def _grid_budget(override=None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(GRID_BUDGET_ENV)
-    return int(env) if env else DEFAULT_GRID_BUDGET
+    if override is None:
+        override = os.environ.get(GRID_BUDGET_ENV) or DEFAULT_GRID_BUDGET
+    if int(override) > MAX_BOX_CELLS:
+        raise ValueError(f"grid budget {override} exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
+    return int(override)
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def _bibo_objective(adjoints, v, cone: bool) -> tuple[float, list]:
     return sum(float(np.linalg.norm(img)) for img, _ in images), images
 
 
-def _bibo_ascent(kernels, adjoints, v, cone: bool, window, iters: int):
+def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
     """Monotone fixed-point ascent of v -> sum_n ||M_n^* v|| on the unit
     sphere of the window subspace.
 
@@ -183,7 +188,7 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window, iters: int):
     """
     w_origin, w_shape = window
     value, images = _bibo_objective(adjoints, v, cone)
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         g = zeros_box(w_shape)
         for kernel, (image, origin) in zip(kernels, images):
             norm = float(np.linalg.norm(image))
@@ -207,8 +212,7 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window, iters: int):
 
 
 def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
-                  max_grid=None, window_margin: int | None = None,
-                  ascent_iters: int = 300, seed: int = 0) -> StabilityReport:
+                  max_grid=None, seed: int = 0) -> StabilityReport:
     """Bracket the bounded-input / bounded-output gain.
 
     sufficient_upper sums the certified slice operator norms.
@@ -223,9 +227,8 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     sufficient_upper = float(sum(b.upper for b in brackets))
     certified = all(b.certified for b in brackets)
 
-    if window_margin is None:
-        window_margin = 24 if p == 1 else (5 if p == 2 else 3)
-    spans = [(0 if cone else lo - window_margin, hi + window_margin)
+    margin = WINDOW_MARGINS[min(p, len(WINDOW_MARGINS)) - 1]
+    spans = [(0 if cone else lo - margin, hi + margin)
              for lo, hi in zip(*(h.support_box() or ((0,) * p, (0,) * p)))]
     w_origin = tuple(lo for lo, _ in spans)
     w_shape = check_box(hi - lo + 1 for lo, hi in spans)
@@ -238,7 +241,7 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     # adjoint images of the character e^{i k.theta} have norms
     # |sum_k h_n(k) e^{-i k.theta}|, the forward convention of torus_values.
     cand_sizes = tuple(256 if p == 1 else 64 for _ in range(p))
-    total = np.zeros(cand_sizes)
+    total = np.zeros(check_box(cand_sizes))
     for s in slices:
         total += np.abs(torus_values(s.array, s.origin, cand_sizes))
     pos = np.unravel_index(int(np.argmax(total)), cand_sizes)
@@ -256,8 +259,7 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
 
     best_v, best_val = None, -1.0
     for v0 in starts:
-        v, value = _bibo_ascent(kernels, adjoints, v0, cone, (w_origin, w_shape),
-                                ascent_iters)
+        v, value = _bibo_ascent(kernels, adjoints, v0, cone, (w_origin, w_shape))
         if value > best_val:
             best_v, best_val = v, value
     necessary_lower = min(best_val, sufficient_upper)
@@ -391,11 +393,12 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     """Unit-energy input concentrated at one symbol frequency.
 
     u_m(k) = e^{i(m phi + k.theta)} on [0, time_len) x box, normalized to
-    total energy one.  Used to realize a gain witness found on the torus.
+    total energy one; thetas=() means theta = 0.  Used to realize a gain
+    witness found on the torus.
     """
-    thetas = tuple(float(t) for t in thetas)
+    thetas = tuple(float(t) for t in thetas) or (0.0,) * arity
     if len(thetas) != arity:
-        thetas = (0.0,) * arity
+        raise ValueError(f"resonant_input needs {arity} angles, got {len(thetas)}")
     origin = tuple(int(lo) for lo, _ in box) if box else (0,) * arity
     widths = tuple(int(hi) - int(lo) + 1 for lo, hi in box) if box else (1,) * arity
     shape = check_box((time_len,) + widths)

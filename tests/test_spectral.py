@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from scalekit import (
     toeplitz_psd_check,
     transfer_grid,
     MomentSequence,
+    bibo_analysis,
 )
+from scalekit.cli import main
 from scalekit.spectral import torus_values
 from helpers import random_scale_signal, random_time_signal, torus_points
 
@@ -271,3 +274,30 @@ class TestHaarMoment:
         report = toeplitz_psd_check(ms)
         assert report.is_psd
         assert report.min_eigenvalue == pytest.approx(1.0, abs=1e-12)
+
+
+class TestGridCap:
+    """No torus grid may exceed MAX_BOX_CELLS points."""
+
+    def test_scale_fourier_refuses_before_allocating(self):
+        x = ScaleSignal({(0, 0): 1.0, (1, 1): 0.5}, arity=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+                scale_fourier(x, [8192, 4096])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_spectrum_cli_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("n,k1,k2,re,im\n0,0,0,1,0\n")
+        assert main(["spectrum", "--signal", str(path), "--grid", "8192,4096"]) == 2
+        assert "MAX_BOX_CELLS" in capsys.readouterr().err
+
+    def test_bibo_candidate_grid_capped(self):
+        # p = 5 asks for a 64^5-point candidate grid
+        h = ScaleTimeSignal([ScaleSignal({(0,) * 5: 0.5, (1,) * 5: 0.25}, arity=5)])
+        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+            bibo_analysis(h, max_grid=1 << 15)

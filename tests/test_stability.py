@@ -78,6 +78,12 @@ class TestMultOperatorNorm:
         monkeypatch.delenv("SCALEKIT_MAX_GRID")
         assert mult_operator_norm(h, tol=1e-12).certified
 
+    def test_budget_above_box_cap_refused_up_front(self, monkeypatch):
+        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 25))
+        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+            mult_operator_norm(h, tol=1e-12)
+
     def test_witness_angles_replay_lower_bound(self):
         # the symbol is sum_k h(k) e^{+i k theta}, the convention of
         # generalized_transfer on the torus; complex taps tell it from -theta
@@ -266,6 +272,12 @@ class TestDissipativity:
         assert u.norm("energy") == pytest.approx(1.0, abs=1e-12)
         y = double_convolve(h, u)
         assert y.norm("energy") > 1.0
+
+    def test_resonant_input_checks_angle_count(self):
+        with pytest.raises(ValueError, match="2 angles, got 1"):
+            resonant_input(2, 4, 0.5, (0.25,))
+        zero_angles = resonant_input(2, 4, 0.5)
+        assert zero_angles.distance(resonant_input(2, 4, 0.5, (0.0, 0.0))) == 0.0
 
     def test_shift_product_on_boundary_passes(self):
         h = ScaleTimeSignal([ScaleSignal.zero(1), delta((1,), 1)], arity=1)
