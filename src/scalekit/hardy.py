@@ -4,7 +4,9 @@ The map sends the coefficients of f to those of (1/(b* z + a*)) f(phi(z)),
 where phi(z) = (a z + b)/(b* z + a*).  The operator is an isometry of the
 coefficient l2 norm; outputs carry a certified l2 bound on everything the
 returned head misses: the discarded tail and the aliasing of the sampled
-evaluation.
+evaluation.  The bound is a Cauchy estimate on circles |z| = R > 1, where
+max |f(phi(z))| comes from samples of f on the image circle through the
+grid inequality that also brackets torus suprema (spectral.grid_shrink).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .group import ScaleGroup
 from .moebius import SuMatrix
-from .signals import ScaleTimeSignal, as_index, zeros_box
+from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, zeros_box
+from .spectral import grid_shrink
 
 __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform",
            "DEFAULT_MAX_LEN"]
@@ -63,69 +66,66 @@ def _as_coeffseq(f) -> CoeffSeq:
     return CoeffSeq(np.asarray(f, dtype=complex))
 
 
-def _log_error_bound(log_base: float, log_r: float, n: int) -> float:
-    """log of C q (1 + q / (1 - q^2)) with C = exp(log_base), q = R^-n."""
-    x = n * log_r
-    return log_base - x + math.log1p(math.exp(-x) / -math.expm1(-2.0 * x))
-
-
 def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
                       max_len: int) -> tuple[int, float]:
     """Smallest output length n whose certified l2 error bound is <= tol.
 
     The transformed series is analytic up to the pole -d/c of radius
-    R0 = |d|/|c| > 1.  On a circle |z| = R < R0 the modulus is at most
-    M(R) = sum_k |f_k| rho(R)^k / (|d| - |c| R) with
-    rho(R) = (|a| R + |b|) / (|d| - |c| R), so |g_k| <= M(R) R^-k (Cauchy).
+    R0 = |d|/|c| > 1.  phi maps the circle |z| = R < R0 onto the circle
+    Gamma_R of center a b (1 - R^2) / (|a|^2 - |b|^2 R^2) and radius
+    R (|a|^2 - |b|^2) / (|a|^2 - |b|^2 R^2), on which f of degree d is a
+    trigonometric polynomial of degree d in the angle.  Its samples at
+    M > 2d equispaced angles bound max |f| on Gamma_R by the grid inequality
+    (spectral.grid_shrink).  Gamma_R encloses the unit disc, so each sample
+    is evaluated as w^d f~(1/w), f~ the reversed coefficients, with w^d in
+    log space; the Horner roundoff is at most gamma P, where the plain sum
+    P = sum_k |f_k| (max |w|)^k also caps the bound, and alone bounds max |f|
+    when the grid's Horner work 9 M (d + 1) exceeds MAX_BOX_CELLS.  Roundoff
+    in the sample points is not yet inside the bound.  Over |d| - |c| R this
+    bounds M(R) = max_{|z|=R} |g|, so |g_k| <= M(R) R^-k (Cauchy).
     With C = M(R) / sqrt(1 - R^-2) and q = R^-n, the coefficient tail beyond
     n has l2 norm <= C q, and sampling at N >= 2n roots of unity adds
     g_{k+N} + g_{k+2N} + ... to each head coefficient, of l2 norm
     <= C q^2 / (1 - q^2).  Requiring q <= tol / (C + tol) keeps the sum
-    <= tol.  Minimized over a radius ladder, in log space; a bound beyond
+    <= tol.  Minimized over a ladder of radii, all evaluated at once; a
+    radius that rounds onto 1 or R0 certifies nothing, and a bound beyond
     double range is reported as inf.
     """
-    absf = np.abs(coeffs)
-    mask = absf > 0.0
-    if not np.any(mask):
-        return 1, 0.0
-    logf = np.log(absf[mask])
-    degrees = np.nonzero(mask)[0].astype(float)
+    f = np.trim_zeros(coeffs, "b")
+    deg = f.size - 1
     abs_a, abs_b = abs(m.a), abs(m.b)
-    abs_c, abs_d = abs_b, abs_a
-    r0 = abs_d / abs_c
-    log_tol = math.log(tol)
-    best_n = None
-    best_n_bound = tol
-    log_at_cap = math.inf
-    for s in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97):
-        radius = r0 ** s
-        if radius <= 1.0 or radius >= r0:
-            continue
-        den = abs_d - abs_c * radius
-        if den <= 0.0:
-            continue
-        rho = (abs_a * radius + abs_b) / den
-        # log of sum_k |f_k| rho^k, then of the full constant
-        log_sum = float(np.logaddexp.reduce(logf + degrees * math.log(rho)))
-        log_base = log_sum - math.log(den) - 0.5 * math.log1p(-radius ** -2)
-        log_r = math.log(radius)
-        need = (float(np.logaddexp(log_base, log_tol)) - log_tol) / log_r
-        n_req = math.ceil(need)
-        log_at_cap = min(log_at_cap, _log_error_bound(log_base, log_r, max_len))
-        if n_req <= max_len and (best_n is None or n_req < best_n):
-            best_n = n_req
-            best_n_bound = min(tol, math.exp(_log_error_bound(log_base, log_r, n_req)))
-    if best_n is None:
-        try:
-            bound_at_cap = math.exp(log_at_cap)
-        except OverflowError:
-            bound_at_cap = math.inf
+    radius = (abs_a / abs_b) ** np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97])
+    size = 1 << (2 * deg).bit_length()
+    gamma = (2 * deg + 2) * np.finfo(float).eps   # complex Horner, Higham Lemma 3.5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = abs_a - abs_b * radius                    # |d| - |c| R
+        scale = 1.0 / (den * (abs_a + abs_b * radius))  # 1 / (|a|^2 - |b|^2 R^2)
+        center = (m.a * m.b * (1.0 - radius ** 2) * scale)[:, None]
+        rad = (radius * (abs_a ** 2 - abs_b ** 2) * scale)[:, None]
+        log_sup = np.logaddexp.reduce(  # log P
+            np.log(np.abs(f)) + np.arange(f.size) * np.log(np.abs(center) + rad), axis=1)
+        if radius.size * size * f.size <= MAX_BOX_CELLS:
+            w = center + rad * np.exp(2j * math.pi * np.arange(size) / size)
+            reversed_vals = np.polynomial.polynomial.polyval(1.0 / w, f[::-1])  # w^-d f(w)
+            log_grid = (deg * np.log(np.abs(w)) + np.log(np.abs(reversed_vals))).max(axis=1)
+            log_sample = np.logaddexp(log_grid, math.log(gamma) + log_sup)
+            log_sup = np.fmin(log_sample - math.log(grid_shrink((f.size,), (size,))), log_sup)
+        log_base = log_sup - np.log(den) - 0.5 * np.log1p(-radius ** -2.0)
+        log_r = np.log(radius)
+        log_tol = math.log(tol)
+        need = np.ceil((np.logaddexp(log_base, log_tol) - log_tol) / log_r)
+        n = need[need <= max_len].min(initial=np.inf)
+        certified = n <= max_len
+        x = (n if certified else max_len) * log_r   # log of C q (1 + q / (1 - q^2))
+        log_bound = log_base - x + np.log1p(np.exp(-x) / -np.expm1(-2.0 * x))
+        bound = float(np.exp(np.fmin.reduce(log_bound, initial=np.inf)))
+    if not certified:
         raise TruncationError(
-            f"truncation not converged: certified bound {bound_at_cap:.3e} at "
+            f"truncation not converged: certified bound {bound:.3e} at "
             f"length {max_len} exceeds tol={tol:.3e}",
-            achieved_bound=bound_at_cap,
+            achieved_bound=bound,
         )
-    return best_n, best_n_bound
+    return int(n), min(tol, bound)
 
 
 def transform_coeffs(m: SuMatrix, f, tol: float,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import check_box
+
 __all__ = [
     "MomentSequence",
     "PsdReport",
@@ -67,10 +69,13 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
     is_psd holds when the smallest eigenvalue is >= -tol.  A negative t_0 is
     rejected immediately with order 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     t0 = ms.t[0].real
     if t0 < 0.0:
         return PsdReport(False, t0, 0)
     col = np.asarray(ms.t, complex)
+    check_box((col.size, col.size))
     idx = np.arange(col.size)
     diff = idx[:, None] - idx[None, :]
     matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
@@ -115,11 +120,12 @@ def stieltjes_invert(ms: MomentSequence, a: float, b: float, r: float,
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if b - a > TWO_PI + 1e-12:
         raise ValueError(f"arc length {b - a!r} exceeds the full circle")
+    panels = quad_points + (quad_points % 2)
+    check_box((panels + 1,))  # the most samples either rule takes
     if abs((b - a) - TWO_PI) <= 1e-12:
         theta = a + (b - a) * np.arange(quad_points) / quad_points
         vals = _herglotz_values(ms, r * np.exp(1j * theta)).real
         return float(np.mean(vals))
-    panels = quad_points + (quad_points % 2)
     theta = np.linspace(a, b, panels + 1)
     vals = _herglotz_values(ms, r * np.exp(1j * theta)).real
     weights = np.full(panels + 1, 2.0)

@@ -28,6 +28,7 @@ from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box, zeros_bo
 __all__ = [
     "SpectrumGrid",
     "torus_values",
+    "grid_shrink",
     "scale_fourier",
     "scale_fourier_inverse",
     "transfer_grid",
@@ -98,6 +99,18 @@ def torus_values(array: np.ndarray, origin, sizes) -> np.ndarray:
                         for o, w, n in zip(origin, array.shape, grid.shape)])
     np.add.at(grid, residues, array)
     return np.fft.fftn(grid, out=grid)
+
+
+def grid_shrink(widths, sizes) -> float:
+    """sqrt(prod_a cos(pi n_a / M_a)), n_a = w_a - 1: the grid inequality.
+
+    h with a coefficient box of widths w_a makes |h|^2 a real trigonometric
+    polynomial of degree n_a in theta_a.  On any grid of M_a > 2 n_a
+    equispaced points per axis, Ehlich and Zeller (Math. Z. 1964), applied
+    axis by axis, give sup|h| <= max_grid|h| / grid_shrink(widths, sizes).
+    """
+    return math.sqrt(math.prod(math.cos(math.pi * (w - 1) / n)
+                               for w, n in zip(widths, sizes)))
 
 
 def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:

@@ -2,12 +2,8 @@
 
 Three system properties are analyzed: bounded input / bounded output gain,
 energy dissipativity, and l1-to-l2 boundedness.  Torus suprema are
-certified on auto-refining uniform grids by one inequality (Ehlich and
-Zeller, Math. Z. 1964): a real trigonometric polynomial of degree <= n_a
-in theta_a, sampled on M_a > 2 n_a equispaced points per axis, has
-supremum at most its grid maximum over prod_a cos(pi n_a / M_a), the
-constant applied axis by axis.  |h|^2 is such a polynomial with n_a the
-support width minus one.  FFT roundoff is not yet inside the bound.  Every
+certified on auto-refining uniform grids by the grid inequality stated at
+spectral.grid_shrink.  FFT roundoff is not yet inside the bound.  Every
 report carries enough data (bounds, witnesses, grids, seeds) to replay the
 verdict.
 """
@@ -24,7 +20,7 @@ from .convolve import box_convolve, double_convolve
 from .signals import (
     MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, zeros_box,
 )
-from .spectral import _evaluate, torus_values
+from .spectral import _evaluate, grid_shrink, torus_values
 
 __all__ = [
     "OperatorNormBracket",
@@ -107,23 +103,18 @@ def _certify_sup(array, origin, min_sizes, tol, budget,
     """Bracket the sup of |h| = |sum c_e e^{i e.theta}| over the torus.
 
     The coefficients c_e form the dense box (array, origin), of width w_a
-    on axis a, so |h|^2 is a real trigonometric polynomial of degree at
-    most n_a = w_a - 1 in theta_a.  The grid inequality of Ehlich and
-    Zeller: a real trigonometric polynomial T of degree <= n in one
-    variable satisfies sup|T| <= max_j |T(theta_j)| / cos(pi n / M) on any
-    M > 2n equispaced points theta_j.  Applied axis by axis (free one axis
-    at a time, the others held on their grid values),
-
-        sup|h|^2 <= max_grid|h|^2 / prod_a cos(pi n_a / M_a),   M_a > 2 n_a,
-
-    and upper = grid_max / sqrt(prod_a cos(pi n_a / M_a)).  The first grid
-    has M_a = next_pow2(max(2 w_a - 1, min_sizes[a], 8)), so the hypothesis
-    holds from the start and doubling keeps it.  Grids double until the
-    bracket is within a tol fraction of the grid max or the point budget is
-    exceeded.  If fail_above is given and the grid max passes it, the sweep
-    stops early (the lower bound already decides the verdict).  A box with
-    at most one term is exact.  FFT roundoff is not yet inside the bound.
+    on axis a, and upper = grid_max / grid_shrink(widths, sizes), the grid
+    inequality of spectral.grid_shrink.  The first grid has
+    M_a = next_pow2(max(2 w_a - 1, min_sizes[a], 8)) > 2 (w_a - 1), so the
+    inequality holds from the start and doubling keeps it.  Grids double
+    until the bracket is within a tol fraction of the grid max or the point
+    budget is exceeded.  If fail_above is given and the grid max passes it,
+    the sweep stops early (the lower bound already decides the verdict).  A
+    box with at most one term is exact.  FFT roundoff is not yet inside the
+    bound.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
         return OperatorNormBracket(value, value, True)
@@ -140,9 +131,7 @@ def _certify_sup(array, origin, min_sizes, tol, budget,
         grid_max = float(mags[pos])
         del mags
         angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
-        shrink = math.prod(math.cos(math.pi * (w - 1) / n)
-                           for w, n in zip(array.shape, sizes))
-        upper = grid_max / math.sqrt(shrink)
+        upper = grid_max / grid_shrink(array.shape, sizes)
         if fail_above is not None and grid_max > fail_above:
             return OperatorNormBracket(grid_max, upper, False, sizes, angles)
         if upper - grid_max <= tol * grid_max:

@@ -8,6 +8,7 @@ import pytest
 from scalekit import ScaleSignal, ScaleTimeSignal, make_group, make_scale_shift
 from scalekit import io as skio
 from scalekit.cli import main
+from scalekit.signals import MAX_BOX_CELLS
 from helpers import random_time_signal
 
 
@@ -132,6 +133,29 @@ class TestMomentsCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["min_eigenvalue"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2_before_any_report(self, tmp_path, capsys, tol):
+        # symbol sup 0.5; t = (1, 0.5) has eigenvalues 0.5 and 1.5
+        path = tmp_path / "sys.csv"
+        path.write_text("n,k1,re,im\n0,0,0.25,0\n0,1,0.25,0\n")
+        for argv in (["analyze", "--property", "bibo", "--system", str(path)],
+                     ["analyze", "--property", "dissipative", "--system", str(path)],
+                     ["moments-check", "--moments", '{"t":[[1,0],[0.5,0]]}']):
+            assert main(argv + ["--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tol must be finite and >= 0" in captured.err
+
+    def test_zero_tol_allowed(self, capsys):
+        assert main(["moments-check", "--moments", '{"t":[[1,0],[0.5,0]]}', "--tol", "0"]) == 0
+
+    def test_moments_arrays_capped(self, capsys):
+        big = json.dumps({"t": [[1, 0]] + [[0, 0]] * 4096})
+        assert main(["moments-check", "--moments", big]) == 2
+        assert "MAX_BOX_CELLS" in capsys.readouterr().err
+        assert main(["stieltjes", "--moments", '{"t":[[1,0]]}', "--a", "0", "--b", "1",
+                     "--r", "0.5", "--quad-points", str(MAX_BOX_CELLS + 1)]) == 2
+        assert "MAX_BOX_CELLS" in capsys.readouterr().err
+
     def test_stieltjes_lebesgue(self, capsys):
         code = main(["stieltjes", "--moments", '{"t":[[1,0],[0,0]]}',
                      "--a", "1.0", "--b", "2.0", "--r", "0.9",
@@ -185,19 +209,21 @@ class TestTransformCommands:
                     assert out.read_text() == printed
 
     def test_scale_transform_bound_overflow_exits_uncertified(self, tmp_path, capsys):
-        g = make_group([make_scale_shift(0.6, 0.2)])
-        gp = tmp_path / "group.json"
-        gp.write_text(json.dumps(skio.group_to_dict(g)))
         f = np.random.default_rng(255).standard_normal(256)
         sp = tmp_path / "sig.json"
         sp.write_text(json.dumps({"coeffs": [[x, 0.0] for x in f / np.linalg.norm(f)],
                                   "tail_bound": 0.0}))
-        code = main(["scale-transform", "--signal", str(sp), "--group", str(gp),
-                     "--window", "[[7],[12]]", "--time-len", "8", "--tol", "1e-10",
-                     "--out", str(tmp_path / "out.json")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "scale index (12,)" in err and "certified bound inf" in err
+        # the bound beyond double range, then the old input's finite bound
+        for mult, window, last, bound in [(0.3, "[[3],[32]]", "(32,)", "inf"),
+                                          (0.6, "[[7],[12]]", "(12,)", "7.191e+07")]:
+            gp = tmp_path / "group.json"
+            gp.write_text(json.dumps(skio.group_to_dict(make_group([make_scale_shift(mult, 0.2)]))))
+            code = main(["scale-transform", "--signal", str(sp), "--group", str(gp),
+                         "--window", window, "--time-len", "8", "--tol", "1e-10",
+                         "--out", str(tmp_path / "out.json")])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"scale index {last}" in err and f"certified bound {bound} " in err
 
     def test_spectrum(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalekit import (
     CoeffSeq,
@@ -193,12 +195,67 @@ class TestSampledTransform:
         rng = np.random.default_rng(255)
         f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         f /= np.linalg.norm(f)
-        g = make_group([make_scale_shift(0.6, 0.2)])
-        # at scale 7 some ladder radii bound the budget length beyond double range
-        assert transform_coeffs(g.element((7,)), f, 1e-10).tail_bound <= 1e-10
+        g = make_group([make_scale_shift(0.3, 0.2)])
+        assert transform_coeffs(g.element((3,)), f, 1e-10).tail_bound <= 1e-10
+        # at scale 32 the pole radius is one ulp above 1, so no ladder radius
+        # bounds the tail within double range
         with pytest.raises(TruncationError) as err:
-            transform_coeffs(g.element((12,)), f, 1e-10)
+            transform_coeffs(g.element((32,)), f, 1e-10)
         assert err.value.achieved_bound == math.inf
+        # multiplier 0.6 at scale 12 misses the budget by a finite bound
+        with pytest.raises(TruncationError) as err:
+            transform_coeffs(make_group([make_scale_shift(0.6, 0.2)]).element((12,)), f, 1e-10)
+        assert 1e-10 < err.value.achieved_bound < math.inf
+
+    def test_grid_beyond_cap_falls_back_to_plain_sum(self):
+        # degree 4095 samples 9 circles at M = 8192 angles: 3e8 Horner cell
+        # steps exceed MAX_BOX_CELLS, so no (9, M) grid may be allocated
+        rng = np.random.default_rng(4095)
+        f = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        f /= np.linalg.norm(f)
+        m = make_group([make_scale_shift(0.6, 0.2)]).element((12,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError) as err:
+                transform_coeffs(m, f, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1e-10 < err.value.achieved_bound < math.inf
+        assert peak < 9 * 8192 * 16   # one complex (9, M) array
+
+    @settings(max_examples=30)
+    @given(mult=st.floats(0.5, 0.95), theta=st.floats(-0.99, 0.99),
+           scale=st.integers(-6, 8), degree=st.integers(0, 63),
+           trailing=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_truncation_bound_sound_and_tight(self, mult, theta, scale, degree,
+                                              trailing, seed):
+        # reference: the same samples at 8x the output's power of two, one FFT
+        rng = np.random.default_rng(seed)
+        f = np.zeros(degree + 1 + trailing, complex)
+        f[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f /= np.linalg.norm(f)
+        m = make_group([make_scale_shift(mult, theta)]).element((scale,))
+        tol = 1e-10
+        try:
+            out = transform_coeffs(m, f, tol)
+        except TruncationError as err:
+            assert err.achieved_bound > tol
+            return
+        n = len(out)
+        size = 8 << (2 * n - 1).bit_length()
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        den = m.c * z + m.d
+        ref = np.fft.fft(np.polynomial.polynomial.polyval((m.a * z + m.b) / den, f) / den,
+                         norm="forward")
+        err = math.sqrt(np.sum(np.abs(out.coeffs - ref[:n]) ** 2)
+                        + np.sum(np.abs(ref[n:]) ** 2))
+        m1 = np.abs(f).sum() * (abs(m.a) + abs(m.b))
+        assert err <= out.tail_bound + 64 * 2.2e-16 * len(f) * m1
+        tail = np.sqrt(np.cumsum(np.abs(ref[::-1]) ** 2))[::-1]
+        true_len = int(np.argmax(tail <= tol))
+        if true_len >= 16:
+            assert n <= 1.6 * true_len
 
 
 class TestScaleTransform:

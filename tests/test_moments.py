@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scalekit import (
     stieltjes_invert,
     toeplitz_psd_check,
 )
+from scalekit.signals import MAX_BOX_CELLS
 
 TWO_PI = 2 * math.pi
 
@@ -167,3 +169,27 @@ class TestStieltjes:
             stieltjes_invert(ms, 1.0, 1.0, 0.5, 128)
         with pytest.raises(ValueError):
             stieltjes_invert(ms, 0.0, 7.0, 0.5, 128)
+
+
+class TestArrayCap:
+    """The moments arrays obey MAX_BOX_CELLS like every signal box."""
+
+    @staticmethod
+    def refuses_before_allocating(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_stieltjes_quad_points(self):
+        ms = MomentSequence((1.0,))
+        self.refuses_before_allocating(
+            lambda: stieltjes_invert(ms, 0.0, 1.0, 0.5, MAX_BOX_CELLS + 1))
+
+    def test_toeplitz_order(self):
+        ms = MomentSequence((1.0,) + (0.0,) * 4096)  # 4097^2 > 2^24 cells
+        self.refuses_before_allocating(lambda: toeplitz_psd_check(ms))
