@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--property", required=True,
                     choices=["bibo", "dissipative", "l1l2"])
     ap.add_argument("--system", required=True)
-    ap.add_argument("--tol", type=float, default=1e-9)
+    ap.add_argument("--tol", type=float, default=1e-9,
+                    help="bibo: relative precision of each slice norm; "
+                         "dissipative: slack in the threshold sup <= 1 + tol")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cone", action="store_true",
                     help="restrict operators to the scale-causal cone")

@@ -108,9 +108,11 @@ def grid_shrink(widths, sizes) -> float:
     polynomial of degree n_a in theta_a.  On any grid of M_a > 2 n_a
     equispaced points per axis, Ehlich and Zeller (Math. Z. 1964), applied
     axis by axis, give sup|h| <= max_grid|h| / grid_shrink(widths, sizes).
+    Each factor is evaluated as sin(pi (M_a - 2 n_a) / (2 M_a)), which keeps a
+    few ulps of relative accuracy where cos(pi n_a / M_a) nears zero.
     """
-    return math.sqrt(math.prod(math.cos(math.pi * (w - 1) / n)
-                               for w, n in zip(widths, sizes)))
+    return math.sqrt(math.prod(math.sin(math.pi * (m - 2 * (w - 1)) / (2 * m))
+                               for w, m in zip(widths, sizes)))
 
 
 def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:

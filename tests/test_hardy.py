@@ -224,6 +224,23 @@ class TestSampledTransform:
         assert 1e-10 < err.value.achieved_bound < math.inf
         assert peak < 9 * 8192 * 16   # one complex (9, M) array
 
+    def test_plain_sum_memory_is_linear_in_degree(self):
+        # the plain sum over the nine radii at degree 2^18: a (9, deg + 1)
+        # array of log terms would take 38 MB, one radius at a time ~32 B
+        # per coefficient
+        rng = np.random.default_rng(18)
+        f = rng.standard_normal((1 << 18) + 1) + 1j * rng.standard_normal((1 << 18) + 1)
+        f /= np.linalg.norm(f)
+        m = make_group([make_scale_shift(0.6, 0.2)]).element((12,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                transform_coeffs(m, f, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * f.size
+
     @settings(max_examples=30)
     @given(mult=st.floats(0.5, 0.95), theta=st.floats(-0.99, 0.99),
            scale=st.integers(-6, 8), degree=st.integers(0, 63),

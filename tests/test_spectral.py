@@ -23,6 +23,7 @@ from scalekit import (
     bibo_analysis,
 )
 from scalekit.cli import main
+from scalekit.signals import MAX_BOX_CELLS
 from scalekit.spectral import torus_values
 from helpers import random_scale_signal, random_time_signal, torus_points
 
@@ -296,8 +297,21 @@ class TestGridCap:
         assert main(["spectrum", "--signal", str(path), "--grid", "8192,4096"]) == 2
         assert "MAX_BOX_CELLS" in capsys.readouterr().err
 
-    def test_bibo_candidate_grid_capped(self):
-        # p = 5 asks for a 64^5-point candidate grid
+    def test_bibo_candidate_grid_capped(self, monkeypatch):
+        # at p = 5 a 64^5-point candidate grid would exceed the cap: the
+        # candidate grid shrinks to fit it, and the analysis runs
+        import scalekit.stability as stability
+        grids = []
+
+        def recording(array, origin, sizes):
+            grids.append(tuple(sizes))
+            return torus_values(array, origin, sizes)
+
+        monkeypatch.setattr(stability, "torus_values", recording)
         h = ScaleTimeSignal([ScaleSignal({(0,) * 5: 0.5, (1,) * 5: 0.25}, arity=5)])
-        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
-            bibo_analysis(h, max_grid=1 << 15)
+        report = bibo_analysis(h, max_grid=1 << 15)
+        assert (16,) * 5 in grids
+        assert all(math.prod(g) <= MAX_BOX_CELLS for g in grids)
+        assert len(report.witnesses["character_angles"]) == 5
+        assert report.witnesses["maximizer"].array.size <= MAX_BOX_CELLS
+        assert report.necessary_lower <= 0.75 <= report.sufficient_upper

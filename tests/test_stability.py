@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalekit import (
     ScaleSignal,
@@ -17,6 +18,10 @@ from scalekit import (
     mult_operator_norm,
     resonant_input,
 )
+from scalekit.cli import main
+from scalekit.io import write_time_signal
+from scalekit.spectral import torus_values
+from scalekit.stability import _fft_error
 from helpers import random_scale_signal, random_time_signal
 
 
@@ -353,6 +358,142 @@ class TestDissipativity:
             gram = 0.5 * (gram + gram.conj().T)
             worst = min(worst, float(np.linalg.eigvalsh(gram)[0]))
         assert report.details["gram_min_eigenvalue"] == pytest.approx(worst, abs=1e-12)
+
+
+def peaked_system(rng, p, time_len, width, sup, theta0):
+    """Positive magnitudes summing to sup, phased so that the symbol
+    sum_e c_e e^{i e.theta} peaks at theta0: its torus sup is exactly sup."""
+    keys = [(n,) + tuple(int(k) for k in rng.integers(0, width, p))
+            for n in range(time_len) for _ in range(2)]
+    keys = sorted(set(keys) | {(0,) * (p + 1), (time_len - 1,) + (width - 1,) * p})
+    mags = rng.uniform(0.2, 1.0, len(keys))
+    mags *= sup / mags.sum()
+    slices = [{} for _ in range(time_len)]
+    for (n, *k), m in zip(keys, mags):
+        slices[n][tuple(k)] = m * np.exp(-1j * np.dot((n, *k), theta0))
+    return ScaleTimeSignal([ScaleSignal(d, arity=p) for d in slices], arity=p)
+
+
+def offset_grid_max(h, size, offset) -> float:
+    """max |sum_e c_e e^{i e.theta}| by direct sums on the grid
+    theta_j = 2 pi (j + offset) / size, every axis, time first."""
+    axes = np.meshgrid(*(2 * math.pi * (np.arange(size) + offset) / size
+                         for _ in range(h.arity + 1)), indexing="ij")
+    vals = 0.0
+    for n, s in enumerate(h.slices):
+        for k, v in s.items():
+            vals = vals + v * np.exp(1j * sum(e * t for e, t in zip((n, *k), axes)))
+    return float(np.abs(vals).max())
+
+
+class TestThresholdSweep:
+    """dissipativity_check decides sup <= 1 + tol and stops as soon as it can."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_sup_above_slack_never_passes(self, tol):
+        rng = np.random.default_rng(21)
+        for p in (1, 2):
+            for on_grid in (True, False, False):
+                theta0 = np.zeros(p + 1) if on_grid else rng.uniform(0, 2 * math.pi, p + 1)
+                h = peaked_system(rng, p, 3, 3, 1.0 + 2.0 * tol, theta0)
+                report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 15)
+                assert report.verdict != "pass"
+                if on_grid:
+                    assert report.verdict == "fail"
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_sup_within_slack_never_fails(self, tol):
+        rng = np.random.default_rng(22)
+        for p in (1, 2):
+            for on_grid in (True, False, False):
+                theta0 = np.zeros(p + 1) if on_grid else rng.uniform(0, 2 * math.pi, p + 1)
+                h = peaked_system(rng, p, 3, 3, 1.0 + 0.5 * tol, theta0)
+                report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 15)
+                assert report.verdict != "fail"
+
+    @pytest.mark.parametrize("seed", [1, 11, 12])
+    def test_sup_095_passes_on_a_coarse_grid(self, seed, tmp_path):
+        # p = 2, two terms per slice across a width-3 box, T = 2, scaled so
+        # the max on a 64^3 grid is 0.95: the grid inequality puts the
+        # upper bound below 1 by 32^3 points, far short of the 2^24 budget
+        rng = np.random.default_rng(seed)
+        slices = []
+        for _ in range(2):
+            slices.append(ScaleSignal({k: complex(rng.standard_normal(), rng.standard_normal())
+                                       for k in ((0, 0), (2, 2))}, arity=2))
+        h = ScaleTimeSignal(slices, arity=2)
+        grid = np.abs(torus_values(h.stack.array, h.stack.origin, (64, 64, 64)))
+        h = ScaleTimeSignal([s.scaled(0.95 / grid.max()) for s in slices], arity=2)
+        report = dissipativity_check(h)
+        bracket = report.sup_bracket
+        assert report.verdict == "pass"
+        assert bracket.certified
+        assert math.prod(bracket.grid_sizes) <= 1 << 15
+        assert bracket.lower <= 0.95 * (1 + 1e-12) and bracket.upper <= 1.0
+        assert report.details["gram_min_eigenvalue"] >= -1e-9
+        path = tmp_path / "sys.csv"
+        write_time_signal(h, str(path))
+        assert main(["analyze", "--property", "dissipative", "--system", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 0
+
+    @settings(max_examples=40)
+    @given(p=st.integers(1, 2), time_len=st.integers(1, 3), width=st.integers(1, 3),
+           target=st.floats(0.8, 1.2), tol=st.sampled_from([1e-9, 1e-6, 1e-3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_verdicts_replay_independently(self, p, time_len, width, target, tol, seed):
+        rng = np.random.default_rng(seed)
+        h = random_time_signal(rng, p, time_len=time_len, width=width, terms=3)
+        if h.is_zero:
+            return
+        size = 256 if p == 1 else 32
+        coarse = np.abs(torus_values(h.stack.array, h.stack.origin,
+                                     (size,) * (p + 1))).max()
+        h = ScaleTimeSignal([s.scaled(target / coarse) for s in h.slices], arity=p)
+        report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 16)
+        bracket = report.sup_bracket
+        if report.verdict == "pass":
+            assert offset_grid_max(h, size, rng.uniform(0, 1)) <= bracket.upper <= 1.0 + tol
+        elif report.verdict == "fail":
+            phi, *thetas = report.witnesses["argmax_angles"]
+            value = abs(generalized_transfer(h, np.exp(1j * phi), np.exp(1j * np.array(thetas))))
+            assert value > 1.0 + tol
+
+
+class TestFftError:
+    @staticmethod
+    def longdouble_grid(array, origin, sizes):
+        """sum_e c_e e^{-i e.theta} on the grid 2 pi j / sizes in np.longdouble,
+        each character taken from a table of roots at the residue e j mod M."""
+        pi = 4 * np.arctan(np.longdouble(1))
+        roots = [np.exp(np.clongdouble(-2j) * pi * np.arange(m, dtype=np.longdouble) / m)
+                 for m in sizes]
+        out = np.zeros(sizes, np.clongdouble)
+        for idx in zip(*np.nonzero(array)):
+            term = np.clongdouble(array[idx])
+            for a, (i, o, m) in enumerate(zip(idx, origin, sizes)):
+                factor = roots[a][(i + o) * np.arange(m) % m]
+                term = term * factor.reshape((-1,) + (1,) * (len(sizes) - 1 - a))
+            out += term
+        return out
+
+    @pytest.mark.parametrize("sizes, width, count", [
+        ((8,), 5, 5), ((1 << 12,), 40, 8), ((1 << 20,), 6, 2),
+        ((16, 16), 6, 5), ((1 << 10, 1 << 10), 5, 2), ((8, 16, 8), 4, 5),
+        ((64, 128, 128), 4, 2),
+    ])
+    def test_bound_covers_fft_against_longdouble(self, sizes, width, count):
+        # random dense boxes, widths within the grid as in _certify_sup
+        rng = np.random.default_rng(sum(sizes) + width)
+        for _ in range(count):
+            shape = tuple(int(rng.integers(1, min(width, m) + 1)) for m in sizes)
+            array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            array *= 10.0 ** rng.uniform(-3, 3)
+            origin = tuple(int(o) for o in rng.integers(-width, width + 1, len(sizes)))
+            gap = np.abs(torus_values(array, origin, sizes)
+                         - self.longdouble_grid(array, origin, sizes)).max()
+            bound = _fft_error(sizes, float(np.linalg.norm(array)))
+            assert gap <= bound
+            assert bound <= 1e-10 * np.linalg.norm(array)
 
 
 class TestL1L2:
