@@ -2,9 +2,11 @@
 
 Three system properties are analyzed: bounded input / bounded output gain,
 energy dissipativity, and l1-to-l2 boundedness.  Torus suprema are
-certified on auto-refining uniform grids by the grid inequality stated at
-spectral.grid_shrink, FFT roundoff included in the upper bound.  Every
-report carries enough data (bounds, witnesses, grids, seeds) to replay the
+certified on uniform grids by the grid inequality stated at
+spectral.grid_shrink, FFT roundoff included in the upper bound: a
+precision question is answered on one grid chosen from the box widths, a
+threshold question on doubling grids until it is decided.  Every report
+carries enough data (bounds, witnesses, grids, seeds) to replay the
 verdict.
 """
 
@@ -33,11 +35,9 @@ __all__ = [
     "l1l2_gain",
     "empirical_verify",
     "resonant_input",
-    "DEFAULT_GRID_BUDGET",
     "GRID_BUDGET_ENV",
 ]
 
-DEFAULT_GRID_BUDGET = MAX_BOX_CELLS
 GRID_BUDGET_ENV = "SCALEKIT_MAX_GRID"
 
 # bibo_analysis: window margin per axis for p = 1, 2, >= 3; ascent steps per start
@@ -45,12 +45,11 @@ WINDOW_MARGINS = (24, 5, 3)
 ASCENT_ITERS = 300
 
 
-def _grid_budget(override=None) -> int:
-    if override is None:
-        override = os.environ.get(GRID_BUDGET_ENV) or DEFAULT_GRID_BUDGET
-    if int(override) > MAX_BOX_CELLS:
-        raise ValueError(f"grid budget {override} exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
-    return int(override)
+def _grid_budget() -> int:
+    budget = int(os.environ.get(GRID_BUDGET_ENV) or MAX_BOX_CELLS)
+    if budget > MAX_BOX_CELLS:
+        raise ValueError(f"grid budget {budget} exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ class OperatorNormBracket:
     """Two-sided bound on a torus supremum: lower <= sup <= upper.
 
     lower is a grid value and upper covers the FFT roundoff.  certified
-    means the grid inequality met the sweep's tol, or upper is at or below
-    the threshold the sweep was asked to decide (see _certify_sup).
+    means upper - lower <= tol lower for a precision question, and
+    upper <= threshold for a threshold question (see _certify_sup).
     """
 
     lower: float
@@ -122,64 +121,63 @@ def _fft_error(sizes, norm: float) -> float:
     return steps / (1.0 - steps) * math.sqrt(math.prod(sizes)) * norm
 
 
-def _certify_sup(array, origin, min_sizes, tol, budget,
-                 threshold=None) -> OperatorNormBracket:
+def _certify_sup(array, origin, tol, threshold=None) -> OperatorNormBracket:
     """Bracket the sup of |h| = |sum c_e e^{i e.theta}| over the torus.
 
     The coefficients c_e form the dense box (array, origin), of width w_a
-    on axis a.  lower = grid_max and
+    on axis a.  On a grid of M_a points per axis, lower = grid_max and
     upper = (grid_max + e) / grid_shrink(widths, sizes), rounded up: the
     grid inequality of spectral.grid_shrink, with e = _fft_error(sizes,
     ||c||_2) covering the FFT roundoff in the grid values (no exponents
     fold, since M_a >= w_a).  e >= L eta grid_max, many ulps of grid_max,
     so it also covers the rounding of |.|, of ||c||_2 and of grid_shrink.
     lower carries no roundoff term.  The first grid has
-    M_a = next_pow2(max(2 w_a - 1, min_sizes[a], 8)) > 2 (w_a - 1), so the
-    inequality holds from the start and doubling keeps it.  Grids double
-    until the question is decided or the point budget is exceeded.  Without
-    a threshold, decided means the grid inequality's gap
-    grid_max / grid_shrink - grid_max is within a tol fraction of grid_max;
-    e grows with the grid, so refinement cannot shrink it and it is not
-    counted against tol.  With a threshold, the sweep only asks whether
-    sup <= threshold: it stops as soon as grid_max > threshold (no,
-    certified False) or upper <= threshold (yes, certified True), and tol is
-    then the caller's slack in the threshold, not a precision target.  A
-    box with at most one term is exact.
+    M_a = next_pow2(max(2 w_a - 1, 8)) > 2 (w_a - 1), so the inequality
+    holds from the start and doubling keeps it.
+
+    The tolerance grid is the first doubling on which
+    (1 + _fft_error(sizes, 1)) / grid_shrink - 1 <= tol, else the last one
+    within the point budget.  As grid_max >= ||c||_2 (Parseval), it bounds
+    (upper - lower) / lower by tol, roundoff included, before any FFT runs.
+    Without a threshold only that grid is evaluated, and certified means
+    upper - lower <= tol lower as computed (never, for a tol below the
+    roundoff floor).  With a threshold the grids up to it are evaluated in
+    turn until grid_max > threshold or upper <= threshold, certified means
+    upper <= threshold, and tol is the slack in the threshold.  A box with
+    at most one term is exact.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    budget = _grid_budget()
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
-        return OperatorNormBracket(value, value, True)
+        return OperatorNormBracket(value, value, threshold is None or value <= threshold)
     norm = float(np.linalg.norm(array))
     # torus_values pairs e with e^{-i e.theta}: the flipped box with negated
     # exponents gives the e^{+i e.theta} symbol, whose grid argmax is the
     # reported witness
     array = array[(slice(None, None, -1),) * array.ndim]
     origin = tuple(-(o + n - 1) for o, n in zip(origin, array.shape))
-    sizes = tuple(_next_pow2(max(2 * w - 1, int(m), 8))
-                  for w, m in zip(array.shape, min_sizes))
-    while True:
+    grids = [tuple(_next_pow2(max(2 * w - 1, 8)) for w in array.shape)]
+    while ((1.0 + _fft_error(grids[-1], 1.0)) / grid_shrink(array.shape, grids[-1]) - 1.0 > tol
+           and math.prod(grids[-1]) * 2 ** array.ndim <= budget):
+        grids.append(tuple(2 * n for n in grids[-1]))
+    for sizes in grids if threshold is not None else grids[-1:]:
         mags = np.abs(torus_values(array, origin, sizes))
         pos = np.unravel_index(int(np.argmax(mags)), sizes)
-        grid_max = float(mags[pos])
+        lower = float(mags[pos])
         del mags
-        angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
-        shrink = grid_shrink(array.shape, sizes)
-        upper = math.nextafter((grid_max + _fft_error(sizes, norm)) / shrink, math.inf)
-        if threshold is not None and grid_max > threshold:
-            return OperatorNormBracket(grid_max, upper, False, sizes, angles)
-        if (threshold is not None and upper <= threshold
-                or grid_max / shrink - grid_max <= tol * grid_max):
-            return OperatorNormBracket(grid_max, upper, True, sizes, angles)
-        doubled = tuple(2 * n for n in sizes)
-        if math.prod(doubled) > budget:
-            return OperatorNormBracket(grid_max, upper, False, sizes, angles)
-        sizes = doubled
+        upper = math.nextafter((lower + _fft_error(sizes, norm)) / grid_shrink(array.shape, sizes),
+                               math.inf)
+        if threshold is not None and (lower > threshold or upper <= threshold):
+            break
+    certified = upper - lower <= tol * lower if threshold is None else upper <= threshold
+    angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
+    return OperatorNormBracket(lower, upper, certified, sizes, angles)
 
 
-def mult_operator_norm(h: ScaleSignal, cone: bool = False, tol: float = 1e-6,
-                       max_grid=None) -> OperatorNormBracket:
+def mult_operator_norm(h: ScaleSignal, cone: bool = False,
+                       tol: float = 1e-6) -> OperatorNormBracket:
     """Norm of the scale-convolution operator u -> h * u.
 
     Equals the torus supremum of the symbol in both settings: exactly for
@@ -188,7 +186,7 @@ def mult_operator_norm(h: ScaleSignal, cone: bool = False, tol: float = 1e-6,
     """
     if cone and not h.is_cone_supported():
         raise ValueError("symbol not scale-causal")
-    return _certify_sup(h.array, h.origin, (0,) * h.arity, tol, _grid_budget(max_grid))
+    return _certify_sup(h.array, h.origin, tol)
 
 
 def _box_apply(kernel, box, cone: bool):
@@ -236,8 +234,16 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
     return v, value
 
 
+def _slice_bound(h: ScaleTimeSignal, cone: bool, tol: float) -> tuple[list, float, str]:
+    """The slice operator-norm brackets, the sum of their uppers (a BIBO gain
+    bound) and the verdict they support."""
+    brackets = [mult_operator_norm(s, cone=cone, tol=tol) for s in h.slices]
+    verdict = "pass" if all(b.certified for b in brackets) else "inconclusive"
+    return brackets, float(sum(b.upper for b in brackets)), verdict
+
+
 def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
-                  max_grid=None, seed: int = 0) -> StabilityReport:
+                  seed: int = 0) -> StabilityReport:
     """Bracket the bounded-input / bounded-output gain.
 
     sufficient_upper sums the certified slice operator norms.
@@ -248,9 +254,7 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
     """
     p = h.arity
     slices = h.slices
-    brackets = [mult_operator_norm(s, cone=cone, tol=tol, max_grid=max_grid) for s in slices]
-    sufficient_upper = float(sum(b.upper for b in brackets))
-    certified = all(b.certified for b in brackets)
+    brackets, sufficient_upper, verdict = _slice_bound(h, cone, tol)
 
     margin = WINDOW_MARGINS[min(p, len(WINDOW_MARGINS)) - 1]
     spans = [(0 if cone else lo - margin, hi + margin)
@@ -293,14 +297,14 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
 
     return StabilityReport(
         property="bibo",
-        verdict="pass" if certified else "inconclusive",
+        verdict=verdict,
         sufficient_upper=sufficient_upper,
         necessary_lower=float(necessary_lower),
         witnesses={"maximizer": ScaleSignal._from_box(*best_v),
                    "character_angles": theta_star},
         details={
             "slice_brackets": brackets,
-            "certified": certified,
+            "certified": verdict == "pass",
             "window_spans": spans,
             "cone": cone,
             "seed": seed,
@@ -338,10 +342,8 @@ def _sample_polydisc(rng, count: int, dims: int, radius: float = 0.9) -> np.ndar
     return r * np.exp(1j * phi)
 
 
-def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
-                        sample_count: int = 20, tol: float = 1e-9,
-                        points_per_set: int = 12, seed: int = 0,
-                        max_grid=None) -> StabilityReport:
+def dissipativity_check(h: ScaleTimeSignal, sample_count: int = 20, tol: float = 1e-9,
+                        points_per_set: int = 12, seed: int = 0) -> StabilityReport:
     """Certify or refute contractivity of the transfer function.
 
     Brackets the supremum of the (p+1)-variable symbol over the torus
@@ -355,11 +357,7 @@ def dissipativity_check(h: ScaleTimeSignal, grid_sizes=None,
     random point sets.
     """
     stack = h.stack
-    if grid_sizes and len(grid_sizes) != stack.arity:
-        raise ValueError(f"grid_sizes needs p + 1 = {stack.arity} sizes (time first), "
-                         f"got {len(grid_sizes)}")
-    bracket = _certify_sup(stack.array, stack.origin, grid_sizes or (0,) * stack.arity, tol,
-                           _grid_budget(max_grid), threshold=1.0 + tol)
+    bracket = _certify_sup(stack.array, stack.origin, tol, threshold=1.0 + tol)
 
     witnesses: dict = {}
     if bracket.lower > 1.0 + tol:
@@ -460,16 +458,15 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         raise ValueError("trials must be >= 1")
     p = h.arity
     if prop == "bibo":
-        report = bibo_analysis(h, tol=1e-6)
-        bound = report.sufficient_upper
+        _, bound, verdict = _slice_bound(h, False, 1e-6)
         measure = lambda y: y.norm("sup_l2")
     elif prop == "dissipative":
         report = dissipativity_check(h, tol=1e-6, sample_count=0, seed=seed)
-        bound = report.sup_bracket.upper ** 2
+        bound, verdict = report.sup_bracket.upper ** 2, report.verdict
         measure = lambda y: y.norm("energy")
     else:
         report = l1l2_gain(h)
-        bound = report.gain
+        bound, verdict = report.gain, report.verdict
         measure = lambda y: math.sqrt(y.norm("energy"))
 
     mins, maxs = h.support_box() or ((0,) * p, (0,) * p)
@@ -502,5 +499,5 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         bound=float(bound),
         max_ratio=float(max_ratio),
         ok=bool(max_ratio <= 1.0 + 1e-9),
-        analyzer_verdict=report.verdict,
+        analyzer_verdict=verdict,
     )

@@ -20,7 +20,8 @@ from scalekit import (
 )
 from scalekit.cli import main
 from scalekit.io import write_time_signal
-from scalekit.spectral import torus_values
+from scalekit.signals import MAX_BOX_CELLS
+from scalekit.spectral import grid_shrink, torus_values
 from scalekit.stability import _fft_error
 from helpers import random_scale_signal, random_time_signal
 
@@ -69,19 +70,32 @@ class TestMultOperatorNorm:
         with pytest.raises(ValueError, match="scale-causal"):
             mult_operator_norm(delta((-1,), 1), cone=True)
 
-    def test_budget_exhaustion_leaves_sound_bracket(self):
-        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
-        b = mult_operator_norm(h, tol=1e-12, max_grid=4096)
-        assert not b.certified
-        assert b.lower <= 2.0 <= b.upper
-
-    def test_budget_env_override(self, monkeypatch):
+    def test_budget_exhaustion_leaves_sound_bracket(self, monkeypatch):
         h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
         monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
         b = mult_operator_norm(h, tol=1e-12)
         assert not b.certified
+        assert b.lower <= 2.0 <= b.upper
+
+    def test_budget_env_override(self, monkeypatch):
+        # tol 1e-9 needs 2^16 points for 1 + z: 4096 falls short of them
+        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
+        b = mult_operator_norm(h, tol=1e-9)
+        assert not b.certified
         monkeypatch.delenv("SCALEKIT_MAX_GRID")
-        assert mult_operator_norm(h, tol=1e-12).certified
+        assert mult_operator_norm(h, tol=1e-9).certified
+
+    def test_tol_below_roundoff_floor_is_not_certified(self, monkeypatch):
+        # the FFT roundoff term alone is about 2.6e-11 of the norm at 2^21
+        # points, so no grid within the budget brackets 1 + z to 1e-12
+        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 21))
+        b = mult_operator_norm(h, tol=1e-12)
+        assert b.grid_sizes == (1 << 21,)
+        assert not b.certified
+        assert b.upper - b.lower > 1e-12 * b.lower
+        assert b.lower <= 2.0 <= b.upper
 
     def test_budget_above_box_cap_refused_up_front(self, monkeypatch):
         h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
@@ -269,6 +283,14 @@ class TestDissipativity:
         angles = report.witnesses["argmax_angles"]
         assert abs(angles[0]) < 1e-12
 
+    def test_single_term_certified_only_below_threshold(self):
+        # one term is an exact bracket; certified still answers sup <= 1 + tol
+        for value, verdict in ((2.0, "fail"), (0.9, "pass")):
+            h = ScaleTimeSignal([delta((3,), 1, value)], arity=1)
+            report = dissipativity_check(h, sample_count=0)
+            assert report.verdict == verdict
+            assert report.sup_bracket.certified == (verdict == "pass")
+
     def test_resonant_input_violates_energy(self):
         h = ScaleTimeSignal([delta((0,), 1), delta((0,), 1)], arity=1)
         report = dissipativity_check(h)
@@ -310,16 +332,6 @@ class TestDissipativity:
         assert report.verdict == "fail"
         bracket = report.sup_bracket
         assert all(m > 2 * (9 - 1) for m in bracket.grid_sizes)
-        # requested grid sizes are a floor on the first grid
-        bracket = dissipativity_check(h, grid_sizes=(64, 8), sample_count=0).sup_bracket
-        assert bracket.grid_sizes == (64, 32)
-
-    def test_grid_sizes_need_one_per_axis(self):
-        # one size for time and one per scale axis: p + 1 = 2 here
-        h = ScaleTimeSignal([ScaleSignal({(0,): 0.5, (1,): 0.25}, arity=1)], arity=1)
-        for sizes in ((64,), (64, 8, 8)):
-            with pytest.raises(ValueError, match=r"p \+ 1 = 2 sizes"):
-                dissipativity_check(h, grid_sizes=sizes)
 
     def test_gram_skipped_off_cone(self):
         h = ScaleTimeSignal([delta((-1,), 1, 0.5)], arity=1)
@@ -390,25 +402,27 @@ class TestThresholdSweep:
     """dissipativity_check decides sup <= 1 + tol and stops as soon as it can."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
-    def test_sup_above_slack_never_passes(self, tol):
+    def test_sup_above_slack_never_passes(self, tol, monkeypatch):
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 15))
         rng = np.random.default_rng(21)
         for p in (1, 2):
             for on_grid in (True, False, False):
                 theta0 = np.zeros(p + 1) if on_grid else rng.uniform(0, 2 * math.pi, p + 1)
                 h = peaked_system(rng, p, 3, 3, 1.0 + 2.0 * tol, theta0)
-                report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 15)
+                report = dissipativity_check(h, tol=tol, sample_count=0)
                 assert report.verdict != "pass"
                 if on_grid:
                     assert report.verdict == "fail"
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
-    def test_sup_within_slack_never_fails(self, tol):
+    def test_sup_within_slack_never_fails(self, tol, monkeypatch):
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 15))
         rng = np.random.default_rng(22)
         for p in (1, 2):
             for on_grid in (True, False, False):
                 theta0 = np.zeros(p + 1) if on_grid else rng.uniform(0, 2 * math.pi, p + 1)
                 h = peaked_system(rng, p, 3, 3, 1.0 + 0.5 * tol, theta0)
-                report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 15)
+                report = dissipativity_check(h, tol=tol, sample_count=0)
                 assert report.verdict != "fail"
 
     @pytest.mark.parametrize("seed", [1, 11, 12])
@@ -449,7 +463,9 @@ class TestThresholdSweep:
         coarse = np.abs(torus_values(h.stack.array, h.stack.origin,
                                      (size,) * (p + 1))).max()
         h = ScaleTimeSignal([s.scaled(target / coarse) for s in h.slices], arity=p)
-        report = dissipativity_check(h, tol=tol, sample_count=0, max_grid=1 << 16)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SCALEKIT_MAX_GRID", str(1 << 16))
+            report = dissipativity_check(h, tol=tol, sample_count=0)
         bracket = report.sup_bracket
         if report.verdict == "pass":
             assert offset_grid_max(h, size, rng.uniform(0, 1)) <= bracket.upper <= 1.0 + tol
@@ -457,6 +473,116 @@ class TestThresholdSweep:
             phi, *thetas = report.witnesses["argmax_angles"]
             value = abs(generalized_transfer(h, np.exp(1j * phi), np.exp(1j * np.array(thetas))))
             assert value > 1.0 + tol
+
+
+def criterion_grid(widths, tol, budget):
+    """The tolerance grid by brute doubling: the first power-of-two grid with
+    M_a >= max(2 w_a - 1, 8) points, doubled while the roundoff-inclusive
+    gap exceeds tol and the doubled grid fits the budget."""
+    sizes = []
+    for w in widths:
+        m = 8
+        while m < 2 * w - 1:
+            m *= 2
+        sizes.append(m)
+    sizes = tuple(sizes)
+    while (1.0 + _fft_error(sizes, 1.0)) / grid_shrink(widths, sizes) - 1.0 > tol:
+        doubled = tuple(2 * m for m in sizes)
+        if math.prod(doubled) > budget:
+            break
+        sizes = doubled
+    return sizes
+
+
+def corner_signal(rng, widths):
+    """Random complex taps spanning exactly the box [0, w_a) on each axis."""
+    p = len(widths)
+    keys = {(0,) * p, tuple(w - 1 for w in widths)}
+    keys |= {tuple(int(rng.integers(0, w)) for w in widths) for _ in range(3)}
+    return ScaleSignal({k: complex(rng.standard_normal(), rng.standard_normal())
+                        for k in keys}, arity=p)
+
+
+class Evaluated(Exception):
+    """Raised by a torus_values stand-in to stop a bracket before its FFT."""
+
+
+class TestToleranceGrid:
+    """mult_operator_norm evaluates one grid, chosen from the widths alone."""
+
+    def test_one_torus_grid_per_bracket(self, monkeypatch):
+        import scalekit.stability as stability
+        grids = []
+
+        def recording(array, origin, sizes):
+            grids.append(tuple(sizes))
+            return torus_values(array, origin, sizes)
+
+        monkeypatch.setattr(stability, "torus_values", recording)
+        rng = np.random.default_rng(31)
+        for widths, tol in (((5,), 1e-9), ((3, 4), 1e-3), ((2, 3, 2), 1e-2), ((9,), 1e-8)):
+            grids.clear()
+            b = mult_operator_norm(corner_signal(rng, widths), tol=tol)
+            assert grids == [b.grid_sizes] == [criterion_grid(widths, tol, MAX_BOX_CELLS)]
+        # verify --property bibo runs the slice brackets alone, one grid each,
+        # and reports the bound bibo_analysis reports
+        h = ScaleTimeSignal([corner_signal(rng, (4,)) for _ in range(3)], arity=1)
+        grids.clear()
+        report = empirical_verify(h, "bibo", trials=2, seed=5)
+        assert len(grids) == 3
+        assert report.bound == bibo_analysis(h, tol=1e-6).sufficient_upper
+
+    def test_grid_choice_counts_the_roundoff(self):
+        # a tol between the bare grid gap of 2^16 points and that gap plus
+        # the roundoff term: 2^16 points would leave upper - lower above
+        # tol lower, so the bracket takes 2^17 and certifies
+        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        sizes = (1 << 16,)
+        tol = 1.0 / grid_shrink((2,), sizes) - 1.0 + 0.5 * _fft_error(sizes, 1.0)
+        b = mult_operator_norm(h, tol=tol)
+        assert b.grid_sizes == (1 << 17,)
+        assert b.certified
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           tol=st.floats(1e-12, 1e-2), budget_log=st.integers(12, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_matches_brute_doubling(self, widths, tol, budget_log, seed):
+        # the grid is fixed before any FFT, so the stand-in stops the bracket
+        # there and budgets up to the cap cost nothing
+        widths = (max(widths[0], 2), *widths[1:])  # at least two terms
+        h = corner_signal(np.random.default_rng(seed), widths)
+        import scalekit.stability as stability
+        grids = []
+
+        def stop(array, origin, sizes):
+            grids.append(tuple(sizes))
+            raise Evaluated
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "torus_values", stop)
+            mp.setenv("SCALEKIT_MAX_GRID", str(1 << budget_log))
+            with pytest.raises(Evaluated):
+                mult_operator_norm(h, tol=tol)
+        assert grids == [criterion_grid(widths, tol, 1 << budget_log)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           tol=st.floats(1e-12, 1e-2), budget_log=st.integers(12, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_brackets_are_sound(self, widths, tol, budget_log, seed):
+        # evaluated budgets stop at 2^16 points to keep the test small
+        widths = (max(widths[0], 2), *widths[1:])  # at least two terms
+        rng = np.random.default_rng(seed)
+        h = corner_signal(rng, widths)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SCALEKIT_MAX_GRID", str(1 << budget_log))
+            b = mult_operator_norm(h, tol=tol)
+        assert b.grid_sizes == criterion_grid(widths, tol, 1 << budget_log)
+        if b.certified:
+            assert b.upper - b.lower <= tol * b.lower
+        size = {1: 256, 2: 32, 3: 12}[len(widths)]
+        assert offset_grid_max(ScaleTimeSignal([h]), size, rng.uniform(0, 1)) <= b.upper
 
 
 class TestFftError:
