@@ -1,8 +1,9 @@
 """Deterministic JSON writer for reports.
 
 Field order follows construction order; floats are printed with 17
-significant digits so repeated runs are byte-identical across platforms.
-NaN and infinity are rejected.
+significant digits so repeated runs are byte-identical across platforms;
+a 2-D float array gives the bytes of its nested lists.  NaN and infinity
+are rejected.
 """
 
 from __future__ import annotations
@@ -10,11 +11,26 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 __all__ = ["dumps"]
+
+_CHUNK_ROWS = 1 << 14
 
 # the standard escapes: quote, backslash, \b \f \n \r \t, other control
 # characters as \u00xx; everything else, non-ASCII included, as is
 _string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _write_rows(array: np.ndarray, out: list) -> None:
+    """The rows of a 2-D float array, one %-format per chunk of rows."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite float {float(array[~finite][0])!r}")
+    row = "[" + ",".join(["%.17g"] * array.shape[1]) + "]"
+    chunks = (array[i:i + _CHUNK_ROWS] for i in range(0, len(array), _CHUNK_ROWS))
+    out.append("[" + ",".join(",".join([row] * len(c)) % tuple(c.ravel().tolist())
+                              for c in chunks) + "]")
 
 
 def _write(obj, out: list) -> None:
@@ -45,6 +61,8 @@ def _write(obj, out: list) -> None:
             out.append(":")
             _write(value, out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
+        _write_rows(obj, out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):

@@ -98,9 +98,8 @@ def _cmd_moments_check(args) -> int:
 
 def _cmd_stieltjes(args) -> int:
     ms = skio.moments_from_dict(_load_json_arg(args.moments))
-    mass = stieltjes_invert(ms, args.a, args.b, args.r, args.quad_points)
-    _emit({"a": args.a, "b": args.b, "r": args.r,
-           "quad_points": args.quad_points, "mass": mass}, args.out)
+    mass = stieltjes_invert(ms, args.a, args.b, args.r)
+    _emit({"a": args.a, "b": args.b, "r": args.r, "mass": mass}, args.out)
     return EXIT_OK
 
 
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--a", type=float, required=True)
     ip.add_argument("--b", type=float, required=True)
     ip.add_argument("--r", type=float, required=True)
-    ip.add_argument("--quad-points", type=int, default=4096)
     ip.set_defaults(func=_cmd_stieltjes)
 
     ap = sub.add_parser("analyze", help="run a certified stability analyzer")

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._jsonfmt import dumps
+from ._jsonfmt import _CHUNK_ROWS, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
@@ -39,8 +39,6 @@ __all__ = [
     "bracket_to_dict", "report_to_dict", "empirical_to_dict",
     "read_time_signal", "write_time_signal",
 ]
-
-_CHUNK_ROWS = 1 << 14
 
 
 def pair(z: complex) -> list:
@@ -115,9 +113,11 @@ def coeffseq_from_dict(obj) -> CoeffSeq:
 
 
 def signal_to_dict(sig: ScaleTimeSignal) -> dict:
+    # data: float [re, im] rows; + 0.0 writes -0.0 as 0, since JSON readers
+    # parse "-0" as the integer 0 and its sign could not come back
     dense, origin = sig.to_dense()
     return {"arity": sig.arity, "shape": list(dense.shape), "origin": list(origin),
-            "data": dense.reshape(-1, 1).view(float).tolist()}
+            "data": dense.reshape(-1, 1).view(float) + 0.0}
 
 
 def signal_from_dict(obj) -> ScaleTimeSignal:

@@ -34,17 +34,15 @@ class HyperbolicData:
     """Fixed-point data of a hyperbolic disc map.
 
     ``xi1`` is the attracting and ``xi2`` the repelling fixed point, both on
-    the unit circle.  ``multiplier`` is the contraction rate in (0, 1).  The
-    two phases conjugate the map to a pure scale shift with the same
-    multiplier.
+    the unit circle.  ``multiplier`` is the contraction rate in (0, 1), and
+    ``lam`` = sqrt((Re a)^2 - 1) + i Im a gives xi1 = lam / b* and
+    xi2 = -lam* / b*.
     """
 
     multiplier: float
     lam: complex
     xi1: complex
     xi2: complex
-    rotation_phase: complex
-    theta_phase: complex
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,6 @@ class SuMatrix:
             lam=lam,
             xi1=lam / bc,
             xi2=-lam.conjugate() / bc,
-            rotation_phase=lam / self.b,
-            theta_phase=lam / abs(lam),
         )
 
     def apply(self, z: complex) -> complex:

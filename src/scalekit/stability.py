@@ -144,14 +144,15 @@ def _certify_sup(array, origin, tol, threshold=None) -> OperatorNormBracket:
     roundoff floor).  With a threshold the grids up to it are evaluated in
     turn until grid_max > threshold or upper <= threshold, certified means
     upper <= threshold, and tol is the slack in the threshold.  A box with
-    at most one term is exact.
+    at most one term is exact, and any angle attains its sup.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     budget = _grid_budget()
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
-        return OperatorNormBracket(value, value, threshold is None or value <= threshold)
+        return OperatorNormBracket(value, value, threshold is None or value <= threshold,
+                                   witness_angles=(0.0,) * array.ndim)
     norm = float(np.linalg.norm(array))
     # torus_values pairs e with e^{-i e.theta}: the flipped box with negated
     # exponents gives the e^{+i e.theta} symbol, whose grid argmax is the
@@ -420,9 +421,10 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
                    box=None) -> ScaleTimeSignal:
     """Unit-energy input concentrated at one symbol frequency.
 
-    u_m(k) = e^{i(m phi + k.theta)} on [0, time_len) x box, normalized to
-    total energy one; thetas=() means theta = 0.  Used to realize a gain
-    witness found on the torus.
+    u_m(k) = e^{-i(m phi + k.theta)} on [0, time_len) x box, normalized to
+    total energy one; thetas=() means theta = 0.  Away from the window's
+    edges h scales it by generalized_transfer(h, e^{i phi}, e^{i theta}) =
+    sum c_e e^{+i e.(phi, theta)}, so dissipativity_check's argmax replays.
     """
     thetas = tuple(float(t) for t in thetas) or (0.0,) * arity
     if len(thetas) != arity:
@@ -433,7 +435,7 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     exps = _exponents((0,) + origin, shape)
     phase = exps[0] * phi + sum(e * t for e, t in zip(exps[1:], thetas))
     amp = 1.0 / math.sqrt(math.prod(shape))
-    return ScaleTimeSignal._from_box(amp * np.exp(1j * phase), origin)
+    return ScaleTimeSignal._from_box(amp * np.exp(-1j * phase), origin)
 
 
 _NORM_BY_PROPERTY = {"bibo": "sup_l2", "dissipative": "energy", "l1_l2": "l1_l2"}

@@ -8,7 +8,6 @@ import pytest
 from scalekit import ScaleSignal, ScaleTimeSignal, make_group, make_scale_shift
 from scalekit import io as skio
 from scalekit.cli import main
-from scalekit.signals import MAX_BOX_CELLS
 from helpers import random_time_signal
 
 
@@ -153,16 +152,20 @@ class TestMomentsCommands:
         assert main(["moments-check", "--moments", big]) == 2
         assert "MAX_BOX_CELLS" in capsys.readouterr().err
         assert main(["stieltjes", "--moments", '{"t":[[1,0]]}', "--a", "0", "--b", "1",
-                     "--r", "0.5", "--quad-points", str(MAX_BOX_CELLS + 1)]) == 2
-        assert "MAX_BOX_CELLS" in capsys.readouterr().err
+                     "--r", "0.5", "--quad-points", "4096"]) == 2
+        assert "--quad-points" in capsys.readouterr().err
 
     def test_stieltjes_lebesgue(self, capsys):
         code = main(["stieltjes", "--moments", '{"t":[[1,0],[0,0]]}',
-                     "--a", "1.0", "--b", "2.0", "--r", "0.9",
-                     "--quad-points", "128"])
+                     "--a", "1.0", "--b", "2.0", "--r", "0.9"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mass"] == pytest.approx(1.0 / (2 * np.pi), abs=1e-12)
+
+    def test_stieltjes_report_fields(self, capsys):
+        assert main(["stieltjes", "--moments", '{"t":[[1,0]]}',
+                     "--a", "-1.5", "--b", "0.5", "--r", "0.5"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["a", "b", "r", "mass"]
 
 
 class TestTransformCommands:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -299,6 +300,27 @@ class TestDissipativity:
         assert u.norm("energy") == pytest.approx(1.0, abs=1e-12)
         y = double_convolve(h, u)
         assert y.norm("energy") > 1.0
+
+    def test_resonant_input_replays_complex_taps(self):
+        # symbol 0.6 + 0.6i z w: sup 1.2 where phi + theta = 3 pi / 2, zero at
+        # the negated angles, so only the reported sign drives the gain up
+        h = ScaleTimeSignal([delta((0,), 1, 0.6), delta((1,), 1, 0.6j)])
+        report = dissipativity_check(h, sample_count=0)
+        assert report.verdict == "fail"
+        phi, theta = report.witnesses["argmax_angles"]
+        transfer = generalized_transfer(h, cmath.exp(1j * phi), [cmath.exp(1j * theta)])
+        assert abs(transfer) == pytest.approx(report.witnesses["argmax_value"], rel=1e-12)
+        u = resonant_input(1, 32, phi, (theta,), box=((0, 31),))
+        assert u.norm("energy") == pytest.approx(1.0, abs=1e-12)
+        assert double_convolve(h, u).norm("energy") > 1.0 + report.details["tol"]
+
+    def test_one_term_fail_witness_replays(self):
+        h = ScaleTimeSignal([delta((3,), 1, 2.0)])
+        report = dissipativity_check(h)
+        assert report.verdict == "fail"
+        phi, theta = report.witnesses["argmax_angles"]
+        u = resonant_input(1, 4, phi, (theta,), box=((0, 3),))
+        assert double_convolve(h, u).norm("energy") > 1.0 + report.details["tol"]
 
     def test_resonant_input_checks_angle_count(self):
         with pytest.raises(ValueError, match="2 angles, got 1"):
