@@ -49,9 +49,9 @@ y_bumped = double_convolve(h, ScaleTimeSignal(bumped, arity=1))
 drift = max(y_direct.slice(n).distance(y_bumped.slice(n)) for n in range(4))
 print("change in y_0..y_3 after editing u_4:", drift)
 
-# A scale-causal filter maps cone-supported inputs to cone-supported
-# outputs; off-cone responses are rejected in cone mode.
+# Scale causality is a property of the signals, not a mode: a scale-causal
+# filter maps cone-supported inputs to cone-supported outputs.
 h_cone = h.scale_causal_projection()
 u_cone = u.scale_causal_projection()
-y_cone = double_convolve(h_cone, u_cone, scale_mode="causal_cone")
-print("cone mode output stays on the cone:", y_cone.is_cone_supported())
+y_cone = double_convolve(h_cone, u_cone)
+print("cone-supported operands give a cone-supported output:", y_cone.is_cone_supported())

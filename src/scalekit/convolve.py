@@ -48,26 +48,19 @@ def group_convolve(h: ScaleSignal, u: ScaleSignal) -> ScaleSignal:
 
 
 def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
-                    scale_mode: str = "full",
                     method: str = "direct") -> ScaleTimeSignal:
     """y_n = sum_{m=0}^{n} h_{n-m} * u_m with * the group convolution.
 
-    Output time length is T_h + T_u - 1.  With scale_mode="causal_cone" both
-    operands must be supported on the scale-causal cone (and then so is the
-    output).  method="direct" is the reference summation; method="fft" is the
-    accelerated dense path, which tests compare against the reference.  Both
-    store entries only on the exact product support.
+    Output time length is T_h + T_u - 1.  When both operands are supported
+    on the scale-causal cone, so is the output.  method="direct" is the
+    reference summation; method="fft" is the accelerated dense path, which
+    tests compare against the reference.  Both store entries only on the
+    exact product support.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
-    if scale_mode not in ("full", "causal_cone"):
-        raise ValueError(f"unknown scale_mode {scale_mode!r}")
     if method not in ("direct", "fft"):
         raise ValueError(f"unknown method {method!r}")
-    if scale_mode == "causal_cone" and not h.is_cone_supported():
-        raise ValueError("impulse response not scale-causal")
-    if scale_mode == "causal_cone" and not u.is_cone_supported():
-        raise ValueError("input signal not scale-causal")
     if h.time_len == 0 or u.time_len == 0:
         return ScaleTimeSignal([], arity=h.arity)
     # the stacks on (n, k): the double convolution is their convolution
@@ -112,17 +105,20 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     if h.time_len == 0 or u.time_len == 0:
         return ScaleTimeSignal([], arity=h.arity)
     t_out = h.time_len + u.time_len - 1
-    h_slices, u_slices = h.slices, u.slices
+    # each slice's entries, read once: a lookup table per h slice and an
+    # ordered list per u slice
+    h_maps = [dict(hs.items()) for hs in h.slices]
+    u_lists = [list(us.items()) for us in u.slices]
     candidates = sorted(
         {
             tuple(a + b for a, b in zip(kh, ku))
-            for hs in h_slices
-            for kh in hs.support()
-            for us in u_slices
-            for ku in us.support()
+            for hm in h_maps
+            for kh in hm
+            for ul in u_lists
+            for ku, _ in ul
         }
     )
-    supp_sizes = sum(len(us) for us in u_slices)
+    supp_sizes = sum(map(len, u_lists))
     work = t_out * len(candidates) * max(1, supp_sizes)
     if work > work_guard:
         raise ValueError(f"work guard exceeded: estimated {work} > {work_guard}")
@@ -135,9 +131,9 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
                 j = n - m
                 if not 0 <= j < h.time_len:
                     continue
-                hs = h_slices[j]
-                for phi, uv in u_slices[m].items():
-                    total += hs.get(tuple(a - b for a, b in zip(gamma, phi))) * uv
+                hm = h_maps[j]
+                for phi, uv in u_lists[m]:
+                    total += hm.get(tuple(a - b for a, b in zip(gamma, phi)), 0.0) * uv
             entries[gamma] = total
         slices.append(ScaleSignal(entries, arity=h.arity))
     return ScaleTimeSignal(slices, arity=h.arity)

@@ -25,7 +25,6 @@ __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform",
            "DEFAULT_MAX_LEN"]
 
 DEFAULT_MAX_LEN = 1 << 16
-LOG_SUM_CHUNK = 1 << 12   # coefficients per step of the plain sum in _certified_length
 
 
 class TruncationError(RuntimeError):
@@ -103,15 +102,10 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
         scale = 1.0 / (den * (abs_a + abs_b * radius))  # 1 / (|a|^2 - |b|^2 R^2)
         center = (m.a * m.b * (1.0 - radius ** 2) * scale)[:, None]
         rad = (radius * (abs_a ** 2 - abs_b ** 2) * scale)[:, None]
-        # log P, folded over chunks of the coefficients so that memory stays
-        # O(deg f); the running value heads each chunk, keeping the fold order
-        log_f, log_w = np.log(np.abs(f)), np.log(np.abs(center) + rad)
-        log_sup = np.full((radius.size, 1), -np.inf)
-        for lo in range(0, f.size, LOG_SUM_CHUNK):
-            terms = np.arange(lo, min(f.size, lo + LOG_SUM_CHUNK)) * log_w
-            terms += log_f[lo:lo + LOG_SUM_CHUNK]
-            log_sup = np.logaddexp.reduce(np.hstack((log_sup, terms)), axis=1, keepdims=True)
-        log_sup = log_sup[:, 0]
+        # log P, one radius at a time so that memory stays O(deg f)
+        log_f, k = np.log(np.abs(f)), np.arange(f.size)
+        log_sup = np.array([np.logaddexp.reduce(log_f + k * log_w)
+                            for log_w in np.log(np.abs(center[:, 0]) + rad[:, 0])])
         if radius.size * size * f.size <= MAX_BOX_CELLS:
             w = center + rad * np.exp(2j * math.pi * np.arange(size) / size)
             reversed_vals = np.polynomial.polynomial.polyval(1.0 / w, f[::-1])  # w^-d f(w)

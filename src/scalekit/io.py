@@ -42,8 +42,9 @@ __all__ = [
 
 
 def pair(z: complex) -> list:
+    # + 0.0 writes -0.0 as 0: JSON readers parse "-0" as the integer 0
     z = complex(z)
-    return [z.real, z.imag]
+    return [z.real + 0.0, z.imag + 0.0]
 
 
 def unpair(obj) -> complex:
@@ -65,7 +66,7 @@ def to_dict(value):
     if isinstance(value, complex):
         return pair(value)
     if isinstance(value, np.ndarray):
-        return np.stack((value.real, value.imag), -1).reshape(-1, 2).tolist()
+        return (np.stack((value.real, value.imag), -1).reshape(-1, 2) + 0.0).tolist()
     if isinstance(value, ScaleSignal):
         return [{"k": list(idx), "value": pair(v)} for idx, v in value.items()]
     if isinstance(value, (list, tuple)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .convolve import box_convolve, double_convolve
 from .signals import (
-    MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, cone_box, overlap, zeros_box,
+    MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, overlap, zeros_box,
 )
 from .spectral import _evaluate, grid_shrink, torus_values
 
@@ -177,33 +177,28 @@ def _certify_sup(array, origin, tol, threshold=None) -> OperatorNormBracket:
     return OperatorNormBracket(lower, upper, certified, sizes, angles)
 
 
-def mult_operator_norm(h: ScaleSignal, cone: bool = False,
-                       tol: float = 1e-6) -> OperatorNormBracket:
+def mult_operator_norm(h: ScaleSignal, tol: float = 1e-6) -> OperatorNormBracket:
     """Norm of the scale-convolution operator u -> h * u.
 
-    Equals the torus supremum of the symbol in both settings: exactly for
-    the two-sided operator, and via the maximum principle for the
-    compression to the scale-causal cone (polynomial symbol).
+    Equals the torus supremum of the symbol: exactly for the two-sided
+    operator, and, for a scale-causal h (polynomial symbol), also for its
+    compression to the scale-causal cone by the maximum principle.
     """
-    if cone and not h.is_cone_supported():
-        raise ValueError("symbol not scale-causal")
     return _certify_sup(h.array, h.origin, tol)
 
 
-def _box_apply(kernel, box, cone: bool):
-    """Convolve the (array, origin) box by a kernel box, then project onto
-    the scale-causal cone if asked."""
+def _box_apply(kernel, box):
+    """Convolve the (array, origin) box by a kernel box."""
     (k, k_origin), (x, x_origin) = kernel, box
-    out = box_convolve(k, x), tuple(a + b for a, b in zip(k_origin, x_origin))
-    return cone_box(*out) if cone else out
+    return box_convolve(k, x), tuple(a + b for a, b in zip(k_origin, x_origin))
 
 
-def _bibo_objective(adjoints, v, cone: bool) -> tuple[float, list]:
-    images = [_box_apply(adj, v, cone) for adj in adjoints]
+def _bibo_objective(adjoints, v) -> tuple[float, list]:
+    images = [_box_apply(adj, v) for adj in adjoints]
     return sum(float(np.linalg.norm(img)) for img, _ in images), images
 
 
-def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
+def _bibo_ascent(kernels, adjoints, v, window):
     """Monotone fixed-point ascent of v -> sum_n ||M_n^* v|| on the unit
     sphere of the window subspace.
 
@@ -211,14 +206,14 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
     shape) of the box the ascent projects onto.
     """
     w_origin, w_shape = window
-    value, images = _bibo_objective(adjoints, v, cone)
+    value, images = _bibo_objective(adjoints, v)
     for _ in range(ASCENT_ITERS):
         g = zeros_box(w_shape)
         for kernel, (image, origin) in zip(kernels, images):
             norm = float(np.linalg.norm(image))
             if norm == 0.0:
                 continue
-            forward, f_origin = _box_apply(kernel, (image * (1.0 / norm), origin), cone)
+            forward, f_origin = _box_apply(kernel, (image * (1.0 / norm), origin))
             cuts = overlap(w_origin, w_shape, f_origin, forward.shape)
             if cuts is not None:
                 g[cuts[0]] += forward[cuts[1]]
@@ -226,7 +221,7 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
         if gn == 0.0:
             break
         v_next = (g * (1.0 / gn), w_origin)
-        next_value, next_images = _bibo_objective(adjoints, v_next, cone)
+        next_value, next_images = _bibo_objective(adjoints, v_next)
         improved = next_value > value + 1e-11 * max(1.0, value)
         if next_value >= value:
             v, value, images = v_next, next_value, next_images
@@ -235,31 +230,33 @@ def _bibo_ascent(kernels, adjoints, v, cone: bool, window):
     return v, value
 
 
-def _slice_bound(h: ScaleTimeSignal, cone: bool, tol: float) -> tuple[list, float, str]:
+def _slice_bound(h: ScaleTimeSignal, tol: float) -> tuple[list, float, str]:
     """The slice operator-norm brackets, the sum of their uppers (a BIBO gain
     bound) and the verdict they support."""
-    brackets = [mult_operator_norm(s, cone=cone, tol=tol) for s in h.slices]
+    brackets = [mult_operator_norm(s, tol=tol) for s in h.slices]
     verdict = "pass" if all(b.certified for b in brackets) else "inconclusive"
     return brackets, float(sum(b.upper for b in brackets)), verdict
 
 
-def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
-                  seed: int = 0) -> StabilityReport:
+def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6, seed: int = 0) -> StabilityReport:
     """Bracket the bounded-input / bounded-output gain.
 
     sufficient_upper sums the certified slice operator norms.
     necessary_lower maximizes sum_n ||M_n^* v|| over unit v from a bank of
     character-concentrated candidates plus monotone local ascent on a finite
     window; any unit v gives a valid lower bound, so the bracket is sound
-    regardless of the window.
+    regardless of the window.  For a scale-causal h (every exponent >= 0)
+    the reported maximizer and window_spans are translated into the cone,
+    where the cone compressions of the slice operators act on v as the
+    two-sided ones do; adversarial_input(h, n, v) is then scale-causal too.
     """
     p = h.arity
     slices = h.slices
-    brackets, sufficient_upper, verdict = _slice_bound(h, cone, tol)
+    brackets, sufficient_upper, verdict = _slice_bound(h, tol)
 
     margin = WINDOW_MARGINS[min(p, len(WINDOW_MARGINS)) - 1]
-    spans = [(0 if cone else lo - margin, hi + margin)
-             for lo, hi in zip(*(h.support_box() or ((0,) * p, (0,) * p)))]
+    lows, highs = h.support_box() or ((0,) * p, (0,) * p)
+    spans = [(lo - margin, hi + margin) for lo, hi in zip(lows, highs)]
     w_origin = tuple(lo for lo, _ in spans)
     w_shape = check_box(hi - lo + 1 for lo, hi in spans)
     wsize = math.prod(w_shape)
@@ -291,30 +288,36 @@ def bibo_analysis(h: ScaleTimeSignal, cone: bool = False, tol: float = 1e-6,
 
     best_v, best_val = None, -1.0
     for v0 in starts:
-        v, value = _bibo_ascent(kernels, adjoints, v0, cone, (w_origin, w_shape))
+        v, value = _bibo_ascent(kernels, adjoints, v0, (w_origin, w_shape))
         if value > best_val:
             best_v, best_val = v, value
     necessary_lower = min(best_val, sufficient_upper)
+
+    maximizer = ScaleSignal._from_box(*best_v)
+    if h.is_cone_supported():
+        # a translation changes no norm, and this one puts every adjoint image in the cone
+        shift = [max(0, hi - lo) for hi, lo in zip(highs, maximizer.origin)]
+        maximizer = ScaleSignal._from_box(
+            maximizer.array, tuple(o + d for o, d in zip(maximizer.origin, shift)))
+        spans = [(lo + d, hi + d) for (lo, hi), d in zip(spans, shift)]
 
     return StabilityReport(
         property="bibo",
         verdict=verdict,
         sufficient_upper=sufficient_upper,
         necessary_lower=float(necessary_lower),
-        witnesses={"maximizer": ScaleSignal._from_box(*best_v),
+        witnesses={"maximizer": maximizer,
                    "character_angles": theta_star},
         details={
             "slice_brackets": brackets,
             "certified": verdict == "pass",
             "window_spans": spans,
-            "cone": cone,
             "seed": seed,
         },
     )
 
 
-def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal,
-                      cone: bool = False) -> ScaleTimeSignal:
+def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal) -> ScaleTimeSignal:
     """Worst-case input aligned with the adjoint images of a unit vector.
 
     u_m is the normalized image of v under the adjoint of convolution by
@@ -330,7 +333,7 @@ def adversarial_input(h: ScaleTimeSignal, n: int, v: ScaleSignal,
     slices = []
     for m in range(n + 1):
         adj = h.slice(n - m).adjoint_reflect()  # zero beyond h's last step
-        image, origin = _box_apply((adj.array, adj.origin), (v.array, v.origin), cone)
+        image, origin = _box_apply((adj.array, adj.origin), (v.array, v.origin))
         norm = float(np.linalg.norm(image))
         slices.append(ScaleSignal._from_box(
             image * (1.0 / norm) if norm > 0.0 else image, origin))
@@ -426,6 +429,8 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     edges h scales it by generalized_transfer(h, e^{i phi}, e^{i theta}) =
     sum c_e e^{+i e.(phi, theta)}, so dissipativity_check's argmax replays.
     """
+    if time_len < 1:
+        raise ValueError(f"time_len must be >= 1, got {time_len!r}")
     thetas = tuple(float(t) for t in thetas) or (0.0,) * arity
     if len(thetas) != arity:
         raise ValueError(f"resonant_input needs {arity} angles, got {len(thetas)}")
@@ -460,7 +465,7 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         raise ValueError("trials must be >= 1")
     p = h.arity
     if prop == "bibo":
-        _, bound, verdict = _slice_bound(h, False, 1e-6)
+        _, bound, verdict = _slice_bound(h, 1e-6)
         measure = lambda y: y.norm("sup_l2")
     elif prop == "dissipative":
         report = dissipativity_check(h, tol=1e-6, sample_count=0, seed=seed)

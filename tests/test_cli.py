@@ -58,6 +58,12 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["gain"] == pytest.approx((1 / (1 - 0.25)) ** 0.5, abs=1e-10)
 
+    def test_no_cone_flag(self, geometric_json, capsys):
+        # scale-causality is read from the system, so there is no --cone
+        assert main(["analyze", "--property", "bibo", "--system", geometric_json,
+                     "--cone"]) == 2
+        assert "--cone" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         path = tmp_path / "sys.json"
         rng = np.random.default_rng(3)

@@ -105,23 +105,11 @@ class TestDoubleConvolve:
         for n in range(3):
             assert y1.slice(n).distance(y2.slice(n)) == 0.0
 
-    def test_cone_mode_validates_h(self):
-        h = ScaleTimeSignal([delta((-1,), 1)], arity=1)
-        u = ScaleTimeSignal([delta((0,), 1)], arity=1)
-        with pytest.raises(ValueError, match="impulse response not scale-causal"):
-            double_convolve(h, u, scale_mode="causal_cone")
-
-    def test_cone_mode_validates_u(self):
-        h = ScaleTimeSignal([delta((0,), 1)], arity=1)
-        u = ScaleTimeSignal([delta((-2,), 1)], arity=1)
-        with pytest.raises(ValueError, match="input signal not scale-causal"):
-            double_convolve(h, u, scale_mode="causal_cone")
-
     def test_cone_closure(self):
         rng = np.random.default_rng(37)
         h = random_time_signal(rng, 2, time_len=2).scale_causal_projection()
         u = random_time_signal(rng, 2, time_len=3).scale_causal_projection()
-        y = double_convolve(h, u, scale_mode="causal_cone")
+        y = double_convolve(h, u)
         assert y.is_cone_supported()
 
     def test_output_length(self):
