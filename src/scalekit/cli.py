@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
     h = skio.read_time_signal(args.system)
     prop = args.property
     if prop == "bibo":
-        report = bibo_analysis(h, tol=args.tol, seed=args.seed)
+        report = bibo_analysis(h, tol=args.tol)
     elif prop == "dissipative":
         report = dissipativity_check(h, tol=args.tol, seed=args.seed)
     else:
@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, default=1e-9,
                     help="bibo: relative width of each slice norm bracket, roundoff "
                          "included; dissipative: slack in the threshold sup <= 1 + tol")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="dissipative: seed of the Gram sample points; bibo is deterministic")
     ap.set_defaults(func=_cmd_analyze)
 
     vp = sub.add_parser("verify", help="Monte-Carlo check of an analyzer bound")

@@ -53,9 +53,13 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
 
     Output time length is T_h + T_u - 1.  When both operands are supported
     on the scale-causal cone, so is the output.  method="direct" is the
-    reference summation; method="fft" is the accelerated dense path, which
-    tests compare against the reference.  Both store entries only on the
-    exact product support.
+    reference summation; method="fft" is the accelerated dense path.  Both
+    store entries only on the exact product support.  The FFT path agrees
+    with the direct one to about 1e-10 (acceptance criterion 5), but its
+    error is spread over the whole box: it does not meet the componentwise
+    bound 4 (cnt + 2) eps sum |h| |u| that the direct path meets, and it
+    can leave residues of about 1e-16 where products cancel exactly.  So
+    the CLI runs the direct path, and no size-based switch picks the FFT.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
@@ -94,11 +98,10 @@ def _convolve_fft(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     return full
 
 
-def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
-                                work_guard: int = WORK_GUARD) -> ScaleTimeSignal:
+def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal) -> ScaleTimeSignal:
     """Literal quadruple loop over time indices and lattice points.
 
-    Test oracle; refuses instances whose estimated work exceeds work_guard.
+    Test oracle; refuses instances whose estimated work exceeds WORK_GUARD.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
@@ -120,8 +123,8 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     )
     supp_sizes = sum(map(len, u_lists))
     work = t_out * len(candidates) * max(1, supp_sizes)
-    if work > work_guard:
-        raise ValueError(f"work guard exceeded: estimated {work} > {work_guard}")
+    if work > WORK_GUARD:
+        raise ValueError(f"work guard exceeded: estimated {work} > {WORK_GUARD}")
     slices = []
     for n in range(t_out):
         entries = {}

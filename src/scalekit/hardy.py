@@ -21,10 +21,9 @@ from .moebius import SuMatrix
 from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, zeros_box
 from .spectral import grid_shrink
 
-__all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform",
-           "DEFAULT_MAX_LEN"]
+__all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform", "MAX_LEN"]
 
-DEFAULT_MAX_LEN = 1 << 16
+MAX_LEN = 1 << 16   # the most coefficients an output may hold
 
 
 class TruncationError(RuntimeError):
@@ -66,8 +65,7 @@ def _as_coeffseq(f) -> CoeffSeq:
     return CoeffSeq(np.asarray(f, dtype=complex))
 
 
-def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
-                      max_len: int) -> tuple[int, float]:
+def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float) -> tuple[int, float]:
     """Smallest output length n whose certified l2 error bound is <= tol.
 
     The transformed series is analytic up to the pole -d/c of radius
@@ -116,22 +114,21 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float,
         log_r = np.log(radius)
         log_tol = math.log(tol)
         need = np.ceil((np.logaddexp(log_base, log_tol) - log_tol) / log_r)
-        n = need[need <= max_len].min(initial=np.inf)
-        certified = n <= max_len
-        x = (n if certified else max_len) * log_r   # log of C q (1 + q / (1 - q^2))
+        n = need[need <= MAX_LEN].min(initial=np.inf)
+        certified = n <= MAX_LEN
+        x = (n if certified else MAX_LEN) * log_r   # log of C q (1 + q / (1 - q^2))
         log_bound = log_base - x + np.log1p(np.exp(-x) / -np.expm1(-2.0 * x))
         bound = float(np.exp(np.fmin.reduce(log_bound, initial=np.inf)))
     if not certified:
         raise TruncationError(
             f"truncation not converged: certified bound {bound:.3e} at "
-            f"length {max_len} exceeds tol={tol:.3e}",
+            f"length {MAX_LEN} exceeds tol={tol:.3e}",
             achieved_bound=bound,
         )
     return int(n), min(tol, bound)
 
 
-def transform_coeffs(m: SuMatrix, f, tol: float,
-                     max_len: int = DEFAULT_MAX_LEN) -> CoeffSeq:
+def transform_coeffs(m: SuMatrix, f, tol: float) -> CoeffSeq:
     """Coefficients of the transformed series, with certified tail bound.
 
     Samples g(z) = f(phi(z)) / (b* z + a*) at the N-th roots of unity, N the
@@ -150,9 +147,8 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
         Input coefficients (finite).
     tol : float
         Target l2 bound on the error of the returned head against the
-        exact series (omitted tail plus aliasing).
-    max_len : int
-        Refuse to return more than this many coefficients.
+        exact series (omitted tail plus aliasing).  No output holds more
+        than MAX_LEN coefficients: TruncationError if tol needs more.
     """
     f = _as_coeffseq(f)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -167,7 +163,7 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
         n = np.arange(coeffs.size)
         phase = (a / d) ** n / d
         return CoeffSeq(coeffs * phase, f.tail_bound)
-    n_out, bound = _certified_length(coeffs, m, tol, max_len)
+    n_out, bound = _certified_length(coeffs, m, tol)
     size = 1 << (2 * n_out - 1).bit_length()
     z = np.exp(2j * math.pi * np.arange(size) / size)
     den = c * z + d
@@ -177,7 +173,7 @@ def transform_coeffs(m: SuMatrix, f, tol: float,
 
 
 def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
-                    tol: float, max_len: int = DEFAULT_MAX_LEN) -> ScaleTimeSignal:
+                    tol: float) -> ScaleTimeSignal:
     """Observe a coefficient sequence through a window of group scales.
 
     Column at index idx is transform_coeffs(group.element(idx), x) truncated
@@ -199,7 +195,7 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
     for idx in window:
         mat = group.element(idx)
         try:
-            col = transform_coeffs(mat, x, tol, max_len)
+            col = transform_coeffs(mat, x, tol)
         except TruncationError as exc:
             raise TruncationError(
                 f"scale index {idx}: {exc}", exc.achieved_bound

@@ -29,14 +29,13 @@ from .spectral import SpectrumGrid
 
 __all__ = [
     "pair", "unpair", "to_dict",
-    "sumatrix_to_dict", "sumatrix_from_dict",
+    "sumatrix_from_dict",
     "group_to_dict", "group_from_dict",
-    "coeffseq_to_dict", "coeffseq_from_dict",
+    "coeffseq_from_dict",
     "signal_to_dict", "signal_from_dict",
     "write_signal_csv", "read_signal_csv",
     "spectrum_to_dict", "write_spectrum_csv",
-    "moments_from_dict", "moments_to_dict",
-    "bracket_to_dict", "report_to_dict", "empirical_to_dict",
+    "moments_from_dict", "report_to_dict", "empirical_to_dict",
     "read_time_signal", "write_time_signal",
 ]
 
@@ -78,8 +77,7 @@ def to_dict(value):
     return value
 
 
-sumatrix_to_dict = coeffseq_to_dict = spectrum_to_dict = moments_to_dict = to_dict
-bracket_to_dict = report_to_dict = empirical_to_dict = to_dict
+spectrum_to_dict = report_to_dict = empirical_to_dict = to_dict
 
 
 def sumatrix_from_dict(obj) -> SuMatrix:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalekit.convolve as convolve
 from scalekit import (
     ScaleSignal,
     ScaleTimeSignal,
@@ -132,9 +133,10 @@ class TestBruteForce:
         assert y.time_len == 2
         assert y.slice(1).get((5,)) == 1.0
 
-    def test_work_guard(self):
+    def test_work_guard(self, monkeypatch):
         rng = np.random.default_rng(43)
         h = random_time_signal(rng, 1, time_len=4, terms=6)
         u = random_time_signal(rng, 1, time_len=4, terms=6)
+        monkeypatch.setattr(convolve, "WORK_GUARD", 10)
         with pytest.raises(ValueError, match="work guard"):
-            brute_force_double_convolve(h, u, work_guard=10)
+            brute_force_double_convolve(h, u)

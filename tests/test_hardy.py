@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalekit.hardy as hardy
 from scalekit import (
     CoeffSeq,
     SuMatrix,
@@ -149,10 +150,11 @@ class TestTransformCoeffs:
         with pytest.raises(ValueError):
             transform_coeffs(SuMatrix.identity(), [1.0], 0.0)
 
-    def test_truncation_budget_error_reports_bound(self):
+    def test_truncation_budget_error_reports_bound(self, monkeypatch):
         m = make_scale_shift(0.1, 1.2)
+        monkeypatch.setattr(hardy, "MAX_LEN", 64)
         with pytest.raises(TruncationError) as err:
-            transform_coeffs(m, np.ones(33), 1e-10, max_len=64)
+            transform_coeffs(m, np.ones(33), 1e-10)
         assert err.value.achieved_bound > 1e-10
 
     def test_input_tail_carried_to_output(self):
@@ -169,7 +171,7 @@ class TestSampledTransform:
         (0.6, 63, 10, None),       # about 47.6k of the 65,536 budget
         (0.6, 15, 12, "exact"),    # budget set to the certified length
     ])
-    def test_head_matches_direct_evaluation(self, mult, degree, scale, cap):
+    def test_head_matches_direct_evaluation(self, mult, degree, scale, cap, monkeypatch):
         # |sum_k e_k z^k| <= ||e||_2 / sqrt(1 - r^2) on |z| = r for the
         # error e of the returned head, tail and aliasing included, plus
         # roundoff of the samples (|g| <= sum|f_k| (|a| + |b|) on the circle)
@@ -180,7 +182,8 @@ class TestSampledTransform:
         tol = 1e-10
         out = transform_coeffs(m, f, tol)
         if cap == "exact":
-            out = transform_coeffs(m, f, tol, max_len=len(out))
+            monkeypatch.setattr(hardy, "MAX_LEN", len(out))
+            out = transform_coeffs(m, f, tol)
         assert out.tail_bound <= tol
         r = 0.5
         zs = r * np.exp(2j * np.pi * np.arange(16) / 16)
@@ -321,8 +324,8 @@ class TestScaleTransform:
         with pytest.raises(ValueError):
             scale_transform(g, [1.0], [], time_len=4, tol=1e-9)
 
-    def test_error_names_offending_index(self):
+    def test_error_names_offending_index(self, monkeypatch):
         g = make_group([make_scale_shift(0.1, 1.2)])
+        monkeypatch.setattr(hardy, "MAX_LEN", 64)
         with pytest.raises(TruncationError, match=r"scale index \(3,\)"):
-            scale_transform(g, np.ones(33), [(0,), (3,)], time_len=8,
-                            tol=1e-10, max_len=64)
+            scale_transform(g, np.ones(33), [(0,), (3,)], time_len=8, tol=1e-10)

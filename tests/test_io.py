@@ -53,7 +53,7 @@ class TestJsonFmt:
 class TestMatrixGroupJson:
     def test_matrix_roundtrip(self):
         m = make_scale_shift(0.37, -0.8)
-        back = skio.sumatrix_from_dict(skio.sumatrix_to_dict(m))
+        back = skio.sumatrix_from_dict(skio.to_dict(m))
         assert back.entry_distance(m) == 0.0
 
     def test_matrix_revalidates(self):
@@ -110,13 +110,13 @@ class TestSignalFormats:
 
     def test_coeffseq_roundtrip(self):
         f = CoeffSeq(np.array([1.0, 2j, -0.5]), tail_bound=0.125)
-        back = skio.coeffseq_from_dict(skio.coeffseq_to_dict(f))
+        back = skio.coeffseq_from_dict(skio.to_dict(f))
         assert np.array_equal(back.coeffs, f.coeffs)
         assert back.tail_bound == 0.125
 
     def test_moments_roundtrip(self):
         ms = MomentSequence((1.0, 0.5 + 0.25j))
-        back = skio.moments_from_dict(skio.moments_to_dict(ms))
+        back = skio.moments_from_dict(skio.to_dict(ms))
         assert back.t == ms.t
 
     def test_signed_zero_parts_roundtrip_byte_for_byte(self):
@@ -166,7 +166,7 @@ class TestJsonLayouts:
             '"witnesses":{"character_angles":[#]},"details":{"slice_brackets":['
             '{"lower":#,"upper":#,"certified":true,"grid_sizes":[#],"witness_angles":[#]},'
             '{"lower":#,"upper":#,"certified":true,"grid_sizes":[],"witness_angles":[#]}],'
-            '"certified":true,"window_spans":[[#,#]],"seed":#}}')
+            '"certified":true,"window_spans":[[#,#]]}}')
 
     def test_dissipative_pass(self):
         report = dissipativity_check(H_PASS, tol=1e-3, sample_count=1, points_per_set=2)
@@ -198,7 +198,7 @@ class TestJsonLayouts:
 
     def test_exact_bracket(self):
         bracket = mult_operator_norm(ScaleSignal.delta((2,), 1, 0.5))
-        assert dumps(skio.bracket_to_dict(bracket)) == (
+        assert dumps(skio.to_dict(bracket)) == (
             '{"lower":0.5,"upper":0.5,"certified":true,"grid_sizes":[],"witness_angles":[0]}')
 
     def test_hand_built_report(self):
@@ -225,15 +225,15 @@ class TestJsonLayouts:
 
     def test_coeffseq(self):
         f = CoeffSeq(np.array([1.0, 0.5j]), tail_bound=0.25)
-        assert dumps(skio.coeffseq_to_dict(f)) == '{"coeffs":[[1,0],[0,0.5]],"tail_bound":0.25}'
+        assert dumps(skio.to_dict(f)) == '{"coeffs":[[1,0],[0,0.5]],"tail_bound":0.25}'
 
     def test_moments(self):
         ms = MomentSequence((1.0, 0.5 - 0.25j))
-        assert dumps(skio.moments_to_dict(ms)) == '{"t":[[1,0],[0.5,-0.25]]}'
+        assert dumps(skio.to_dict(ms)) == '{"t":[[1,0],[0.5,-0.25]]}'
 
     def test_matrix_and_group(self):
         m = SuMatrix(1.25, 0.75)
-        assert dumps(skio.sumatrix_to_dict(m)) == '{"a":[1.25,0],"b":[0.75,0]}'
+        assert dumps(skio.to_dict(m)) == '{"a":[1.25,0],"b":[0.75,0]}'
         g = make_group([m, SuMatrix(2.125, 1.875)])
         assert dumps(skio.group_to_dict(g)) == (
             '{"p":2,"generators":[{"a":[1.25,0],"b":[0.75,0]},{"a":[2.125,0],"b":[1.875,0]}]}')

@@ -197,6 +197,22 @@ class TestBiboAnalysis:
         assert report.necessary_lower <= report.sufficient_upper + 1e-12
         assert report.necessary_lower >= 2 * math.sqrt(2) - 5e-2
 
+    def test_slices_peaked_apart_reach_the_measure_bound(self):
+        # h_0 is the degree-3 Fejer kernel, peaked at theta = 0, and h_1 its
+        # modulation, peaked at pi.  The gain sqrt 2 comes from the measure
+        # (delta_0 + delta_pi) / 2; no point mass gives more than 1
+        h0 = {(j + 3,): (1 - abs(j) / 4) / 4 for j in range(-3, 4)}
+        h1 = {k: (-1) ** (k[0] - 3) * c for k, c in h0.items()}
+        h = ScaleTimeSignal([ScaleSignal(h0, arity=1), ScaleSignal(h1, arity=1)])
+        report = bibo_analysis(h)
+        assert report.necessary_lower >= math.sqrt(2) * (1 - 1e-4)
+        v = report.witnesses["maximizer"]
+        assert abs(v.l2_norm() - 1.0) <= 1e-12
+        assert v.array.size <= 1 << 16
+        n = h.time_len - 1
+        y = double_convolve(h, adversarial_input(h, n, v))
+        assert y.slice(n).inner(v).real >= report.necessary_lower - 1e-8
+
     def test_character_start_maximizes_adjoint_images(self):
         # the adjoint images of the character e^{i k theta} have norm
         # |sum_k h(k) e^{-i k theta}|; the start angle maximizes that symbol,
