@@ -232,26 +232,39 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     sufficient_upper sums the certified slice operator norms.  The gain is
     G = sup_rho sum_n (int |h_n|^2 drho)^(1/2) over probability measures rho
     on the torus, h_n the slice symbols.  The lower bound is deterministic:
-    Frank-Wolfe (_frank_wolfe) picks rho among the measures on a grid of
-    min(8 W, 2^(24 // p)) points per axis, and one unit witness realizes it
-    on a window of W cells per axis (W = 1024, 64, 16, 16 for p = 1..4,
-    then 2^(16/p) rounded down, so at most 2^16 cells):
+    Frank-Wolfe (_frank_wolfe) picks rho among the measures on a grid, and
+    one unit witness realizes it on a window of W_a cells on axis a:
     v = sum_j sqrt(rho_j) c_j / ||c_j||, normalized, c_j the character at
-    atom theta_j tapered by prod_a sin(pi (k_a - o_a + 1) / (W + 1)).
+    atom theta_j tapered by prod_a sin(pi (k_a - o_a + 1) / (W_a + 1)).
     necessary_lower is sum_n ||M_n^* v|| clipped to sufficient_upper; any
-    unit v gives a valid lower bound.  The taper costs a relative O(1/W^2):
-    about 1e-5 at p = 1, but 5-25% at p >= 5.  character_angles is the
-    heaviest atom and window_spans the window.  For a scale-causal h (every
-    exponent >= 0) the witness and window_spans are translated into the
-    cone, where the cone compressions of the slice operators act on v as the
-    two-sided ones do; adversarial_input(h, n, v) is then scale-causal too.
+    unit v gives a valid lower bound.
+
+    The window follows the support of h: W_a = 256 d_a + 1, d_a the width
+    of the support box on axis a less one, with the widest axis halved (or
+    cut to what fits) until the window has at most 2^16 cells.  The taper
+    spreads an atom over about pi / W_a and costs a relative
+    (pi d_a / W_a)^2 / 8 at worst (the symbol (1 + z^d) / 2), about 2e-5 per
+    axis where nothing was cut.  The grid has
+    min(2 W_a, 2^floor(log2(2^24 / T) / p)) points per axis: twice the
+    witness's resolution, and few enough that the T slices' grid powers fit
+    MAX_BOX_CELLS together.
+    character_angles is the heaviest atom and window_spans the window.  For
+    a scale-causal h (every exponent >= 0) the witness and window_spans are
+    translated into the cone, where the cone compressions of the slice
+    operators act on v as the two-sided ones do; adversarial_input(h, n, v)
+    is then scale-causal too.
     """
     p = h.arity
     slices = h.slices
     brackets, sufficient_upper, verdict = _slice_bound(h, tol)
 
-    width = (1024, 64, 16, 16)[p - 1] if p <= 4 else int(2 ** (16 / p))
-    sizes = (min(8 * width, 1 << ((MAX_BOX_CELLS.bit_length() - 1) // p)),) * p
+    lows, highs = h.support_box() or ((0,) * p, (0,) * p)
+    widths = [256 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
+    while math.prod(widths) > 1 << 16:
+        a = widths.index(max(widths))
+        widths[a] = max((1 << 16) // (math.prod(widths) // widths[a]), widths[a] // 2)
+    cap = 1 << ((MAX_BOX_CELLS // max(1, len(slices))).bit_length() - 1) // p
+    sizes = tuple(min(2 * w, cap) for w in widths)
     # |h_n|^2 on the grid: the adjoint images of the character e^{i k.theta}
     # have norms |sum_k h_n(k) e^{-i k.theta}|, the convention of torus_values
     power = np.zeros((len(slices), math.prod(sizes)))
@@ -261,9 +274,9 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     angles = {j: tuple(2.0 * math.pi * int(i) / n
                        for i, n in zip(np.unravel_index(j, sizes), sizes)) for j in rho}
 
-    lows, highs = h.support_box() or ((0,) * p, (0,) * p)
-    exps = _exponents(lows, (width,) * p)
-    taper = math.prod(np.sin(math.pi * k / (width + 1)) for k in _exponents((1,) * p, (width,) * p))
+    exps = _exponents(lows, widths)
+    taper = math.prod(np.sin(math.pi * k / (w + 1))
+                      for k, w in zip(_exponents((1,) * p, widths), widths))
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
     v *= 1.0 / np.linalg.norm(v)
@@ -271,7 +284,7 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
                 for s in slices)
 
     maximizer = ScaleSignal._from_box(v, lows)
-    spans = [(lo, lo + width - 1) for lo in lows]
+    spans = [(lo, lo + w - 1) for lo, w in zip(lows, widths)]
     if h.is_cone_supported():
         # a translation changes no norm, and this one puts every adjoint image in the cone
         shift = [max(0, hi - lo) for hi, lo in zip(highs, maximizer.origin)]

@@ -316,3 +316,24 @@ class TestGridCap:
         assert len(report.witnesses["character_angles"]) == 5
         assert report.witnesses["maximizer"].array.size <= MAX_BOX_CELLS
         assert report.necessary_lower <= 0.75 <= report.sufficient_upper
+
+    def test_bibo_candidate_powers_fit_the_cap_together(self, monkeypatch):
+        # the candidate grid holds one row of powers per slice: with eight
+        # p = 4 slices its points per axis shrink until all eight rows fit
+        # MAX_BOX_CELLS (64^4 points each would need 2^27)
+        import scalekit.stability as stability
+        grids = []
+
+        def recording(array, origin, sizes):
+            grids.append(tuple(sizes))
+            return torus_values(array, origin, sizes)
+
+        monkeypatch.setattr(stability, "torus_values", recording)
+        rng = np.random.default_rng(3)
+        h = random_time_signal(rng, 4, time_len=8, width=2, terms=3)
+        report = bibo_analysis(h, tol=0.5)   # coarse slice grids: 8^4 points
+        candidate = grids[-1]
+        assert grids[-h.time_len:] == [candidate] * h.time_len
+        assert h.time_len * math.prod(candidate) <= MAX_BOX_CELLS
+        assert report.witnesses["maximizer"].array.size <= 1 << 16
+        assert 0.0 < report.necessary_lower <= report.sufficient_upper

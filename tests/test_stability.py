@@ -213,6 +213,19 @@ class TestBiboAnalysis:
         y = double_convolve(h, adversarial_input(h, n, v))
         assert y.slice(n).inner(v).real >= report.necessary_lower - 1e-8
 
+    def test_wide_support_gets_a_wide_window(self):
+        # the degree-2000 Fejer kernel has gain 1 and ||h||_2 = 0.018, so a
+        # unit v on W cells gives ||h * v|| <= ||h||_2 sqrt(W): about 0.58 on
+        # a fixed 1024-cell window.  The window follows the support instead
+        n = 2000
+        h0 = np.array([(1 - abs(j) / (n + 1)) / (n + 1) for j in range(-n, n + 1)], complex)
+        h = ScaleTimeSignal._from_box(h0[None], (0,))
+        report = bibo_analysis(h)
+        assert report.necessary_lower >= 0.99
+        v = report.witnesses["maximizer"]
+        assert abs(v.l2_norm() - 1.0) <= 1e-12
+        assert v.array.size <= 1 << 16
+
     def test_character_start_maximizes_adjoint_images(self):
         # the adjoint images of the character e^{i k theta} have norm
         # |sum_k h(k) e^{-i k theta}|; the start angle maximizes that symbol,
