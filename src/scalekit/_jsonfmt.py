@@ -2,18 +2,19 @@
 
 Field order follows construction order; floats are printed with 17
 significant digits so repeated runs are byte-identical across platforms;
-a 2-D float array gives the bytes of its nested lists.  NaN and infinity
-are rejected.
+a 2-D float array gives the bytes of its nested lists, and an EntryList
+those of its entry dicts.  NaN and infinity are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
-__all__ = ["dumps"]
+__all__ = ["dumps", "EntryList"]
 
 _CHUNK_ROWS = 1 << 14
 
@@ -31,6 +32,41 @@ def _write_rows(array: np.ndarray, out: list) -> None:
     chunks = (array[i:i + _CHUNK_ROWS] for i in range(0, len(array), _CHUNK_ROWS))
     out.append("[" + ",".join(",".join([row] * len(c)) % tuple(c.ravel().tolist())
                               for c in chunks) + "]")
+
+
+class EntryList:
+    """The entry list [{"k": [k_1..k_p], "value": [re, im]}, ...] of the
+    nonzeros of a finite complex box (array, origin), in C order: the JSON
+    value of a scale signal.  dumps writes it one %-format per chunk of
+    rows; iterating gives the entries as dicts, the generic walk's value."""
+
+    def __init__(self, array: np.ndarray, origin):
+        self.array, self.origin = array, tuple(origin)
+
+    def _chunks(self):
+        """Per chunk of rows: the keys as lists, then the real and the
+        imaginary parts, -0.0 written as 0 as in io.pair."""
+        flat = np.flatnonzero(self.array)
+        values = self.array.reshape(-1)[flat] + 0.0
+        origin = np.array(self.origin, dtype=object)  # exact Python-int keys
+        for start in range(0, len(flat), _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            keys = np.stack(np.unravel_index(flat[part], self.array.shape), -1) + origin
+            yield keys.tolist(), values[part].real.tolist(), values[part].imag.tolist()
+
+    def __iter__(self):
+        for keys, re, im in self._chunks():
+            for k, a, b in zip(keys, re, im):
+                yield {"k": k, "value": [a, b]}
+
+
+def _write_entries(entries: EntryList, out: list) -> None:
+    row = '{"k":[' + ",".join(["%d"] * entries.array.ndim) + '],"value":[%.17g,%.17g]}'
+    parts = []
+    for keys, re, im in entries._chunks():
+        args = chain.from_iterable(k + [a, b] for k, a, b in zip(keys, re, im))
+        parts.append(",".join([row] * len(re)) % tuple(args))
+    out.append("[" + ",".join(parts) + "]")
 
 
 def _write(obj, out: list) -> None:
@@ -63,6 +99,8 @@ def _write(obj, out: list) -> None:
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
         _write_rows(obj, out)
+    elif isinstance(obj, EntryList):
+        _write_entries(obj, out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):

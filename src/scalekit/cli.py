@@ -183,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["bibo", "dissipative", "l1l2"])
     ap.add_argument("--system", required=True)
     ap.add_argument("--tol", type=float, default=1e-9,
-                    help="bibo: relative width of each slice norm bracket, roundoff "
-                         "included; dissipative: slack in the threshold sup <= 1 + tol")
+                    help="bibo: relative width at which each slice norm bracket stops "
+                         "refining, roundoff included (exit 3 if the SCALEKIT_MAX_GRID work "
+                         "budget runs out first); dissipative: slack in the threshold "
+                         "sup <= 1 + tol")
     ap.add_argument("--seed", type=int, default=0,
                     help="dissipative: seed of the Gram sample points; bibo is deterministic")
     ap.set_defaults(func=_cmd_analyze)

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._jsonfmt import _CHUNK_ROWS, dumps
+from ._jsonfmt import _CHUNK_ROWS, EntryList, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
@@ -58,7 +58,8 @@ def to_dict(value):
     """The JSON value of a scalekit value: a dataclass becomes its fields in
     declaration order minus those that are None, a complex number or array
     [re, im] pairs (an array flattened in C order), a ScaleSignal its entry
-    list; lists, tuples and dicts are walked, numpy scalars become Python's."""
+    list (an EntryList, which dumps writes by chunks of rows); lists, tuples
+    and dicts are walked, numpy scalars become Python's."""
     if is_dataclass(value):
         return {f.name: to_dict(v) for f in fields(value)
                 if (v := getattr(value, f.name)) is not None}
@@ -67,7 +68,7 @@ def to_dict(value):
     if isinstance(value, np.ndarray):
         return (np.stack((value.real, value.imag), -1).reshape(-1, 2) + 0.0).tolist()
     if isinstance(value, ScaleSignal):
-        return [{"k": list(idx), "value": pair(v)} for idx, v in value.items()]
+        return EntryList(value.array, value.origin)
     if isinstance(value, (list, tuple)):
         return [to_dict(v) for v in value]
     if isinstance(value, dict):

@@ -2,24 +2,27 @@
 
 Three system properties are analyzed: bounded input / bounded output gain,
 energy dissipativity, and l1-to-l2 boundedness.  Torus suprema are
-certified on uniform grids by the grid inequality stated at
-spectral.grid_shrink, FFT roundoff included in the upper bound: a
-precision question is answered on one grid chosen from the box widths, a
-threshold question on doubling grids until it is decided.  Every report
-carries enough data (bounds, witnesses, grids, seeds) to replay the
-verdict.
+certified by refining cells (_certify_sup): the support is reduced to its
+difference lattice, one coarse FFT grid gives a global bound by the grid
+inequality at spectral.grid_shrink, and cells around the grid points are
+bounded by Taylor's theorem and Bernstein's inequality, then halved until
+the bracket is decided, roundoff included in the upper bound.  A
+precision question stops at relative width tol, a threshold question once
+it is decided.  Every report carries enough data (bounds, witnesses,
+grids, work) to replay the verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolve import box_convolve, double_convolve, group_convolve
-from .signals import MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box
+from .convolve import double_convolve, group_convolve
+from .signals import MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, zeros_box
 from .spectral import _evaluate, grid_shrink, torus_values
 
 __all__ = [
@@ -50,9 +53,11 @@ def _grid_budget() -> int:
 class OperatorNormBracket:
     """Two-sided bound on a torus supremum: lower <= sup <= upper.
 
-    lower is a grid value and upper covers the FFT roundoff.  certified
-    means upper - lower <= tol lower for a precision question, and
-    upper <= threshold for a threshold question (see _certify_sup).
+    lower is |h| at witness_angles and upper covers the roundoff.
+    certified means upper - lower <= tol lower for a precision question,
+    and upper <= threshold for a threshold question.  grid_sizes is the
+    coarse grid of the lattice-reduced symbol and evaluations the work
+    units spent (see _certify_sup).
     """
 
     lower: float
@@ -60,6 +65,7 @@ class OperatorNormBracket:
     certified: bool
     grid_sizes: tuple = ()
     witness_angles: tuple = ()
+    evaluations: int = 0
 
 
 @dataclass
@@ -96,6 +102,12 @@ def _exponents(origin, shape) -> list:
             for a, (o, n) in enumerate(zip(origin, shape))]
 
 
+def _gamma(n: int) -> float:
+    """n u / (1 - n u), u = eps / 2: the factor of n roundings (Higham 3.1)."""
+    u = float(np.finfo(float).eps) / 2.0
+    return n * u / (1.0 - n * u)
+
+
 def _fft_error(sizes, norm: float) -> float:
     """Bound on |computed - exact| at every point of an FFT grid.
 
@@ -109,36 +121,190 @@ def _fft_error(sizes, norm: float) -> float:
     coefficients, and the l2 error bounds the error at each point.
     """
     eps = float(np.finfo(float).eps)
-    gamma4 = 2.0 * eps / (1.0 - 2.0 * eps)   # 4 u / (1 - 4 u), u = eps / 2
-    eta = eps + gamma4 * (math.sqrt(2.0) + eps)
+    eta = eps + _gamma(4) * (math.sqrt(2.0) + eps)
     steps = sum(int(m).bit_length() - 1 for m in sizes) * eta
     return steps / (1.0 - steps) * math.sqrt(math.prod(sizes)) * norm
 
 
-def _certify_sup(array, origin, tol, threshold=None) -> OperatorNormBracket:
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g > 0, for a > 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, x0, x1, y0, y1 = b, a - q * b, x1, x0 - q * x1, y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _difference_lattice(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A basis L (rows) of the lattice spanned by e_j - e_0, the rows of
+    exps less the first, and the coordinates m with e_j - e_0 = m_j L.
+
+    Integer row reduction: a difference is first reduced modulo the echelon
+    basis, all differences at once; a nonzero remainder joins the basis by
+    extended-Euclid steps on its leading columns, which are unimodular and
+    keep the lattice, and leave a pivot that is new or a proper divisor of
+    the old one.  The basis is then reduced above its pivots (Hermite
+    normal form), which makes it the identity when the lattice is Z^p.
+    """
+    diffs = exps - exps[0]
+    basis: dict = {}   # pivot column -> row with a positive pivot
+    rest = diffs
+    while True:
+        for col in sorted(basis):
+            row = np.array(basis[col])
+            rest = rest - (rest[:, col] // row[col])[:, None] * row
+        rest = rest[rest.any(axis=1)]
+        if not len(rest):
+            break
+        v = rest[0].tolist()
+        for col in range(len(v)):
+            if v[col]:
+                if col not in basis:
+                    basis[col] = v if v[col] > 0 else [-t for t in v]
+                    break
+                b = basis[col]
+                g, x, y = _egcd(b[col], v[col])
+                basis[col] = [x * s + y * t for s, t in zip(b, v)]
+                v = [b[col] // g * t - v[col] // g * s for s, t in zip(b, v)]
+    cols = sorted(basis)
+    for i, c in enumerate(cols):
+        for c0 in cols[:i]:
+            q = basis[c0][c] // basis[c][c]
+            basis[c0] = [s - q * t for s, t in zip(basis[c0], basis[c])]
+    lattice = np.array([basis[c] for c in cols], np.int64)
+    coords = np.empty((len(diffs), len(cols)), np.int64)
+    for i, c in enumerate(cols):
+        coords[:, i] = diffs[:, c] // lattice[i, c]
+        diffs = diffs - coords[:, i:i + 1] * lattice[i]
+    return lattice, coords
+
+
+_CHUNK_CELLS = 1 << 18
+
+
+def _weights(exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Columns c_j and i e_ja c_j: the coefficients of g = sum_j c_j
+    e^{i e_j.theta} and of its partial derivatives."""
+    return np.column_stack([coefs, 1j * exps * coefs[:, None]])
+
+
+def _direct(points: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """g and its gradient at each row theta of points: a (count, 1 + d)
+    array, one chunk of rows at a time so that no temporary exceeds
+    _CHUNK_CELLS cells."""
+    weights = _weights(exps, coefs)
+    exps = exps.T.astype(float)
+    out = np.empty((len(points), weights.shape[1]), complex)
+    rows = max(1, _CHUNK_CELLS // len(coefs))
+    for start in range(0, len(points), rows):
+        part = slice(start, start + rows)
+        out[part] = np.exp(1j * (points[part] @ exps)) @ weights
+    return out
+
+
+def _direct_error(exps: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Bound on |computed - exact| in each column of _direct, at points whose
+    coordinates have modulus below 8.
+
+    The phase e_j.theta is a dot product of d terms, off by at most
+    gamma_d 8 ||e_j||_1; cos and sin add an ulp each, so each character is
+    off by tau <= that + 2 eps.  A gradient weight i e_ja c_j is off by u
+    relative, and the complex inner product of K terms by
+    2 gamma_{K+2} sum |w_j||z_j| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Sec. 3.6).  With S the weight sums
+    sum_j |w_j|, the bound is S (tau + u_w (1 + tau)) + 2 gamma_{K+2} S
+    (1 + u_w) (1 + tau), u_w = 0 for g and u for the gradient.
+    """
+    eps = float(np.finfo(float).eps)
+    tau = _gamma(exps.shape[1]) * 8.0 * float(np.abs(exps).sum(axis=1).max()) + 2.0 * eps
+    sums = np.abs(_weights(exps, coefs)).sum(axis=0)
+    rel = np.r_[0.0, np.full(exps.shape[1], eps / 2.0)]
+    gamma = 2.0 * _gamma(len(coefs) + 2)
+    return sums * (tau + (rel + gamma * (1.0 + rel)) * (1.0 + tau))
+
+
+def _cell_upper(vals: np.ndarray, err: np.ndarray, delta: np.ndarray, spread: float,
+                widths: np.ndarray) -> np.ndarray:
+    """Upper bound on |g| over each cell |phi - c| <= delta (per axis),
+    given g and its gradient at the centre c (columns of vals) and their
+    roundoff bounds err.
+
+    P = |g|^2 is a trigonometric polynomial bounded by spread^2 >= sup |g|^2.
+    On a segment c + t s, |s_a| <= delta_a, its frequencies have modulus at
+    most N = sum_a n_a delta_a (n_a = widths_a - 1), so Bernstein's inequality
+    for P - spread^2 / 2 (a function of exponential type N bounded by
+    spread^2 / 2) bounds the second derivative by N^2 spread^2 / 2, and
+    Taylor's theorem gives P <= P(c) + sum_a |d_a P(c)| delta_a
+    + N^2 spread^2 / 4.  P(c) and d_a P(c) = 2 Re(conj(g) d_a g) are taken
+    from the computed values with their roundoff; a final factor covers the
+    rounding of the bound's own arithmetic.
+    """
+    eps = float(np.finfo(float).eps)
+    g, grads = vals[:, 0], vals[:, 1:]
+    mag = np.abs(g)
+    bound = np.square(mag + err[0])
+    for ga, ea, d in zip(grads.T, err[1:], delta):
+        slope = 2.0 * (np.abs((g.conj() * ga).real) + mag * ea + (np.abs(ga) + ea) * err[0])
+        bound += slope * d
+    reach = float(np.dot(widths - 1, delta))
+    bound += 0.25 * (spread * reach) ** 2
+    return np.nextafter(np.sqrt(bound * (1.0 + 8.0 * (len(delta) + 2) * eps)), np.inf)
+
+
+def _grid_bound(mags: np.ndarray, sizes, widths, norm: float) -> float:
+    """sup |g| <= (grid max + e) / grid_shrink, rounded up: the grid
+    inequality on the FFT grid values mags of g, whose coefficients have l2
+    norm norm, with e = _fft_error covering their roundoff."""
+    return math.nextafter((float(mags.max()) + _fft_error(sizes, norm))
+                          / grid_shrink(widths, sizes), math.inf)
+
+
+def _grid_angles(index, sizes) -> np.ndarray:
+    """The angles 2 pi j / sizes of the grid points with flat index index."""
+    return np.stack(np.unravel_index(index, sizes), -1) * (2.0 * math.pi / np.array(sizes))
+
+
+def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     """Bracket the sup of |h| = |sum c_e e^{i e.theta}| over the torus.
 
-    The coefficients c_e form the dense box (array, origin), of width w_a
-    on axis a.  On a grid of M_a points per axis, lower = grid_max and
-    upper = (grid_max + e) / grid_shrink(widths, sizes), rounded up: the
-    grid inequality of spectral.grid_shrink, with e = _fft_error(sizes,
-    ||c||_2) covering the FFT roundoff in the grid values (no exponents
-    fold, since M_a >= w_a).  e >= L eta grid_max, many ulps of grid_max,
-    so it also covers the rounding of |.|, of ||c||_2 and of grid_shrink.
-    lower carries no roundoff term.  The first grid has
-    M_a = next_pow2(max(2 w_a - 1, 8)) > 2 (w_a - 1), so the inequality
-    holds from the start and doubling keeps it.
+    The K nonzero coefficients c_e form the dense box array; its origin
+    changes no modulus.  A box with at most one term is exact, and any
+    angle attains its sup.  Otherwise:
 
-    The tolerance grid is the first doubling on which
-    (1 + _fft_error(sizes, 1)) / grid_shrink - 1 <= tol, else the last one
-    within the point budget.  As grid_max >= ||c||_2 (Parseval), it bounds
-    (upper - lower) / lower by tol, roundoff included, before any FFT runs.
-    Without a threshold only that grid is evaluated, and certified means
-    upper - lower <= tol lower as computed (never, for a tol below the
-    roundoff floor).  With a threshold the grids up to it are evaluated in
-    turn until grid_max > threshold or upper <= threshold, certified means
-    upper <= threshold, and tol is the slack in the threshold.  A box with
-    at most one term is exact, and any angle attains its sup.
+    Lattice.  The differences e_j - e_0 span a lattice with basis L (rows,
+    _difference_lattice), e_j = e_0 + m_j L, so |h(theta)| = |g(L theta)|
+    with g(phi) = sum_j c_j e^{i m_j.phi}, a polynomial in r <= p variables
+    with the same sup (L has rank r, so theta -> L theta covers the r-torus).
+    m is centred, so g has exponents in [-n_a / 2, n_a / 2] on axis a.
+
+    Coarse level.  One FFT grid of M_a = next_pow2(4 w_a) points per axis
+    (next_pow2(2 w_a - 1) if that exceeds the budget), w_a = n_a + 1, gives
+    the Ehlich-Zeller bound spread = (grid_max + e) / grid_shrink(w, M) >=
+    sup |g|, e = _fft_error covering the FFT roundoff, and r more FFTs give
+    the gradient.  Each grid point is the centre of a cell of half-width
+    pi / M_a.
+
+    Cells.  A cell is bounded by _cell_upper.  It is dropped when its
+    bound is at most (lower - s)(1 + tol), lower the largest |g| seen at a
+    centre and s the roundoff of lower and of the reported witness value;
+    with a threshold the cut is the threshold, and a centre above it
+    decides a fail.  Every other cell is halved on every axis, and its 2^r
+    children are evaluated directly (_direct, roundoff _direct_error); a
+    child's half-width is rounded up by 16 eps so that the children cover
+    their parent in floating point.
+
+    Budget.  SCALEKIT_MAX_GRID counts work: one unit per grid point and K
+    per evaluated cell.  The loop stops when no cell is left, when halving
+    no longer shrinks a cell, (threshold) at a fail, or when a level would
+    exceed the budget; then the units left buy the finest grid of g that
+    fits, whose Ehlich-Zeller bound replaces spread where it is tighter
+    and whose max may raise lower.  upper is the largest bound of a
+    dropped or remaining cell, at most spread and never below lower, so it
+    holds whenever the loop stops.  The witness solves L theta = phi* for the
+    best centre phi*, and lower is |h| there, evaluated from the original
+    exponents.  certified means upper - lower <= tol lower as computed
+    (never, for a tol below the roundoff floor), or with a threshold
+    upper <= threshold, and evaluations counts the units spent.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -147,28 +313,79 @@ def _certify_sup(array, origin, tol, threshold=None) -> OperatorNormBracket:
         value = float(np.abs(array).max(initial=0.0))
         return OperatorNormBracket(value, value, threshold is None or value <= threshold,
                                    witness_angles=(0.0,) * array.ndim)
-    norm = float(np.linalg.norm(array))
-    # torus_values pairs e with e^{-i e.theta}: the flipped box with negated
-    # exponents gives the e^{+i e.theta} symbol, whose grid argmax is the
-    # reported witness
-    array = array[(slice(None, None, -1),) * array.ndim]
-    origin = tuple(-(o + n - 1) for o, n in zip(origin, array.shape))
-    grids = [tuple(_next_pow2(max(2 * w - 1, 8)) for w in array.shape)]
-    while ((1.0 + _fft_error(grids[-1], 1.0)) / grid_shrink(array.shape, grids[-1]) - 1.0 > tol
-           and math.prod(grids[-1]) * 2 ** array.ndim <= budget):
-        grids.append(tuple(2 * n for n in grids[-1]))
-    for sizes in grids if threshold is not None else grids[-1:]:
-        mags = np.abs(torus_values(array, origin, sizes))
-        pos = np.unravel_index(int(np.argmax(mags)), sizes)
-        lower = float(mags[pos])
-        del mags
-        upper = math.nextafter((lower + _fft_error(sizes, norm)) / grid_shrink(array.shape, sizes),
-                               math.inf)
-        if threshold is not None and (lower > threshold or upper <= threshold):
+    nonzero = np.nonzero(array)
+    exps, coefs = np.stack(nonzero, -1), array[nonzero]
+    lattice, m = _difference_lattice(exps)
+    m -= (m.min(axis=0) + m.max(axis=0)) // 2
+    widths = m.max(axis=0) - m.min(axis=0) + 1
+    r, eps = len(widths), float(np.finfo(float).eps)
+
+    sizes = tuple(_next_pow2(4 * w) for w in widths)
+    if math.prod(sizes) > budget:
+        sizes = tuple(_next_pow2(2 * w - 1) for w in widths)
+    # g's box under negated exponents: torus_values pairs e with e^{-i e.phi}
+    top = m.max(axis=0)
+    box = zeros_box(tuple(widths))
+    cells = tuple((top - m).T)
+    weights = _weights(m, coefs)
+    vals = np.empty((math.prod(sizes), r + 1), complex)
+    err = np.empty(r + 1)
+    for col, w in enumerate(weights.T):
+        box[cells] = w
+        vals[:, col] = torus_values(box, tuple(-top), sizes).reshape(-1)
+        err[col] = _fft_error(sizes, float(np.linalg.norm(w)))
+    # the gradient weights i m_ja c_j are rounded once, by at most u |m_ja c_j|
+    err[1:] += eps / 2.0 * np.abs(weights[:, 1:]).sum(axis=0)
+    norm = float(np.linalg.norm(coefs))
+    spread = _grid_bound(np.abs(vals[:, 0]), sizes, widths, norm)
+    centres = _grid_angles(np.arange(len(vals)), sizes)
+    delta = np.array([math.nextafter(math.pi / n, math.inf) for n in sizes])
+
+    # |h| is evaluated about the centre of its box, the smallest phases
+    shifted = exps - (exps.min(axis=0) + exps.max(axis=0)) // 2
+    direct_err = _direct_error(m, coefs)
+    slack = max(err[0], direct_err[0]) + _direct_error(shifted, coefs)[0]
+    offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=r)))
+    units, lower, dropped = math.prod(sizes), -1.0, 0.0
+    while True:
+        ub = _cell_upper(vals, err, delta, spread, widths)
+        mags = np.abs(vals[:, 0])
+        best = int(np.argmax(mags))
+        if mags[best] > lower:
+            lower, witness = float(mags[best]), centres[best]
+        if threshold is not None and lower > threshold:
             break
+        cut = threshold if threshold is not None else (lower - slack) * (1.0 + tol)
+        keep = ub > cut
+        dropped = max(dropped, float(ub[~keep].max(initial=0.0)))
+        centres, ub = centres[keep], ub[keep]
+        child = delta / 2.0 + 16.0 * eps
+        if not len(centres) or (child > 0.75 * delta).any():
+            break
+        if units + len(coefs) * len(offsets) * len(centres) > budget:
+            # a cell costs K units and a grid point one: the units left buy
+            # the finest grid that fits, doubled where n_a / M_a is largest
+            fine = list(sizes)
+            while units + 2 * math.prod(fine) <= budget:
+                a = max(range(r), key=lambda a: (widths[a] - 1) / fine[a])
+                fine[a] *= 2
+            if fine != list(sizes):
+                box[cells] = coefs
+                mags = np.abs(torus_values(box, tuple(-top), fine)).reshape(-1)
+                units += math.prod(fine)
+                spread = min(spread, _grid_bound(mags, fine, widths, norm))
+                best = int(np.argmax(mags))
+                if mags[best] > lower:
+                    lower, witness = float(mags[best]), _grid_angles(best, fine)
+            break
+        centres = (centres[:, None, :] + offsets * delta).reshape(-1, r)
+        units += len(coefs) * len(centres)
+        vals, err, delta = _direct(centres, m, coefs), direct_err, child
+    angles = np.linalg.lstsq(lattice.astype(float), witness, rcond=None)[0] % (2.0 * math.pi)
+    lower = float(abs(_direct(angles[None, :], shifted, coefs)[0, 0]))
+    upper = max(lower, min(spread, max(dropped, float(ub.max(initial=0.0)))))
     certified = upper - lower <= tol * lower if threshold is None else upper <= threshold
-    angles = tuple(float(2.0 * math.pi * j / n) for j, n in zip(pos, sizes))
-    return OperatorNormBracket(lower, upper, certified, sizes, angles)
+    return OperatorNormBracket(lower, upper, certified, sizes, tuple(angles.tolist()), units)
 
 
 def mult_operator_norm(h: ScaleSignal, tol: float = 1e-6) -> OperatorNormBracket:
@@ -178,7 +395,7 @@ def mult_operator_norm(h: ScaleSignal, tol: float = 1e-6) -> OperatorNormBracket
     operator, and, for a scale-causal h (polynomial symbol), also for its
     compression to the scale-causal cone by the maximum principle.
     """
-    return _certify_sup(h.array, h.origin, tol)
+    return _certify_sup(h.array, tol)
 
 
 def _slice_bound(h: ScaleTimeSignal, tol: float) -> tuple[list, float, str]:
@@ -236,7 +453,8 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     one unit witness realizes it on a window of W_a cells on axis a:
     v = sum_j sqrt(rho_j) c_j / ||c_j||, normalized, c_j the character at
     atom theta_j tapered by prod_a sin(pi (k_a - o_a + 1) / (W_a + 1)).
-    necessary_lower is sum_n ||M_n^* v|| clipped to sufficient_upper; any
+    necessary_lower is sum_n ||M_n^* v|| (by Parseval on a grid of
+    next_pow2(W_a + d_a) points per axis) clipped to sufficient_upper; any
     unit v gives a valid lower bound.
 
     The window follows the support of h: W_a = 256 d_a + 1, d_a the width
@@ -280,8 +498,12 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
     v *= 1.0 / np.linalg.norm(v)
-    value = sum(float(np.linalg.norm(box_convolve(s.adjoint_reflect().array, v)))
-                for s in slices)
+    # no adjoint image wraps on this grid: each has at most W_a + d_a cells
+    # per axis, and its symbol is conj(hhat_n) vhat
+    grid = tuple(_next_pow2(w + hi - lo) for w, lo, hi in zip(widths, lows, highs))
+    weight = np.square(np.abs(torus_values(v, lows, grid))) / math.prod(grid)
+    value = sum(math.sqrt(float(np.vdot(
+        np.square(np.abs(torus_values(s.array, s.origin, grid))), weight).real)) for s in slices)
 
     maximizer = ScaleSignal._from_box(v, lows)
     spans = [(lo, lo + w - 1) for lo, w in zip(lows, widths)]
@@ -340,16 +562,16 @@ def dissipativity_check(h: ScaleTimeSignal, sample_count: int = 20, tol: float =
 
     Brackets the supremum of the (p+1)-variable symbol over the torus
     (which bounds the polydisc supremum) only as far as the threshold
-    1 + tol needs: passes once the upper bound, FFT roundoff included, is
-    <= 1 + tol, and fails with a grid witness once the lower bound (a grid
-    value) exceeds it.  tol is the slack in the threshold, not a precision
-    target, so a pass may come from a coarse grid with a loose upper bound.
+    1 + tol needs: passes once every cell's bound, roundoff included, is
+    <= 1 + tol, and fails with a witness once a cell centre's value
+    exceeds it.  tol is the slack in the threshold, not a precision
+    target, so a pass may come from coarse cells with a loose upper bound.
     For scale-causal systems, additionally checks positivity of the
     contractivity kernel against products of disc reproducing kernels on
     random point sets.
     """
     stack = h.stack
-    bracket = _certify_sup(stack.array, stack.origin, tol, threshold=1.0 + tol)
+    bracket = _certify_sup(stack.array, tol, threshold=1.0 + tol)
 
     witnesses: dict = {}
     if bracket.lower > 1.0 + tol:

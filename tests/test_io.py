@@ -12,6 +12,7 @@ from scalekit import (
     mult_operator_norm, scale_fourier,
 )
 from scalekit import io as skio
+from scalekit import _jsonfmt as jsonfmt
 from scalekit._jsonfmt import dumps
 from scalekit.stability import OperatorNormBracket, StabilityReport
 from helpers import random_time_signal
@@ -41,6 +42,26 @@ class TestJsonFmt:
         rows = np.random.default_rng(4).standard_normal(((1 << 14) + 3, 2)) * 1e5
         for array in (edge, rows, rows[:, :1], rows.T.copy(), np.zeros((0, 2))):
             assert dumps({"data": array}) == dumps({"data": array.tolist()})
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_entry_list_matches_the_generic_walk(self, p, monkeypatch):
+        # signed zero parts, negative keys, a far origin, and more than one
+        # chunk of rows (the chunk is cut to 7 rows)
+        rng = np.random.default_rng(p)
+        shape = (5, 4, 3)[:p]
+        array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        array[rng.random(shape) < 0.3] = 0.0
+        array.flat[1] = complex(-0.0, 0.5)
+        array.flat[2] = complex(0.25, -0.0)
+        for origin in ((-3,) * p, (2 ** 70,) + (-7,) * (p - 1)):
+            sig = ScaleSignal._from_box(array.copy(), origin)
+            walk = [{"k": list(idx), "value": skio.pair(v)} for idx, v in sig.items()]
+            assert dumps(skio.to_dict(sig)) == dumps(walk)
+            assert list(skio.to_dict(sig)) == walk
+            monkeypatch.setattr(jsonfmt, "_CHUNK_ROWS", 7)
+            assert dumps(skio.to_dict(sig)) == dumps(walk)
+            monkeypatch.undo()
+        assert dumps(skio.to_dict(ScaleSignal.zero(p))) == "[]"
 
     def test_float_rows_reject_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -164,15 +185,18 @@ class TestJsonLayouts:
         assert masked(doc) == (
             '{"property":"bibo","verdict":"pass","sufficient_upper":#,"necessary_lower":#,'
             '"witnesses":{"character_angles":[#]},"details":{"slice_brackets":['
-            '{"lower":#,"upper":#,"certified":true,"grid_sizes":[#],"witness_angles":[#]},'
-            '{"lower":#,"upper":#,"certified":true,"grid_sizes":[],"witness_angles":[#]}],'
+            '{"lower":#,"upper":#,"certified":true,"grid_sizes":[#],"witness_angles":[#],'
+            '"evaluations":#},{"lower":#,"upper":#,"certified":true,"grid_sizes":[],'
+            '"witness_angles":[#],"evaluations":#}],'
             '"certified":true,"window_spans":[[#,#]]}}')
 
     def test_dissipative_pass(self):
+        # the terms at (0, 0) and (1, 1) lie on a line: a one-axis coarse grid
         report = dissipativity_check(H_PASS, tol=1e-3, sample_count=1, points_per_set=2)
         assert masked(skio.report_to_dict(report)) == (
             '{"property":"dissipative","verdict":"pass","sup_bracket":{"lower":#,"upper":#,'
-            '"certified":true,"grid_sizes":[#,#],"witness_angles":[#,#]},"witnesses":{},'
+            '"certified":true,"grid_sizes":[#],"witness_angles":[#,#],"evaluations":#},'
+            '"witnesses":{},'
             '"details":{"seed":#,"tol":#,"sample_count":#,"points_per_set":#,'
             '"gram_min_eigenvalue":#}}')
 
@@ -180,7 +204,7 @@ class TestJsonLayouts:
         report = dissipativity_check(H_FAIL, tol=1e-3, sample_count=0)
         assert masked(skio.report_to_dict(report)) == (
             '{"property":"dissipative","verdict":"fail","sup_bracket":{"lower":#,"upper":#,'
-            '"certified":false,"grid_sizes":[#,#],"witness_angles":[#,#]},'
+            '"certified":false,"grid_sizes":[#],"witness_angles":[#,#],"evaluations":#},'
             '"witnesses":{"argmax_angles":[#,#],"argmax_value":#},"details":{"seed":#,'
             '"tol":#,"sample_count":#,"points_per_set":#,'
             '"gram":"skipped (no samples requested)"}}')
@@ -199,7 +223,8 @@ class TestJsonLayouts:
     def test_exact_bracket(self):
         bracket = mult_operator_norm(ScaleSignal.delta((2,), 1, 0.5))
         assert dumps(skio.to_dict(bracket)) == (
-            '{"lower":0.5,"upper":0.5,"certified":true,"grid_sizes":[],"witness_angles":[0]}')
+            '{"lower":0.5,"upper":0.5,"certified":true,"grid_sizes":[],"witness_angles":[0],'
+            '"evaluations":0}')
 
     def test_hand_built_report(self):
         # None fields left out, numpy scalars, signed zeros, non-string keys
@@ -215,7 +240,8 @@ class TestJsonLayouts:
             '"necessary_lower":0.5,"witnesses":{"maximizer":[{"k":[-1],"value":[0.5,0]},'
             '{"k":[2],"value":[0,-0.25]}],"character_angles":[0,-0]},"details":{'
             '"slice_brackets":[{"lower":0.5,"upper":0.75,"certified":false,"grid_sizes":[8],'
-            '"witness_angles":[0.25]}],"window_spans":[[-3,4]],"7":3,"z":[1,-2],"certified":false,'
+            '"witness_angles":[0.25],"evaluations":0}],"window_spans":[[-3,4]],"7":3,"z":[1,-2],'
+            '"certified":false,'
             '"gram":"skipped"}}')
 
     def test_spectrum(self):

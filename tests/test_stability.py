@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,9 +22,10 @@ from scalekit import (
 )
 from scalekit.cli import main
 from scalekit.io import write_time_signal
-from scalekit.signals import MAX_BOX_CELLS
-from scalekit.spectral import grid_shrink, torus_values
-from scalekit.stability import _fft_error
+from scalekit.spectral import torus_values
+from scalekit.stability import (
+    _cell_upper, _difference_lattice, _direct, _direct_error, _fft_error,
+)
 from helpers import random_scale_signal, random_time_signal
 
 
@@ -68,31 +70,51 @@ class TestMultOperatorNorm:
         assert b.upper == 0.0
 
     def test_budget_exhaustion_leaves_sound_bracket(self, monkeypatch):
-        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        # a dense 6 x 6 box peaked at theta0 (sup = sum |c|): 4096 units are
+        # the 32^2 coarse grid, too few 36-unit cells to refine it and one
+        # 64 x 32 grid
+        h = peaked_box(np.random.default_rng(2), (6, 6))
         monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
         b = mult_operator_norm(h, tol=1e-12)
         assert not b.certified
-        assert b.lower <= 2.0 <= b.upper
+        assert b.evaluations <= 4096
+        assert b.lower <= np.abs(h.array).sum() <= b.upper
 
     def test_budget_env_override(self, monkeypatch):
-        # tol 1e-9 needs 2^16 points for 1 + z: 4096 falls short of them
-        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
+        # tol 1e-9 takes the 6 x 6 box far beyond 4096 units of work
+        h = peaked_box(np.random.default_rng(3), (6, 6))
         monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
         b = mult_operator_norm(h, tol=1e-9)
         assert not b.certified
         monkeypatch.delenv("SCALEKIT_MAX_GRID")
-        assert mult_operator_norm(h, tol=1e-9).certified
+        b = mult_operator_norm(h, tol=1e-9)
+        assert b.certified
+        assert b.evaluations > 4096
+
+    def test_budget_stop_spends_the_rest_on_one_grid(self, monkeypatch):
+        # one refined cell of a dense 6 x 6 x 6 box costs 216 units, so after
+        # the 32^3 coarse grid no level fits 2^18 units; the rest buys a
+        # 64 x 64 x 32 grid, whose Ehlich-Zeller bound (9% here) is much
+        # tighter than the coarse cells' (19%)
+        h = peaked_box(np.random.default_rng(4), (6, 6, 6))
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 18))
+        b = mult_operator_norm(h, tol=1e-9)
+        sup = np.abs(h.array).sum()
+        assert not b.certified
+        assert b.evaluations == 32 ** 3 + 64 * 64 * 32
+        assert b.lower <= sup <= b.upper <= 1.12 * sup
+        assert symbol_at(h, b.witness_angles) == pytest.approx(b.lower, rel=1e-12)
 
     def test_tol_below_roundoff_floor_is_not_certified(self, monkeypatch):
-        # the FFT roundoff term alone is about 2.6e-11 of the norm at 2^21
-        # points, so no grid within the budget brackets 1 + z to 1e-12
+        # the roundoff of the direct evaluations is a few ulps of sum |c|,
+        # so no refinement brackets 1 + z to 1e-16; 2^16 units keep it short
         h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 21))
-        b = mult_operator_norm(h, tol=1e-12)
-        assert b.grid_sizes == (1 << 21,)
+        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 16))
+        b = mult_operator_norm(h, tol=1e-16)
         assert not b.certified
-        assert b.upper - b.lower > 1e-12 * b.lower
+        assert b.upper - b.lower > 1e-16 * b.lower
         assert b.lower <= 2.0 <= b.upper
+        assert b.upper - b.lower <= 1e-13
 
     def test_budget_above_box_cap_refused_up_front(self, monkeypatch):
         h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
@@ -116,9 +138,9 @@ class TestMultOperatorNorm:
 
     def test_bracket_contains_independent_sup(self):
         # the certified upper bound must dominate values sampled on a randomly
-        # offset dense grid the sweep never saw (2^16 points for p=1, 256^2
-        # for p=2); tol 1.0 stops on the first, coarsest grid, where the grid
-        # inequality is least tight, tol 1e-3 a few doublings later
+        # offset dense grid the bracket never saw (2^16 points for p=1, 256^2
+        # for p=2); tol 1.0 stops on the coarsest cells, where the cell bound
+        # is least tight, tol 1e-3 a few halvings later
         rng = np.random.default_rng(97)
         for p, size in ((1, 1 << 16), (2, 256)):
             for _ in range(10):
@@ -396,14 +418,16 @@ class TestDissipativity:
         assert b2.lower == pytest.approx(s * b1.lower, abs=1e-12)
 
     def test_first_grid_meets_the_grid_inequality_hypothesis(self):
-        # width 9 on both axes, sup 4: the sweep fails on its first grid, and
-        # that grid already has M_a > 2 (w_a - 1) points on every axis
+        # width 9 on both axes, sup 4, terms at (0, 0), (0, 8), (8, 0) and
+        # (8, 8): on the lattice 8 Z^2 the symbol has width 2 per axis, and
+        # the coarse grid has M_a = 8 > 2 (2 - 1) points on each axis
         taps = ScaleSignal({(0,): 1.0, (8,): 1.0}, arity=1)
         h = ScaleTimeSignal([taps] + [ScaleSignal.zero(1)] * 7 + [taps], arity=1)
         report = dissipativity_check(h, sample_count=0)
         assert report.verdict == "fail"
         bracket = report.sup_bracket
-        assert all(m > 2 * (9 - 1) for m in bracket.grid_sizes)
+        assert bracket.grid_sizes == (8, 8)
+        assert bracket.lower == pytest.approx(4.0, rel=1e-12)
 
     def test_gram_skipped_off_cone(self):
         h = ScaleTimeSignal([delta((-1,), 1, 0.5)], arity=1)
@@ -500,8 +524,8 @@ class TestThresholdSweep:
     @pytest.mark.parametrize("seed", [1, 11, 12])
     def test_sup_095_passes_on_a_coarse_grid(self, seed, tmp_path):
         # p = 2, two terms per slice across a width-3 box, T = 2, scaled so
-        # the max on a 64^3 grid is 0.95: the grid inequality puts the
-        # upper bound below 1 by 32^3 points, far short of the 2^24 budget
+        # the max on a 64^3 grid is 0.95: the cells put the upper bound below
+        # 1 from a coarse grid of at most 2^15 points, far short of the budget
         rng = np.random.default_rng(seed)
         slices = []
         for _ in range(2):
@@ -547,114 +571,172 @@ class TestThresholdSweep:
             assert value > 1.0 + tol
 
 
-def criterion_grid(widths, tol, budget):
-    """The tolerance grid by brute doubling: the first power-of-two grid with
-    M_a >= max(2 w_a - 1, 8) points, doubled while the roundoff-inclusive
-    gap exceeds tol and the doubled grid fits the budget."""
-    sizes = []
-    for w in widths:
-        m = 8
-        while m < 2 * w - 1:
-            m *= 2
-        sizes.append(m)
-    sizes = tuple(sizes)
-    while (1.0 + _fft_error(sizes, 1.0)) / grid_shrink(widths, sizes) - 1.0 > tol:
-        doubled = tuple(2 * m for m in sizes)
-        if math.prod(doubled) > budget:
-            break
-        sizes = doubled
-    return sizes
-
-
-def corner_signal(rng, widths):
-    """Random complex taps spanning exactly the box [0, w_a) on each axis."""
+def corner_signal(rng, widths, step=1):
+    """Random complex taps spanning exactly the box [0, w_a) on each axis,
+    exponents multiplied by step."""
     p = len(widths)
     keys = {(0,) * p, tuple(w - 1 for w in widths)}
     keys |= {tuple(int(rng.integers(0, w)) for w in widths) for _ in range(3)}
-    return ScaleSignal({k: complex(rng.standard_normal(), rng.standard_normal())
-                        for k in keys}, arity=p)
+    return ScaleSignal({tuple(step * k for k in key): complex(rng.standard_normal(),
+                                                             rng.standard_normal())
+                        for key in keys}, arity=p)
 
 
-class Evaluated(Exception):
-    """Raised by a torus_values stand-in to stop a bracket before its FFT."""
+def line_signal(rng, p, terms, step):
+    """Random complex taps on the line e_0 + j step d, one direction d."""
+    d = [int(x) for x in rng.integers(-2, 3, p)]
+    d[0] = d[0] or 1
+    e0 = [int(x) for x in rng.integers(-3, 4, p)]
+    return ScaleSignal({tuple(e + j * step * x for e, x in zip(e0, d)):
+                        complex(rng.standard_normal(), rng.standard_normal())
+                        for j in range(terms)}, arity=p)
+
+
+def peaked_box(rng, shape):
+    """A dense box whose symbol sum_e c_e e^{i e.theta} peaks off the grid,
+    at a random theta0: its torus sup is exactly sum |c_e|."""
+    theta0 = rng.uniform(0, 2 * math.pi, len(shape))
+    phase = sum(np.arange(n).reshape((-1,) + (1,) * (len(shape) - 1 - a)) * t
+                for a, (n, t) in enumerate(zip(shape, theta0)))
+    return ScaleSignal._from_box(rng.uniform(0.2, 1.0, shape) * np.exp(-1j * phase),
+                                 (0,) * len(shape))
+
+
+def symbol_at(h, angles) -> float:
+    """|sum_e c_e e^{i e.theta}| at one point, by a direct sum."""
+    return abs(sum(v * cmath.exp(1j * sum(e * t for e, t in zip(k, angles)))
+                   for k, v in h.items()))
 
 
 class TestToleranceGrid:
-    """mult_operator_norm evaluates one grid, chosen from the widths alone."""
+    """A precision bracket: sound, replayable, and certified within tol."""
 
-    def test_one_torus_grid_per_bracket(self, monkeypatch):
-        import scalekit.stability as stability
-        grids = []
-
-        def recording(array, origin, sizes):
-            grids.append(tuple(sizes))
-            return torus_values(array, origin, sizes)
-
-        monkeypatch.setattr(stability, "torus_values", recording)
+    def test_verify_bibo_bound_is_the_analyzer_bound(self):
+        # verify --property bibo runs the slice brackets alone and reports
+        # the bound bibo_analysis reports
         rng = np.random.default_rng(31)
-        for widths, tol in (((5,), 1e-9), ((3, 4), 1e-3), ((2, 3, 2), 1e-2), ((9,), 1e-8)):
-            grids.clear()
-            b = mult_operator_norm(corner_signal(rng, widths), tol=tol)
-            assert grids == [b.grid_sizes] == [criterion_grid(widths, tol, MAX_BOX_CELLS)]
-        # verify --property bibo runs the slice brackets alone, one grid each,
-        # and reports the bound bibo_analysis reports
         h = ScaleTimeSignal([corner_signal(rng, (4,)) for _ in range(3)], arity=1)
-        grids.clear()
         report = empirical_verify(h, "bibo", trials=2, seed=5)
-        assert len(grids) == 3
         assert report.bound == bibo_analysis(h, tol=1e-6).sufficient_upper
 
-    def test_grid_choice_counts_the_roundoff(self):
-        # a tol between the bare grid gap of 2^16 points and that gap plus
-        # the roundoff term: 2^16 points would leave upper - lower above
-        # tol lower, so the bracket takes 2^17 and certifies
-        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
-        sizes = (1 << 16,)
-        tol = 1.0 / grid_shrink((2,), sizes) - 1.0 + 0.5 * _fft_error(sizes, 1.0)
-        b = mult_operator_norm(h, tol=tol)
-        assert b.grid_sizes == (1 << 17,)
-        assert b.certified
+    def test_lattice_reduction(self):
+        # a line with step 2, a 1-D step with gcd 2, a checkerboard and Z^2
+        lattice, m = _difference_lattice(np.array([[0, 0], [2, 2], [4, 4], [6, 6]]))
+        assert lattice.tolist() == [[2, 2]] and m[:, 0].tolist() == [0, 1, 2, 3]
+        lattice, m = _difference_lattice(np.array([[3], [7], [9]]))
+        assert lattice.tolist() == [[2]] and m[:, 0].tolist() == [0, 2, 3]
+        exps = np.array([[0, 0], [1, 1], [1, -1], [3, 1]])
+        lattice, m = _difference_lattice(exps)
+        assert abs(round(np.linalg.det(lattice))) == 2
+        assert (m @ lattice == exps - exps[0]).all()
+        lattice, m = _difference_lattice(np.array([[0, 0], [1, 5], [2, 0], [0, 1]]))
+        assert lattice.tolist() == [[1, 0], [0, 1]]
+
+    def test_ridge_reduces_to_one_variable(self):
+        # terms at (0, 0) and (2, 2): |h| peaks on a ridge in theta, but
+        # h(theta) = g(2 theta_1 + 2 theta_2) with g = c_0 + c_1 e^{i phi}
+        h = ScaleSignal({(0, 0): 1.0, (2, 2): 0.5 - 0.5j}, arity=2)
+        b = mult_operator_norm(h, tol=1e-9)
+        assert b.certified and len(b.grid_sizes) == 1
+        assert b.evaluations < 1000
+        assert b.lower <= 1.0 + abs(0.5 - 0.5j) <= b.upper
+
+    def test_dense_boxes_certify(self):
+        for shape in ((6, 6), (512,)):
+            h = peaked_box(np.random.default_rng(len(shape)), shape)
+            b = mult_operator_norm(h, tol=1e-9)
+            assert b.certified
+            assert b.lower <= np.abs(h.array).sum() <= b.upper
 
     @settings(max_examples=60, deadline=None)
-    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-           tol=st.floats(1e-12, 1e-2), budget_log=st.integers(12, 24),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_grid_matches_brute_doubling(self, widths, tol, budget_log, seed):
-        # the grid is fixed before any FFT, so the stand-in stops the bracket
-        # there and budgets up to the cap cost nothing
-        widths = (max(widths[0], 2), *widths[1:])  # at least two terms
-        h = corner_signal(np.random.default_rng(seed), widths)
-        import scalekit.stability as stability
-        grids = []
-
-        def stop(array, origin, sizes):
-            grids.append(tuple(sizes))
-            raise Evaluated
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stability, "torus_values", stop)
-            mp.setenv("SCALEKIT_MAX_GRID", str(1 << budget_log))
-            with pytest.raises(Evaluated):
-                mult_operator_norm(h, tol=tol)
-        assert grids == [criterion_grid(widths, tol, 1 << budget_log)]
+    @given(p=st.integers(1, 3), kind=st.sampled_from(["box", "step", "line"]),
+           tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_supports_bracket_their_sup(self, p, kind, tol, seed):
+        # boxes, boxes on a lattice with step > 1, and lines (rank 1)
+        rng = np.random.default_rng(seed)
+        widths = [int(w) for w in rng.integers(1, {1: 9, 2: 5, 3: 3}[p] + 1, p)]
+        widths[0] = max(widths[0], 2)
+        h = (corner_signal(rng, widths) if kind == "box"
+             else corner_signal(rng, widths, step=int(rng.integers(2, 4))) if kind == "step"
+             else line_signal(rng, p, int(rng.integers(2, 5)), int(rng.integers(1, 4))))
+        b = mult_operator_norm(h, tol=tol)
+        size = {1: 256, 2: 32, 3: 12}[p]
+        assert offset_grid_max(ScaleTimeSignal([h]), size, rng.uniform(0, 1)) <= b.upper
+        assert symbol_at(h, b.witness_angles) == pytest.approx(b.lower, rel=1e-12)
+        assert b.lower <= b.upper
+        if b.certified:
+            assert b.upper - b.lower <= tol * b.lower
 
     @settings(max_examples=40, deadline=None)
     @given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
            tol=st.floats(1e-12, 1e-2), budget_log=st.integers(12, 16),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_brackets_are_sound(self, widths, tol, budget_log, seed):
-        # evaluated budgets stop at 2^16 points to keep the test small
+        # budgets of 2^12 to 2^16 units, some of which stop the refinement
         widths = (max(widths[0], 2), *widths[1:])  # at least two terms
         rng = np.random.default_rng(seed)
         h = corner_signal(rng, widths)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("SCALEKIT_MAX_GRID", str(1 << budget_log))
             b = mult_operator_norm(h, tol=tol)
-        assert b.grid_sizes == criterion_grid(widths, tol, 1 << budget_log)
         if b.certified:
             assert b.upper - b.lower <= tol * b.lower
         size = {1: 256, 2: 32, 3: 12}[len(widths)]
         assert offset_grid_max(ScaleTimeSignal([h]), size, rng.uniform(0, 1)) <= b.upper
+
+
+class TestCellBound:
+    def test_sharp_at_the_minimum_of_one_plus_z(self):
+        # |(1 + e^{i phi}) / 2| = |cos(phi / 2)| has sup 1 and a zero at pi,
+        # where value and gradient vanish: the bound is the second-order
+        # term delta / 2 alone, and the cell reaches sin(delta / 2)
+        m, coefs = np.array([[0], [1]]), np.array([0.5, 0.5 + 0j])
+        centre = np.array([[math.pi]])
+        for delta in (1.0, 0.1, 1e-3):
+            ub = _cell_upper(_direct(centre, m, coefs), _direct_error(m, coefs),
+                             np.array([delta]), 1.0, np.array([2]))[0]
+            assert math.sin(delta / 2) <= ub <= math.sin(delta / 2) * (1 + delta ** 2 / 20) + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 3), scale=st.sampled_from([1.0, 0.1, 0.01]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bound_covers_the_cell(self, p, scale, seed):
+        # random taps, centres and half-widths; spread sum |c| >= sup |g|
+        rng = np.random.default_rng(seed)
+        m = rng.integers(-2, 3, (6, p))
+        coefs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        widths = m.max(axis=0) - m.min(axis=0) + 1
+        centres = rng.uniform(0, 2 * math.pi, (8, p))
+        delta = scale * rng.uniform(0.1, 1.0, p)
+        ub = _cell_upper(_direct(centres, m, coefs), _direct_error(m, coefs), delta,
+                         float(np.abs(coefs).sum()), widths)
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=p)))
+        for c, bound in zip(centres, ub):
+            points = c + np.vstack([corners, rng.uniform(-1, 1, (200, p))]) * delta
+            assert np.abs(_direct(points, m, coefs)[:, 0]).max() <= bound
+
+
+class TestDirectError:
+    @pytest.mark.parametrize("p, width, terms", [
+        (1, 4, 2), (1, 40, 30), (1, 2000, 50), (2, 6, 20), (3, 4, 40), (2, 300, 8),
+    ])
+    def test_bound_covers_direct_sums_against_longdouble(self, p, width, terms):
+        # random taps and points with coordinates in (-8, 8), as in _certify_sup
+        rng = np.random.default_rng(p * width + terms)
+        for _ in range(4):
+            exps = rng.integers(-width // 2, width // 2 + 1, (terms, p))
+            coefs = (rng.standard_normal(terms) + 1j * rng.standard_normal(terms)) \
+                * 10.0 ** rng.uniform(-3, 3)
+            points = rng.uniform(-8, 8, (64, p))
+            got = _direct(points, exps, coefs)
+            phase = points.astype(np.longdouble) @ exps.T.astype(np.longdouble)
+            chars = np.exp(np.clongdouble(1j) * phase)
+            exact = coefs.astype(np.clongdouble)
+            weights = np.column_stack([exact, 1j * exps.astype(np.longdouble) * exact[:, None]])
+            gap = np.abs(got - chars @ weights).max(axis=0)
+            bound = _direct_error(exps, coefs)
+            assert (gap <= bound).all()
+            assert (bound <= 1e-10 * np.abs(weights).sum(axis=0)).all()
 
 
 class TestFftError:
