@@ -34,6 +34,18 @@ def _write_rows(array: np.ndarray, out: list) -> None:
                               for c in chunks) + "]")
 
 
+def _keyed_rows(shape, origin, flat, values: np.ndarray):
+    """Per chunk of rows, the rows (k_1, ..., k_d, re, im): the key of cell
+    flat[i] of a box of this shape and origin in Python ints, and the real
+    and imaginary part of values[i]; the rows of EntryList and io's CSV."""
+    origin = np.array(origin, dtype=object)  # exact Python-int keys, whatever the origin
+    for start in range(0, len(values), _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        keys = np.stack(np.unravel_index(flat[part], shape), -1) + origin
+        cols = [*keys.T.tolist(), values[part].real.tolist(), values[part].imag.tolist()]
+        yield len(cols[-1]), zip(*cols)
+
+
 class EntryList:
     """The entry list [{"k": [k_1..k_p], "value": [re, im]}, ...] of the
     nonzeros of a finite complex box (array, origin), in C order: the JSON
@@ -44,29 +56,21 @@ class EntryList:
         self.array, self.origin = array, tuple(origin)
 
     def _chunks(self):
-        """Per chunk of rows: the keys as lists, then the real and the
-        imaginary parts, -0.0 written as 0 as in io.pair."""
+        """_keyed_rows of the nonzeros, -0.0 written as 0 as in io.pair."""
         flat = np.flatnonzero(self.array)
-        values = self.array.reshape(-1)[flat] + 0.0
-        origin = np.array(self.origin, dtype=object)  # exact Python-int keys
-        for start in range(0, len(flat), _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
-            keys = np.stack(np.unravel_index(flat[part], self.array.shape), -1) + origin
-            yield keys.tolist(), values[part].real.tolist(), values[part].imag.tolist()
+        return _keyed_rows(self.array.shape, self.origin, flat,
+                           self.array.reshape(-1)[flat] + 0.0)
 
     def __iter__(self):
-        for keys, re, im in self._chunks():
-            for k, a, b in zip(keys, re, im):
+        for _, rows in self._chunks():
+            for *k, a, b in rows:
                 yield {"k": k, "value": [a, b]}
 
 
 def _write_entries(entries: EntryList, out: list) -> None:
     row = '{"k":[' + ",".join(["%d"] * entries.array.ndim) + '],"value":[%.17g,%.17g]}'
-    parts = []
-    for keys, re, im in entries._chunks():
-        args = chain.from_iterable(k + [a, b] for k, a, b in zip(keys, re, im))
-        parts.append(",".join([row] * len(re)) % tuple(args))
-    out.append("[" + ",".join(parts) + "]")
+    out.append("[" + ",".join(",".join([row] * n) % tuple(chain.from_iterable(rows))
+                              for n, rows in entries._chunks()) + "]")
 
 
 def _write(obj, out: list) -> None:

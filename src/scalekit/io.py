@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._jsonfmt import _CHUNK_ROWS, EntryList, dumps
+from ._jsonfmt import EntryList, _keyed_rows, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
@@ -145,12 +145,8 @@ def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     significant digits; the keys are built one chunk of rows at a time."""
     fh.write(",".join(header) + "\n")
     row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
-    origin = np.array(origin, dtype=object)  # exact Python-int keys, whatever the origin
-    for start in range(0, len(values), _CHUNK_ROWS):
-        part = slice(start, start + _CHUNK_ROWS)
-        keys = np.stack(np.unravel_index(flat[part], shape), -1) + origin
-        cols = [*keys.T.tolist(), values[part].real.tolist(), values[part].imag.tolist()]
-        fh.write(row * len(cols[-1]) % tuple(chain.from_iterable(zip(*cols))))
+    for n, rows in _keyed_rows(shape, origin, flat, values):
+        fh.write(row * n % tuple(chain.from_iterable(rows)))
 
 
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:

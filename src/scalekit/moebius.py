@@ -63,7 +63,7 @@ class SuMatrix:
         _require_finite(a, "a")
         _require_finite(b, "b")
         det = abs(a) ** 2 - abs(b) ** 2
-        if abs(det - 1.0) > DET_TOL * (1.0 + abs(a) ** 2):
+        if not abs(a) > abs(b) or abs(det - 1.0) > DET_TOL * (1.0 + abs(a) ** 2):
             raise ValueError(f"not an SU(1,1) pair: |a|^2 - |b|^2 = {det!r}")
         if a.real < -CLASS_TOL or (abs(a.real) <= CLASS_TOL and a.imag < 0.0):
             a, b = -a, -b

@@ -64,6 +64,35 @@ class TestAnalyze:
                      "--cone"]) == 2
         assert "--cone" in capsys.readouterr().err
 
+    def test_no_seed_flag(self, geometric_json, capsys):
+        # the Gram sample is fixed, so analyze has no --seed
+        assert main(["analyze", "--property", "dissipative", "--system", geometric_json,
+                     "--seed", "0"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_gram_bug_warns_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # a false pass for sup 2: the report keeps its layout on stdout, and
+        # one stderr line names the Gram kernel's minimum eigenvalue
+        from scalekit import stability
+        from scalekit.stability import OperatorNormBracket
+        path = tmp_path / "two.json"
+        write_system(path, [{(0,): 2.0}])
+        argv = ["analyze", "--property", "dissipative", "--system", str(path)]
+        monkeypatch.setattr(stability, "_certify_sup",
+                            lambda array, tol, threshold=None: OperatorNormBracket(0.5, 0.5, True))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["verdict"] == "pass" and doc["details"]["gram_bug"] is True
+        gram_min = doc["details"]["gram_min_eigenvalue"]
+        assert gram_min < -1.0
+        assert captured.err.splitlines() == [
+            f"warning: the Gram kernel contradicts the pass: minimum eigenvalue "
+            f"{gram_min!r} < -tol"]
+        monkeypatch.undo()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+
     def test_determinism_byte_identical(self, tmp_path):
         path = tmp_path / "sys.json"
         rng = np.random.default_rng(3)
@@ -73,7 +102,7 @@ class TestAnalyze:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = main(["analyze", "--property", "bibo", "--system", str(path),
-                         "--seed", "17", "--out", str(out)])
+                         "--out", str(out)])
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -233,6 +262,17 @@ class TestTransformCommands:
             assert code == 3
             err = capsys.readouterr().err
             assert f"scale index {last}" in err and f"certified bound {bound} " in err
+
+    def test_scale_transform_refuses_pole_inside_the_circle(self, tmp_path, capsys):
+        # at scale 40 the rounded group element has |a| < |b|
+        sp = tmp_path / "sig.json"
+        sp.write_text(json.dumps({"coeffs": [[1.0, 0.0]], "tail_bound": 0.0}))
+        gp = tmp_path / "group.json"
+        gp.write_text(json.dumps(skio.group_to_dict(make_group([make_scale_shift(0.3, 0.2)]))))
+        code = main(["scale-transform", "--signal", str(sp), "--group", str(gp),
+                     "--window", "[[40]]", "--time-len", "4", "--tol", "1e-10"])
+        assert code == 2
+        assert "not an SU(1,1) pair" in capsys.readouterr().err
 
     def test_spectrum(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -78,10 +78,19 @@ class TestElement:
             assert lhs.entry_distance(rhs) < 1e-12 * scale
 
     def test_exponent_guard(self):
-        g = make_group([make_scale_shift(0.5, 0.0)])
+        g = make_group([make_scale_shift(0.9, 0.0)])
         g.element((MAX_EXPONENT,))
         with pytest.raises(ValueError, match="guard"):
             g.element((MAX_EXPONENT + 1,))
+        # multiplier 0.5 at the guard rounds to |a| = |b|: a pole on the circle
+        with pytest.raises(ValueError, match="not an SU"):
+            make_group([make_scale_shift(0.5, 0.0)]).element((MAX_EXPONENT,))
+
+    def test_refuses_pole_inside_the_circle(self):
+        # at scale 40, |a| < |b| in floating point and |a|^2 - |b|^2 = -65,536,
+        # which the determinant tolerance, relative to |a|^2, would accept
+        with pytest.raises(ValueError, match="not an SU"):
+            make_group([make_scale_shift(0.3, 0.2)]).element((40,))
 
     def test_accepts_plain_int_for_cyclic(self):
         g = make_group([make_scale_shift(0.5, 0.0)])

@@ -192,22 +192,19 @@ class TestJsonLayouts:
 
     def test_dissipative_pass(self):
         # the terms at (0, 0) and (1, 1) lie on a line: a one-axis coarse grid
-        report = dissipativity_check(H_PASS, tol=1e-3, sample_count=1, points_per_set=2)
+        report = dissipativity_check(H_PASS, tol=1e-3)
         assert masked(skio.report_to_dict(report)) == (
             '{"property":"dissipative","verdict":"pass","sup_bracket":{"lower":#,"upper":#,'
             '"certified":true,"grid_sizes":[#],"witness_angles":[#,#],"evaluations":#},'
-            '"witnesses":{},'
-            '"details":{"seed":#,"tol":#,"sample_count":#,"points_per_set":#,'
-            '"gram_min_eigenvalue":#}}')
+            '"witnesses":{},"details":{"tol":#,"gram_min_eigenvalue":#}}')
 
     def test_dissipative_fail(self):
-        report = dissipativity_check(H_FAIL, tol=1e-3, sample_count=0)
+        report = dissipativity_check(H_FAIL, tol=1e-3)
         assert masked(skio.report_to_dict(report)) == (
             '{"property":"dissipative","verdict":"fail","sup_bracket":{"lower":#,"upper":#,'
             '"certified":false,"grid_sizes":[#],"witness_angles":[#,#],"evaluations":#},'
-            '"witnesses":{"argmax_angles":[#,#],"argmax_value":#},"details":{"seed":#,'
-            '"tol":#,"sample_count":#,"points_per_set":#,'
-            '"gram":"skipped (no samples requested)"}}')
+            '"witnesses":{"argmax_angles":[#,#],"argmax_value":#},'
+            '"details":{"tol":#,"gram_min_eigenvalue":#}}')
 
     def test_l1l2_report(self):
         assert dumps(skio.report_to_dict(l1l2_gain(H_PASS))) == (
@@ -360,7 +357,7 @@ class TestSpectrumCsv:
         skio.write_spectrum_csv(grid, whole)
         sig = random_time_signal(np.random.default_rng(3), arity=2, time_len=4)
         whole_sig = csv_text(sig)
-        monkeypatch.setattr(skio, "_CHUNK_ROWS", 5)
+        monkeypatch.setattr(jsonfmt, "_CHUNK_ROWS", 5)
         chunked = io.StringIO()
         skio.write_spectrum_csv(grid, chunked)
         assert chunked.getvalue() == whole.getvalue()
