@@ -7,6 +7,11 @@ returned head misses: the discarded tail and the aliasing of the sampled
 evaluation.  The bound is a Cauchy estimate on circles |z| = R > 1, where
 max |f(phi(z))| comes from samples of f on the image circle through the
 grid inequality that also brackets torus suprema (spectral.grid_shrink).
+scale_transform keeps only the first time_len coefficients of each image
+and samples just those, on a circle |z| = rho <= 1 that trades aliasing
+for a roundoff amplification rho^-k (Lyness and Moler, SIAM J. Numer.
+Anal. 1967; Bornemann, Found. Comput. Math. 2011), roundoff included in
+its bound (_head_grid).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .group import ScaleGroup
 from .moebius import SuMatrix
 from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, zeros_box
-from .spectral import grid_shrink
+from .spectral import _fft_error, grid_shrink
 
 __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform", "MAX_LEN"]
 
@@ -65,7 +70,19 @@ def _as_coeffseq(f) -> CoeffSeq:
     return CoeffSeq(np.asarray(f, dtype=complex))
 
 
-def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float) -> tuple[int, float]:
+def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k elementwise for complex x, by Horner's rule in
+    one accumulator: the operations of np.polynomial.polynomial.polyval,
+    in its order and so bit-identical to it, without a temporary per step."""
+    acc = x * 0
+    acc += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float):
     """Smallest output length n whose certified l2 error bound is <= tol.
 
     The transformed series is analytic up to the pole -d/c of radius
@@ -87,7 +104,8 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float) -> tuple[int,
     <= C q^2 / (1 - q^2).  Requiring q <= tol / (C + tol) keeps the sum
     <= tol.  Minimized over a ladder of radii, all evaluated at once; a
     radius that rounds onto 1 or R0 certifies nothing, and a bound beyond
-    double range is reported as inf.
+    double range is reported as inf.  Returns n, the bound, and the ladder
+    (log C, log R) for _head_grid.
     """
     f = np.trim_zeros(coeffs, "b")
     deg = f.size - 1
@@ -106,7 +124,7 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float) -> tuple[int,
                             for log_w in np.log(np.abs(center[:, 0]) + rad[:, 0])])
         if radius.size * size * f.size <= MAX_BOX_CELLS:
             w = center + rad * np.exp(2j * math.pi * np.arange(size) / size)
-            reversed_vals = np.polynomial.polynomial.polyval(1.0 / w, f[::-1])  # w^-d f(w)
+            reversed_vals = _horner(1.0 / w, f[::-1])  # w^-d f(w)
             log_grid = (deg * np.log(np.abs(w)) + np.log(np.abs(reversed_vals))).max(axis=1)
             log_sample = np.logaddexp(log_grid, math.log(gamma) + log_sup)
             log_sup = np.fmin(log_sample - math.log(grid_shrink((f.size,), (size,))), log_sup)
@@ -125,7 +143,125 @@ def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float) -> tuple[int,
             f"length {MAX_LEN} exceeds tol={tol:.3e}",
             achieved_bound=bound,
         )
-    return int(n), min(tol, bound)
+    return int(n), min(tol, bound), (log_base, log_r)
+
+
+def _sample_head(m: SuMatrix, coeffs: np.ndarray, n: int, size: int,
+                 rho: float) -> np.ndarray:
+    """First n Taylor coefficients of g(z) = f(phi(z)) / (b* z + a*) from
+    its samples at the points rho w^j, w = e^(2 pi i / size), 0 < rho <= 1.
+
+    One FFT (the periodic trapezoidal rule) gives
+    sum_j g_{k + j size} rho^(k + j size) for k < size; the first n,
+    rescaled by rho^-k, are g_k plus the aliasing and roundoff that
+    _head_grid bounds.  At rho = 1 nothing is rescaled.
+    """
+    z = np.exp(2j * math.pi * np.arange(size) / size)
+    if rho != 1.0:
+        z *= rho
+    den = m.c * z
+    den += m.d
+    w = m.a * z
+    del z
+    w += m.b
+    w /= den
+    samples = _horner(w, coeffs)
+    del w
+    samples /= den
+    head = np.fft.fft(samples, norm="forward")[:n]
+    if rho != 1.0:
+        head *= rho ** -np.arange(n, dtype=float)
+    return head
+
+
+def _head_grid(m: SuMatrix, coeffs: np.ndarray, n: int, n_out: int, ladder,
+               tol: float) -> tuple[float, int, float]:
+    """Radius rho <= 1 and power of two N >= n for the first n coefficients
+    from _sample_head, and the roundoff e that the head may carry beyond tol.
+
+    The head's l2 error is at most A + rho^-(n - 1) e.  A, the aliasing, is
+    C x / (1 - x), x = (rho / R)^N, least over the ladder radii R of
+    _certified_length and their C.  e bounds the root mean square of the
+    samples' errors, which the forward-normalized FFT passes on in l2
+    (Parseval), plus the FFT's own error (spectral._fft_error) and the
+    rescaling's eps, both relative to ||f||_2 + tol (g is an isometric
+    image of f, and A <= tol wherever e is used).  To first order in eps,
+    u = eps / 2, S0 = sum |f_k| and S1 = sum k |f_k|, the sample at
+    z = rho w^j is off g(z) by alpha |den|^-3 + beta |den|^-2 + gam |den|^-1,
+    den = b* z + a*, from:
+    - the point: the angle is rounded twice, cos and sin are within an ulp
+      and the product by rho rounds, so |z~ - z| <= (4 pi + sqrt 2 + 1) u,
+      and |g'| <= S1 |den|^-3 + |b| S0 |den|^-2;
+    - phi(z): numerator and denominator, a complex product and a sum each,
+      are within k (|a| + |b|), k = (2 sqrt 2 + 1) u, and a complex quotient
+      is taken as 8 u relative, which moves f by at most S1 times
+      2 k (|a| + |b|) / |den| + 8 u;
+    - Horner's (2 deg + 2) eps S0, and the division by den.
+    Over the N points the mean of |den|^-2 is the Poisson kernel summed at
+    the roots of unity, (1 + r^N) / ((1 - r^N)(|a|^2 - |b|^2 rho^2)),
+    r = |b| rho / |a|, and 1 / (|a| - |b| rho) bounds |den|^-1 in the
+    higher powers.
+
+    For each N, rho minimizes C (rho / R)^N + e rho^-(n - 1) for each ladder
+    radius (e taken at rho = 1), or is 1; the first N whose best rho has
+    A + (rho^-(n - 1) - 1) e <= tol is taken, so the head is within tol + e.
+    rho = 1 at N >= 2 n_out always qualifies: A <= tol q / (1 + q) there,
+    q = tol / (C + tol).
+    """
+    eps = float(np.finfo(float).eps)
+    u = eps / 2.0
+    keep = np.isfinite(ladder[0]) & (ladder[1] > 0.0)
+    log_c, log_r = ladder[0][keep], ladder[1][keep]
+    abs_f = np.abs(coeffs)
+    s0, s1 = float(abs_f.sum()), float(np.arange(abs_f.size) @ abs_f)
+    deg = int(np.flatnonzero(abs_f)[-1])
+    abs_a, abs_b = abs(m.a), abs(m.b)
+    eta = (4.0 * math.pi + math.sqrt(2.0) + 1.0) * u
+    k_op = (2.0 * math.sqrt(2.0) + 1.0) * u
+    alpha = eta * s1
+    beta = eta * abs_b * s0 + k_op * (abs_a + abs_b) * (2.0 * s1 + s0)
+    gam = (2 * deg + 2) * eps * s0 + 8.0 * u * (s0 + s1)
+    norm = float(np.linalg.norm(coeffs)) + tol
+    sizes = 1 << np.arange((n - 1).bit_length(), (max(n, 2 * n_out) - 1).bit_length() + 1)
+    size = sizes[:, None]
+    fft = np.array([_fft_error((s,), norm) / math.sqrt(s) for s in sizes])[:, None]
+
+    def error(rho):
+        gap = abs_a - abs_b * rho                                # 1 / max |den|^-1
+        r_n = -np.expm1(size * np.log(abs_b * rho / abs_a))     # 1 - r^N
+        rms = np.sqrt((2.0 - r_n) / (r_n * gap * (abs_a + abs_b * rho)))
+        return (alpha / gap ** 2 + beta / gap + gam) * rms + fft + eps * norm
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_e = np.log((n - 1) * error(np.ones(size.shape)) / size)   # -inf at n = 1
+        # rho = 0 would sample g(0) alone; the smallest normal keeps logs finite
+        log_rho = np.clip((log_e - log_c + size * log_r) / (size + n - 1),
+                          math.log(np.finfo(float).tiny), 0.0)
+        rho = np.exp(np.concatenate([log_rho, np.zeros(size.shape)], axis=1))  # last: 1
+        err = error(rho)
+        x = size[:, :, None] * (np.log(rho)[:, :, None] - log_r)
+        alias = np.exp(log_c + x - np.log(-np.expm1(x))).min(axis=2)
+        total = alias + np.expm1(-(n - 1) * np.log(rho)) * err
+    best = total.argmin(axis=1)
+    fits = total[np.arange(sizes.size), best] <= tol
+    i = int(np.argmax(fits)) if fits.any() else -1
+    j = best[i] if fits.any() else -1
+    return float(rho[i, j]), int(sizes[i]), float(err[i, j])
+
+
+def _exact_image(m: SuMatrix, f: CoeffSeq, tol: float):
+    """The transformed series where it needs no sampling (zero input, or a
+    rotation-like map with b = 0), else None; checks tol."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive real, got {tol!r}")
+    coeffs = f.coeffs
+    if coeffs.size == 0 or not np.any(coeffs):
+        return CoeffSeq(np.zeros(1, complex), f.tail_bound)
+    if abs(m.b) == 0.0:
+        # Rotation-like map: output degree equals input degree, no tail.
+        phase = (m.a / m.d) ** np.arange(coeffs.size) / m.d
+        return CoeffSeq(coeffs * phase, f.tail_bound)
+    return None
 
 
 def transform_coeffs(m: SuMatrix, f, tol: float) -> CoeffSeq:
@@ -151,34 +287,26 @@ def transform_coeffs(m: SuMatrix, f, tol: float) -> CoeffSeq:
         than MAX_LEN coefficients: TruncationError if tol needs more.
     """
     f = _as_coeffseq(f)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive real, got {tol!r}")
-    coeffs = f.coeffs
-    if coeffs.size == 0 or not np.any(coeffs):
-        return CoeffSeq(np.zeros(1, complex), f.tail_bound)
-    a, b = m.a, m.b
-    c, d = m.c, m.d
-    if abs(b) == 0.0:
-        # Rotation-like map: output degree equals input degree, no tail.
-        n = np.arange(coeffs.size)
-        phase = (a / d) ** n / d
-        return CoeffSeq(coeffs * phase, f.tail_bound)
-    n_out, bound = _certified_length(coeffs, m, tol)
+    exact = _exact_image(m, f, tol)
+    if exact is not None:
+        return exact
+    n_out, bound, _ = _certified_length(f.coeffs, m, tol)
     size = 1 << (2 * n_out - 1).bit_length()
-    z = np.exp(2j * math.pi * np.arange(size) / size)
-    den = c * z + d
-    samples = np.polynomial.polynomial.polyval((a * z + b) / den, coeffs) / den
-    out = np.fft.fft(samples, norm="forward")[:n_out]
-    return CoeffSeq(out, bound + f.tail_bound)
+    return CoeffSeq(_sample_head(m, f.coeffs, n_out, size, 1.0), bound + f.tail_bound)
 
 
 def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
                     tol: float) -> ScaleTimeSignal:
     """Observe a coefficient sequence through a window of group scales.
 
-    Column at index idx is transform_coeffs(group.element(idx), x) truncated
-    or zero-padded to time_len rows; row n collects the n-th coefficient of
+    Column at index idx holds the first time_len coefficients of the image
+    of x under group.element(idx); row n collects the n-th coefficient of
     every column.  The columns fill one (time_len, window box) array.
+    _certified_length still runs for each column (it raises where
+    transform_coeffs would), but only time_len rows are sampled, on the
+    circle and at the count _head_grid picks: each column is within tol,
+    plus the roundoff it states, of the exact coefficients, rows past the
+    certified length included.
     """
     x = _as_coeffseq(x)
     window = [as_index(idx, group.p) for idx in scale_window]
@@ -195,14 +323,19 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
     for idx in window:
         mat = group.element(idx)
         try:
-            col = transform_coeffs(mat, x, tol)
+            col = _exact_image(mat, x, tol)
+            if col is None:
+                n_out, _, ladder = _certified_length(x.coeffs, mat, tol)
+                rho, size, _ = _head_grid(mat, x.coeffs, time_len, n_out, ladder, tol)
+                col = _sample_head(mat, x.coeffs, time_len, size, rho)
+            else:
+                col = col.coeffs[:time_len]
         except TruncationError as exc:
             raise TruncationError(
                 f"scale index {idx}: {exc}", exc.achieved_bound
             ) from exc
         except ValueError as exc:
             raise ValueError(f"scale index {idx}: {exc}") from exc
-        take = min(time_len, len(col))
-        column = (slice(0, take),) + tuple(k - lo for k, lo in zip(idx, mins))
-        dense[column] = col.coeffs[:take]
+        column = (slice(0, len(col)),) + tuple(k - lo for k, lo in zip(idx, mins))
+        dense[column] = col
     return ScaleTimeSignal._from_box(dense, mins)

@@ -115,6 +115,30 @@ def grid_shrink(widths, sizes) -> float:
                                for w, m in zip(widths, sizes)))
 
 
+def _gamma(n: int) -> float:
+    """n u / (1 - n u), u = eps / 2: the factor of n roundings (Higham 3.1)."""
+    u = float(np.finfo(float).eps) / 2.0
+    return n * u / (1.0 - n * u)
+
+
+def _fft_error(sizes, norm: float) -> float:
+    """Bound on |computed - exact| at every point of an FFT grid.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2) bounds the l2 error of a radix-2 FFT of N points by
+    L eta / (1 - L eta) ||y||_2, L = log2 N and eta = mu + gamma_4 (sqrt 2 + mu),
+    mu the error of the twiddle factors, taken as one eps.  A
+    multidimensional FFT runs one such FFT per axis, and the per-axis
+    factors multiply to at most the bound with L = sum_a log2 M_a.  Parseval
+    gives ||y||_2 = sqrt(N) norm, norm the l2 norm of the folded
+    coefficients, and the l2 error bounds the error at each point.
+    """
+    eps = float(np.finfo(float).eps)
+    eta = eps + _gamma(4) * (math.sqrt(2.0) + eps)
+    steps = sum(int(m).bit_length() - 1 for m in sizes) * eta
+    return steps / (1.0 - steps) * math.sqrt(math.prod(sizes)) * norm
+
+
 def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:
     """Forward transform sum_k x(k) e^{-i k.theta} on the torus grid.
 

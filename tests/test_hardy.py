@@ -277,6 +277,20 @@ class TestSampledTransform:
         if true_len >= 16:
             assert n <= 1.6 * true_len
 
+    def test_horner_is_polyval(self):
+        # bit for bit, signed zeros included, on a (9, M) grid and 1-D input
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        c[::7] = c[::7].real
+        grid = rng.standard_normal((9, 128)) + 1j * rng.standard_normal((9, 128))
+        grid[0, :4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        line = 0.9 * np.exp(2j * np.pi * np.arange(1000) / 1000)
+        for x, coeffs in ((grid, c), (line, c), (line, c[:1]), (grid, c[::-1])):
+            ref = np.polynomial.polynomial.polyval(x, coeffs)
+            out = hardy._horner(x, coeffs)
+            np.testing.assert_array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes()
+
 
 class TestScaleTransform:
     def test_identity_window_column_equals_input(self):
@@ -329,3 +343,59 @@ class TestScaleTransform:
         monkeypatch.setattr(hardy, "MAX_LEN", 64)
         with pytest.raises(TruncationError, match=r"scale index \(3,\)"):
             scale_transform(g, np.ones(33), [(0,), (3,)], time_len=8, tol=1e-10)
+
+    def test_deep_column_samples_few_points(self, monkeypatch):
+        # multiplier 0.6, degree 15, scale 12: about 18k coefficients are
+        # certified, which the unit circle would sample at 65,536 points
+        sizes = []
+        sample = hardy._sample_head
+
+        def counted(m, f, n, size, rho):
+            sizes.append(size)
+            return sample(m, f, n, size, rho)
+
+        monkeypatch.setattr(hardy, "_sample_head", counted)
+        rng = np.random.default_rng(27)
+        f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        f /= np.linalg.norm(f)
+        g = make_group([make_scale_shift(0.6, 0.2)])
+        scale_transform(g, f, [(12,)], time_len=256, tol=1e-9)
+        assert len(sizes) == 1 and sizes[0] <= 4096
+
+    @settings(max_examples=30)
+    @given(mult=st.floats(0.5, 0.95), theta=st.floats(-0.99, 0.99),
+           scale=st.integers(-6, 8), degree=st.integers(0, 63),
+           trailing=st.integers(0, 4), rows=st.sampled_from(["one", "below", "above"]),
+           frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_columns_within_tol_plus_roundoff(self, mult, theta, scale, degree, trailing,
+                                              rows, frac, seed):
+        # time_len 1, below or above the certified length; reference: the
+        # unit-circle samples at 8x the power of two >= 2 max(n_out, time_len)
+        rng = np.random.default_rng(seed)
+        f = np.zeros(degree + 1 + trailing, complex)
+        f[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f /= np.linalg.norm(f)
+        g = make_group([make_scale_shift(mult, theta)])
+        m = g.element((scale,))
+        tol = 1e-10
+        try:
+            n_out = len(transform_coeffs(m, f, tol))
+        except TruncationError as err:
+            with pytest.raises(TruncationError) as again:
+                scale_transform(g, f, [(scale,)], time_len=4, tol=tol)
+            assert again.value.achieved_bound == err.achieved_bound
+            return
+        time_len = {"one": 1, "below": max(1, int(frac * (n_out - 1))),
+                    "above": n_out + 1 + int(frac * n_out)}[rows]
+        excess = 0.0
+        if abs(m.b) > 0.0:
+            _, _, ladder = hardy._certified_length(f, m, tol)
+            _, _, excess = hardy._head_grid(m, f, time_len, n_out, ladder, tol)
+        col = scale_transform(g, f, [(scale,)], time_len, tol).to_dense()[0][:, 0]
+        size = 8 << (2 * max(n_out, time_len) - 1).bit_length()
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        den = m.c * z + m.d
+        ref = np.fft.fft(np.polynomial.polynomial.polyval((m.a * z + m.b) / den, f) / den,
+                         norm="forward")[:time_len]
+        m1 = np.abs(f).sum() * (abs(m.a) + abs(m.b))
+        assert np.linalg.norm(col - ref) <= tol + excess + 64 * 2.2e-16 * len(f) * m1

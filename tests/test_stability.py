@@ -858,3 +858,22 @@ class TestEmpiricalVerify:
         h = geometric_system(0.5)
         with pytest.raises(ValueError):
             empirical_verify(h, "stable", 5, 0)
+
+    @pytest.mark.parametrize("arity, entries", [
+        (1, {(0, 0): 0.5, (1, 1): 0.3j, (2, 0): -0.1}),          # pass
+        (1, {(0, 0): 0.9, (1, 2): 0.4 - 0.2j}),                   # fail
+        (2, {(0, 0, 0): 0.4, (1, 1, 0): 0.3, (0, 2, 1): 0.2j}),  # pass
+        (2, {(0, 0, 0): 0.8, (1, 0, 1): 0.5j, (2, 1, 1): 0.3}),  # fail
+    ])
+    def test_dissipative_bound_is_the_analyzer_bracket(self, arity, entries, monkeypatch):
+        # the bound and verdict of dissipativity_check(h, 1e-6), bit for
+        # bit, without its Gram sample
+        steps = 1 + max(e[0] for e in entries)
+        h = ScaleTimeSignal([ScaleSignal({e[1:]: v for e, v in entries.items() if e[0] == n},
+                                         arity=arity) for n in range(steps)], arity=arity)
+        reference = dissipativity_check(h, 1e-6)
+        assert "gram_min_eigenvalue" in reference.details
+        monkeypatch.setattr("scalekit.stability._evaluate", None)
+        report = empirical_verify(h, "dissipative", trials=3, seed=0)
+        assert report.bound == reference.sup_bracket.upper ** 2
+        assert report.analyzer_verdict == reference.verdict
