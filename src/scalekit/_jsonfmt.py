@@ -36,13 +36,18 @@ def _write_rows(array: np.ndarray, out: list) -> None:
 
 def _keyed_rows(shape, origin, flat, values: np.ndarray):
     """Per chunk of rows, the rows (k_1, ..., k_d, re, im): the key of cell
-    flat[i] of a box of this shape and origin in Python ints, and the real
-    and imaginary part of values[i]; the rows of EntryList and io's CSV."""
-    origin = np.array(origin, dtype=object)  # exact Python-int keys, whatever the origin
+    flat[i] of a box of this shape and origin as decimal text, and the real
+    and imaginary part of values[i]; the rows of EntryList and io's CSV.
+    Per axis of a chunk, the text of each distinct index is made once, from
+    an exact Python int whatever the origin, and shared by its rows."""
     for start in range(0, len(values), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        keys = np.stack(np.unravel_index(flat[part], shape), -1) + origin
-        cols = [*keys.T.tolist(), values[part].real.tolist(), values[part].imag.tolist()]
+        cols = []
+        for idx, o in zip(np.unravel_index(flat[part], shape), origin):
+            keys = idx.tolist()
+            text = {i: str(i + int(o)) for i in set(keys)}
+            cols.append([text[i] for i in keys])
+        cols += [values[part].real.tolist(), values[part].imag.tolist()]
         yield len(cols[-1]), zip(*cols)
 
 
@@ -64,11 +69,11 @@ class EntryList:
     def __iter__(self):
         for _, rows in self._chunks():
             for *k, a, b in rows:
-                yield {"k": k, "value": [a, b]}
+                yield {"k": [int(i) for i in k], "value": [a, b]}
 
 
 def _write_entries(entries: EntryList, out: list) -> None:
-    row = '{"k":[' + ",".join(["%d"] * entries.array.ndim) + '],"value":[%.17g,%.17g]}'
+    row = '{"k":[' + ",".join(["%s"] * entries.array.ndim) + '],"value":[%.17g,%.17g]}'
     out.append("[" + ",".join(",".join([row] * n) % tuple(chain.from_iterable(rows))
                               for n, rows in entries._chunks()) + "]")
 

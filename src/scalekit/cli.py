@@ -4,6 +4,11 @@ Subcommands load signals and systems from JSON/CSV, run transforms and
 analyzers, and emit deterministic JSON reports (fixed field order, floats
 with 17 significant digits).  Exit codes: 0 success/pass, 1 property fail
 with witness, 2 usage or parse error, 3 uncertified (budget exceeded).
+
+COMMANDS is the one table of subcommands: name -> help, handler and
+argument specs.  main builds the parser of the command that its first
+argument names, and of all of them when it names none (-h, no arguments,
+an unknown word); the help, usage and error text are the same either way.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ def _cmd_scale_transform(args) -> int:
     return EXIT_OK
 
 
-def _cmd_filter(args, engine) -> int:
+def _cmd_filter(args) -> int:
     h = skio.read_time_signal(args.h)
     u = skio.read_time_signal(args.u)
+    engine = brute_force_double_convolve if args.command == "oracle" else double_convolve
     y = engine(h, u)
     if args.out:
         skio.write_time_signal(y, args.out)
@@ -69,6 +75,8 @@ def _cmd_filter(args, engine) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be a time index >= 0, got {args.n}")
     sig = skio.read_time_signal(args.signal)
     grid_sizes = [int(s) for s in args.grid.split(",")]
     grid = scale_fourier(sig.slice(args.n), grid_sizes)
@@ -128,84 +136,80 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILTER_ARGS = (("--h", dict(required=True, help="impulse response (.csv/.json)")),
+                ("--u", dict(required=True, help="input signal (.csv/.json)")))
+_PROPERTY = ("--property", dict(required=True, choices=["bibo", "dissipative", "l1l2"]))
+
+# name -> (help, handler, argument specs); --out is added to every command
+COMMANDS = {
+    "scale-transform": (
+        "observe a coefficient sequence through group scales", _cmd_scale_transform, (
+            ("--signal", dict(required=True, help="CoeffSeq JSON (inline or path)")),
+            ("--group", dict(required=True, help="group JSON (inline or path)")),
+            ("--window", dict(required=True,
+                              help="JSON list of exponent vectors (inline or path)")),
+            ("--time-len", dict(type=int, required=True)),
+            ("--tol", dict(type=float, default=1e-9)))),
+    "filter": ("double convolution of an impulse response with an input", _cmd_filter,
+               _FILTER_ARGS),
+    "oracle": ("brute-force reference double convolution", _cmd_filter, _FILTER_ARGS),
+    "spectrum": ("torus transform of one time slice", _cmd_spectrum, (
+        ("--signal", dict(required=True)),
+        ("--n", dict(type=int, default=0, help="time slice index")),
+        ("--grid", dict(required=True, help="comma-separated grid sizes")))),
+    "gtf-eval": ("evaluate the generalized transfer function", _cmd_gtf_eval, (
+        ("--system", dict(required=True)),
+        ("--z", dict(required=True, help="[re, im] JSON pair")),
+        ("--zs", dict(default="", help="JSON list of [re, im] pairs")))),
+    "moments-check": ("Toeplitz positivity of moments", _cmd_moments_check, (
+        ("--moments", dict(required=True, help='{"t": [[re,im], ...]} or path')),
+        ("--tol", dict(type=float, default=1e-9)))),
+    "stieltjes": ("interval mass from boundary inversion", _cmd_stieltjes, (
+        ("--moments", dict(required=True)),
+        ("--a", dict(type=float, required=True)),
+        ("--b", dict(type=float, required=True)),
+        ("--r", dict(type=float, required=True)))),
+    "analyze": ("run a certified stability analyzer", _cmd_analyze, (
+        _PROPERTY,
+        ("--system", dict(required=True)),
+        ("--tol", dict(type=float, default=1e-9,
+                       help="bibo: relative width at which each slice norm bracket stops "
+                            "refining, roundoff included (exit 3 if the SCALEKIT_MAX_GRID "
+                            "work budget runs out first); dissipative: slack in the "
+                            "threshold sup <= 1 + tol")))),
+    "verify": ("Monte-Carlo check of an analyzer bound", _cmd_verify, (
+        _PROPERTY,
+        ("--system", dict(required=True)),
+        ("--trials", dict(type=int, default=50)),
+        ("--seed", dict(type=int, default=0)))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of COMMANDS[command] alone, or of every command when
+    command names none.  A lone command's metavar lists every command, so
+    the top-level usage printed with an unrecognized-argument error is the
+    same either way."""
+    single = command in COMMANDS
     parser = argparse.ArgumentParser(
         prog="scalekit",
         description="Multi-scale discrete-time system toolbox (batch only).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("scale-transform",
-                        help="observe a coefficient sequence through group scales")
-    sp.add_argument("--signal", required=True, help="CoeffSeq JSON (inline or path)")
-    sp.add_argument("--group", required=True, help="group JSON (inline or path)")
-    sp.add_argument("--window", required=True,
-                    help="JSON list of exponent vectors (inline or path)")
-    sp.add_argument("--time-len", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.set_defaults(func=_cmd_scale_transform)
-
-    for name, engine, help_text in (
-        ("filter", lambda h, u: double_convolve(h, u),
-         "double convolution of an impulse response with an input"),
-        ("oracle", lambda h, u: brute_force_double_convolve(h, u),
-         "brute-force reference double convolution"),
-    ):
-        fp = sub.add_parser(name, help=help_text)
-        fp.add_argument("--h", required=True, help="impulse response (.csv/.json)")
-        fp.add_argument("--u", required=True, help="input signal (.csv/.json)")
-        fp.set_defaults(func=lambda a, e=engine: _cmd_filter(a, e))
-
-    gp = sub.add_parser("spectrum", help="torus transform of one time slice")
-    gp.add_argument("--signal", required=True)
-    gp.add_argument("--n", type=int, default=0, help="time slice index")
-    gp.add_argument("--grid", required=True, help="comma-separated grid sizes")
-    gp.set_defaults(func=_cmd_spectrum)
-
-    tp = sub.add_parser("gtf-eval", help="evaluate the generalized transfer function")
-    tp.add_argument("--system", required=True)
-    tp.add_argument("--z", required=True, help="[re, im] JSON pair")
-    tp.add_argument("--zs", default="", help="JSON list of [re, im] pairs")
-    tp.set_defaults(func=_cmd_gtf_eval)
-
-    mp = sub.add_parser("moments-check", help="Toeplitz positivity of moments")
-    mp.add_argument("--moments", required=True, help='{"t": [[re,im], ...]} or path')
-    mp.add_argument("--tol", type=float, default=1e-9)
-    mp.set_defaults(func=_cmd_moments_check)
-
-    ip = sub.add_parser("stieltjes", help="interval mass from boundary inversion")
-    ip.add_argument("--moments", required=True)
-    ip.add_argument("--a", type=float, required=True)
-    ip.add_argument("--b", type=float, required=True)
-    ip.add_argument("--r", type=float, required=True)
-    ip.set_defaults(func=_cmd_stieltjes)
-
-    ap = sub.add_parser("analyze", help="run a certified stability analyzer")
-    ap.add_argument("--property", required=True,
-                    choices=["bibo", "dissipative", "l1l2"])
-    ap.add_argument("--system", required=True)
-    ap.add_argument("--tol", type=float, default=1e-9,
-                    help="bibo: relative width at which each slice norm bracket stops "
-                         "refining, roundoff included (exit 3 if the SCALEKIT_MAX_GRID work "
-                         "budget runs out first); dissipative: slack in the threshold "
-                         "sup <= 1 + tol")
-    ap.set_defaults(func=_cmd_analyze)
-
-    vp = sub.add_parser("verify", help="Monte-Carlo check of an analyzer bound")
-    vp.add_argument("--property", required=True,
-                    choices=["bibo", "dissipative", "l1l2"])
-    vp.add_argument("--system", required=True)
-    vp.add_argument("--trials", type=int, default=50)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.set_defaults(func=_cmd_verify)
-
-    for command in sub.choices.values():
-        command.add_argument("--out")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if single else None)
+    for name in [command] if single else COMMANDS:
+        help_text, func, specs = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in specs:
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--out")
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

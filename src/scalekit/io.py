@@ -144,7 +144,7 @@ def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     shape and origin, and the real and imaginary part of values[i] with 17
     significant digits; the keys are built one chunk of rows at a time."""
     fh.write(",".join(header) + "\n")
-    row = ",".join(["%d"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
+    row = ",".join(["%s"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
     for n, rows in _keyed_rows(shape, origin, flat, values):
         fh.write(row * n % tuple(chain.from_iterable(rows)))
 

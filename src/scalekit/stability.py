@@ -473,13 +473,15 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
                       for k, w in zip(_exponents((1,) * p, widths), widths))
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
-    v *= 1.0 / np.linalg.norm(v)
+    # numpy sums here and below, not BLAS dots (norm, vdot), so the report
+    # does not depend on the BLAS thread count
+    v *= 1.0 / math.sqrt(float(np.sum(np.square(v.real)) + np.sum(np.square(v.imag))))
     # no adjoint image wraps on this grid: each has at most W_a + d_a cells
     # per axis, and its symbol is conj(hhat_n) vhat
     grid = tuple(_next_pow2(w + hi - lo) for w, lo, hi in zip(widths, lows, highs))
     weight = np.square(np.abs(torus_values(v, lows, grid))) / math.prod(grid)
-    value = sum(math.sqrt(float(np.vdot(
-        np.square(np.abs(torus_values(s.array, s.origin, grid))), weight).real)) for s in slices)
+    value = sum(math.sqrt(float(np.sum(
+        np.square(np.abs(torus_values(s.array, s.origin, grid))) * weight))) for s in slices)
 
     maximizer = ScaleSignal._from_box(v, lows)
     spans = [(lo, lo + w - 1) for lo, w in zip(lows, widths)]

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ import pytest
 
 from scalekit import ScaleSignal, ScaleTimeSignal, make_group, make_scale_shift
 from scalekit import io as skio
-from scalekit.cli import main
+from scalekit.cli import COMMANDS, build_parser, main
 from helpers import random_time_signal
 
 
@@ -104,6 +107,27 @@ class TestAnalyze:
             code = main(["analyze", "--property", "bibo", "--system", str(path),
                          "--out", str(out)])
             assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_bibo_report_independent_of_blas_threads(self, tmp_path):
+        # the p=2 witness has 2^16 cells, enough for OpenBLAS to split a dot
+        # product or a norm over its threads; the report must not depend on
+        # how many there are
+        path = tmp_path / "sys.csv"
+        rng = np.random.default_rng(5)
+        write_system(path, [{(k1, k2): complex(*(0.2 * rng.standard_normal(2)))
+                             for k1 in range(3) for k2 in range(3)} for _ in range(2)],
+                     arity=2)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            result = subprocess.run(
+                [sys.executable, "-m", "scalekit.cli", "analyze", "--property", "bibo",
+                 "--system", str(path), "--tol", "1e-3", "--out", str(out)],
+                capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -285,6 +309,14 @@ class TestTransformCommands:
         theta = 2 * np.pi * np.arange(8) / 8
         assert np.abs(np.array(vals) - np.exp(-1j * theta)).max() < 1e-12
 
+    def test_spectrum_negative_slice_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        write_system(path, [{(1,): 1.0}])
+        assert main(["spectrum", "--signal", str(path), "--n", "-1", "--grid", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n must be a time index >= 0, got -1\n"
+
     def test_spectrum_csv_output(self, tmp_path):
         path = tmp_path / "s.json"
         write_system(path, [{(0,): 1.0}])
@@ -350,3 +382,76 @@ class TestUsage:
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+# one valid argument list per command; the files need not exist to parse
+COMMAND_ARGS = {
+    "scale-transform": ["--signal", "f.json", "--group", "g.json", "--window", "[[0],[1]]",
+                        "--time-len", "4", "--tol", "1e-6"],
+    "filter": ["--h", "h.csv", "--u", "u.csv"],
+    "oracle": ["--h", "h.csv", "--u", "u.json", "--out", "y.csv"],
+    "spectrum": ["--signal", "y.csv", "--n", "2", "--grid", "8,4"],
+    "gtf-eval": ["--system", "h.json", "--z", "[0.5, 0]", "--zs", "[[0.9, 0]]"],
+    "moments-check": ["--moments", "m.json", "--tol", "0"],
+    "stieltjes": ["--moments", "m.json", "--a", "0", "--b", "1", "--r", "0.9"],
+    "analyze": ["--property", "bibo", "--system", "h.csv"],
+    "verify": ["--property", "l1l2", "--system", "h.csv", "--trials", "3", "--seed", "2"],
+}
+
+
+def parse(parser, argv):
+    """(namespace without func, exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = {k: v for k, v in vars(parser.parse_args(argv)).items() if k != "func"}
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main builds only the named command's parser; everything it prints or
+    parses must be what the parser of all nine commands gives."""
+
+    def test_every_command_has_arguments(self):
+        assert list(COMMAND_ARGS) == list(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_single_command_parser_matches_full(self, name, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        single = build_parser(name)
+        assert list(single._subparsers._group_actions[0].choices) == [name]
+        args = COMMAND_ARGS[name]
+        for argv, code in (([name, "-h"], 0),
+                           ([name, *args], None),
+                           ([name, *args, "--out"], 2),
+                           ([name, *args, "--bogus", "1"], 2),
+                           ([name, "--tol", "x"], 2),
+                           ([name], 2)):
+            got = parse(single, argv)
+            assert got == parse(build_parser(), argv)
+            assert got[1] == code
+        namespace = parse(single, [name, *args])[0]
+        assert namespace["command"] == name
+        assert single.parse_args([name, *args]).func is COMMANDS[name][1]
+
+    def test_main_names_the_command_to_build(self, monkeypatch, capsys):
+        from scalekit import cli
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert main(["moments-check", "--moments", '{"t":[[1,0]]}']) == 0
+        assert main(["-h"]) == 0 and main([]) == 2
+        assert built == ["moments-check", "-h", None]
+
+    @pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["frobnicate"], 2)])
+    def test_no_command_lists_all_nine(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        words = " ".join((captured.out if code == 0 else captured.err).split())
+        assert "{" + ",".join(COMMANDS) + "}" in words
+        if code == 0:
+            for name, (help_text, _, _) in COMMANDS.items():
+                assert f"{name} {help_text}" in words

@@ -46,14 +46,18 @@ class TestJsonFmt:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_entry_list_matches_the_generic_walk(self, p, monkeypatch):
         # signed zero parts, negative keys, a far origin, and more than one
-        # chunk of rows (the chunk is cut to 7 rows)
+        # chunk of rows (the chunk is cut to 7 rows), and a sparse box whose
+        # keys lie far apart
         rng = np.random.default_rng(p)
         shape = (5, 4, 3)[:p]
         array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         array[rng.random(shape) < 0.3] = 0.0
         array.flat[1] = complex(-0.0, 0.5)
         array.flat[2] = complex(0.25, -0.0)
-        for origin in ((-3,) * p, (2 ** 70,) + (-7,) * (p - 1)):
+        sparse = np.zeros(shape[:-1] + (100,), complex)
+        sparse.flat[rng.choice(sparse.size, 9, replace=False)] = 1.5 - 2j
+        for array, origin in [(a, o) for a in (array, sparse)
+                              for o in ((-3,) * p, (2 ** 70,) + (-7,) * (p - 1))]:
             sig = ScaleSignal._from_box(array.copy(), origin)
             walk = [{"k": list(idx), "value": skio.pair(v)} for idx, v in sig.items()]
             assert dumps(skio.to_dict(sig)) == dumps(walk)
