@@ -174,8 +174,8 @@ COMMANDS = {
         ("--system", dict(required=True)),
         ("--tol", dict(type=float, default=1e-9,
                        help="bibo: relative width at which each slice norm bracket stops "
-                            "refining, roundoff included (exit 3 if the SCALEKIT_MAX_GRID "
-                            "work budget runs out first); dissipative: slack in the "
+                            "refining, roundoff included (exit 3 if the fixed work "
+                            "budget of 2^24 units runs out first); dissipative: slack in the "
                             "threshold sup <= 1 + tol")))),
     "verify": ("Monte-Carlo check of an analyzer bound", _cmd_verify, (
         _PROPERTY,

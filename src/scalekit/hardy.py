@@ -23,7 +23,7 @@ import numpy as np
 
 from .group import ScaleGroup
 from .moebius import SuMatrix
-from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, zeros_box
+from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, energy, zeros_box
 from .spectral import _fft_error, grid_shrink
 
 __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform", "MAX_LEN"]
@@ -61,7 +61,7 @@ class CoeffSeq:
         return int(self.coeffs.size)
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return math.sqrt(energy(self.coeffs))
 
 
 def _as_coeffseq(f) -> CoeffSeq:
@@ -221,7 +221,7 @@ def _head_grid(m: SuMatrix, coeffs: np.ndarray, n: int, n_out: int, ladder,
     alpha = eta * s1
     beta = eta * abs_b * s0 + k_op * (abs_a + abs_b) * (2.0 * s1 + s0)
     gam = (2 * deg + 2) * eps * s0 + 8.0 * u * (s0 + s1)
-    norm = float(np.linalg.norm(coeffs)) + tol
+    norm = math.sqrt(energy(coeffs)) + tol
     sizes = 1 << np.arange((n - 1).bit_length(), (max(n, 2 * n_out) - 1).bit_length() + 1)
     size = sizes[:, None]
     fft = np.array([_fft_error((s,), norm) / math.sqrt(s) for s in sizes])[:, None]

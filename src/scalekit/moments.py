@@ -60,14 +60,10 @@ HerglotzValue = namedtuple("HerglotzValue", ["value", "order"])
 def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
     """Smallest eigenvalue of the full Toeplitz matrix (t_{n-m}).
 
-    is_psd holds when the smallest eigenvalue is >= -tol.  A negative t_0 is
-    rejected immediately with order 0.
+    is_psd holds when the smallest eigenvalue is >= -tol.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    t0 = ms.t[0].real
-    if t0 < 0.0:
-        return PsdReport(False, t0, 0)
     col = np.asarray(ms.t, complex)
     check_box((col.size, col.size))
     idx = np.arange(col.size)

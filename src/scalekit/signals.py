@@ -61,6 +61,12 @@ def check_box(shape) -> tuple:
     return shape
 
 
+def energy(array: np.ndarray, axis=None):
+    """sum |a|^2 over axis (all by default) as sum re^2 + sum im^2, in numpy's
+    fixed summation order; a BLAS dot's order changes with the thread count."""
+    return np.sum(np.square(array.real), axis=axis) + np.sum(np.square(array.imag), axis=axis)
+
+
 def zeros_box(shape) -> np.ndarray:
     """Complex zeros of a checked box shape."""
     return np.zeros(check_box(shape), complex)
@@ -188,7 +194,7 @@ class ScaleSignal:
         return self.array.size == 0
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.array))
+        return math.sqrt(energy(self.array))
 
     def scaled(self, factor) -> "ScaleSignal":
         return ScaleSignal._from_box(complex(factor) * self.array, self.origin)
@@ -230,7 +236,7 @@ class ScaleSignal:
         cuts = overlap(self.origin, self.array.shape, other.origin, other.array.shape)
         if cuts is None:
             return 0j
-        return complex(np.vdot(other.array[cuts[1]], self.array[cuts[0]]))
+        return complex(np.sum(self.array[cuts[0]] * other.array[cuts[1]].conj()))
 
     def __repr__(self) -> str:
         return f"ScaleSignal({dict(self.items())!r}, arity={self.arity})"
@@ -320,7 +326,8 @@ class ScaleTimeSignal:
         squared slice l2), "l1_l2" (sum of slice l2)."""
         if kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
-        slice_norms = [s.l2_norm() for s in self.slices]
+        steps = energy(self.stack.array, axis=tuple(range(1, self.arity + 1)))
+        slice_norms = np.sqrt(steps).tolist()
         if kind == "sup_l2":
             return max(slice_norms, default=0.0)
         if kind == "energy":

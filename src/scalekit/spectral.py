@@ -189,8 +189,7 @@ def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
     for s in h.slices or (ScaleSignal.zero(h.arity),):
         sizes = _check_alias(s, grid_sizes)
     stack = h.stack
-    folded = np.tensordot(_powers(z, stack.origin[0], len(stack.array)), stack.array,
-                          axes=(0, 0))
+    folded = np.einsum("n,n...->...", _powers(z, stack.origin[0], len(stack.array)), stack.array)
     return SpectrumGrid(sizes, torus_values(folded, stack.origin[1:], sizes))
 
 

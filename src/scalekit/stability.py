@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convolve import double_convolve, group_convolve
-from .signals import MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, zeros_box
+from .signals import MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, energy, zeros_box
 from .spectral import _evaluate, _fft_error, _gamma, grid_shrink, torus_values
 
 __all__ = [
@@ -36,17 +35,10 @@ __all__ = [
     "l1l2_gain",
     "empirical_verify",
     "resonant_input",
-    "GRID_BUDGET_ENV",
 ]
 
-GRID_BUDGET_ENV = "SCALEKIT_MAX_GRID"
-
-
-def _grid_budget() -> int:
-    budget = int(os.environ.get(GRID_BUDGET_ENV) or MAX_BOX_CELLS)
-    if budget > MAX_BOX_CELLS:
-        raise ValueError(f"grid budget {budget} exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
-    return budget
+# work units a torus bracket may spend (see _certify_sup)
+WORK_BUDGET = MAX_BOX_CELLS
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,7 @@ def _direct(points: np.ndarray, exps: np.ndarray, coefs: np.ndarray) -> np.ndarr
     rows = max(1, _CHUNK_CELLS // len(coefs))
     for start in range(0, len(points), rows):
         part = slice(start, start + rows)
-        out[part] = np.exp(1j * (points[part] @ exps)) @ weights
+        out[part] = np.einsum("ij,jk->ik", np.exp(1j * (points[part] @ exps)), weights)
     return out
 
 
@@ -269,8 +261,10 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     child's half-width is rounded up by 16 eps so that the children cover
     their parent in floating point.
 
-    Budget.  SCALEKIT_MAX_GRID counts work: one unit per grid point and K
-    per evaluated cell.  The loop stops when no cell is left, when halving
+    Budget.  WORK_BUDGET, the constant MAX_BOX_CELLS = 2^24, counts work:
+    one unit per grid point and K per evaluated cell.  No coarse grid
+    exceeds MAX_BOX_CELLS (torus_values refuses it), so evaluations never
+    exceed the budget.  The loop stops when no cell is left, when halving
     no longer shrinks a cell, (threshold) at a fail, or when a level would
     exceed the budget; then the units left buy the finest grid of g that
     fits, whose Ehlich-Zeller bound replaces spread where it is tighter
@@ -284,7 +278,6 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    budget = _grid_budget()
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
         return OperatorNormBracket(value, value, threshold is None or value <= threshold,
@@ -297,7 +290,7 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     r, eps = len(widths), float(np.finfo(float).eps)
 
     sizes = tuple(_next_pow2(4 * w) for w in widths)
-    if math.prod(sizes) > budget:
+    if math.prod(sizes) > WORK_BUDGET:
         sizes = tuple(_next_pow2(2 * w - 1) for w in widths)
     # g's box under negated exponents: torus_values pairs e with e^{-i e.phi}
     top = m.max(axis=0)
@@ -309,10 +302,10 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     for col, w in enumerate(weights.T):
         box[cells] = w
         vals[:, col] = torus_values(box, tuple(-top), sizes).reshape(-1)
-        err[col] = _fft_error(sizes, float(np.linalg.norm(w)))
+        err[col] = _fft_error(sizes, math.sqrt(energy(w)))
     # the gradient weights i m_ja c_j are rounded once, by at most u |m_ja c_j|
     err[1:] += eps / 2.0 * np.abs(weights[:, 1:]).sum(axis=0)
-    norm = float(np.linalg.norm(coefs))
+    norm = math.sqrt(energy(coefs))
     spread = _grid_bound(np.abs(vals[:, 0]), sizes, widths, norm)
     centres = _grid_angles(np.arange(len(vals)), sizes)
     delta = np.array([math.nextafter(math.pi / n, math.inf) for n in sizes])
@@ -338,11 +331,11 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
         child = delta / 2.0 + 16.0 * eps
         if not len(centres) or (child > 0.75 * delta).any():
             break
-        if units + len(coefs) * len(offsets) * len(centres) > budget:
+        if units + len(coefs) * len(offsets) * len(centres) > WORK_BUDGET:
             # a cell costs K units and a grid point one: the units left buy
             # the finest grid that fits, doubled where n_a / M_a is largest
             fine = list(sizes)
-            while units + 2 * math.prod(fine) <= budget:
+            while units + 2 * math.prod(fine) <= WORK_BUDGET:
                 a = max(range(r), key=lambda a: (widths[a] - 1) / fine[a])
                 fine[a] *= 2
             if fine != list(sizes):
@@ -406,7 +399,8 @@ def _frank_wolfe(power: np.ndarray) -> dict:
     rho, m = {j: 1.0}, power[:, j]
     value = float(np.sqrt(m).sum())
     for _ in range(100):
-        j = int(np.argmax((1.0 / np.sqrt(np.maximum(m, np.finfo(float).tiny))) @ power))
+        pull = 1.0 / np.sqrt(np.maximum(m, np.finfo(float).tiny))
+        j = int(np.argmax(np.einsum("n,nj->j", pull, power)))
         q = power[:, j]
         step = lambda g: float(np.sqrt((1.0 - g) * m + g * q).sum())
         g = _golden_max(step)
@@ -473,9 +467,7 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
                       for k, w in zip(_exponents((1,) * p, widths), widths))
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
-    # numpy sums here and below, not BLAS dots (norm, vdot), so the report
-    # does not depend on the BLAS thread count
-    v *= 1.0 / math.sqrt(float(np.sum(np.square(v.real)) + np.sum(np.square(v.imag))))
+    v *= 1.0 / math.sqrt(energy(v))
     # no adjoint image wraps on this grid: each has at most W_a + d_a cells
     # per axis, and its symbol is conj(hhat_n) vhat
     grid = tuple(_next_pow2(w + hi - lo) for w, lo, hi in zip(widths, lows, highs))
@@ -591,7 +583,7 @@ def l1l2_gain(h: ScaleTimeSignal) -> StabilityReport:
     sum is finite, and the squared norm is the plain coefficient energy;
     the Hermite-side statement gives the same number.
     """
-    total = float(sum(np.vdot(s.array, s.array).real for s in h.slices))
+    total = float(energy(h.stack.array))
     gain = math.sqrt(total)
     return StabilityReport(
         property="l1_l2",
@@ -606,8 +598,9 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     """Unit-energy input concentrated at one symbol frequency.
 
     u_m(k) = e^{-i(m phi + k.theta)} on [0, time_len) x box, normalized to
-    total energy one; thetas=() means theta = 0.  Away from the window's
-    edges h scales it by generalized_transfer(h, e^{i phi}, e^{i theta}) =
+    total energy one; thetas=() means theta = 0, and box (one (lo, hi) per
+    axis) the origin.  Away from the window's edges h scales it by
+    generalized_transfer(h, e^{i phi}, e^{i theta}) =
     sum c_e e^{+i e.(phi, theta)}, so dissipativity_check's argmax replays.
     """
     if time_len < 1:
@@ -615,8 +608,11 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     thetas = tuple(float(t) for t in thetas) or (0.0,) * arity
     if len(thetas) != arity:
         raise ValueError(f"resonant_input needs {arity} angles, got {len(thetas)}")
-    origin = tuple(int(lo) for lo, _ in box) if box else (0,) * arity
-    widths = tuple(int(hi) - int(lo) + 1 for lo, hi in box) if box else (1,) * arity
+    box = [(int(lo), int(hi)) for lo, hi in box] if box is not None else [(0, 0)] * arity
+    if len(box) != arity or any(lo > hi for lo, hi in box):
+        raise ValueError(f"box must hold {arity} (lo, hi) ranges with lo <= hi, got {box!r}")
+    origin = tuple(lo for lo, _ in box)
+    widths = tuple(hi - lo + 1 for lo, hi in box)
     shape = check_box((time_len,) + widths)
     exps = _exponents((0,) + origin, shape)
     phase = exps[0] * phi + sum(e * t for e, t in zip(exps[1:], thetas))

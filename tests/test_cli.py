@@ -110,6 +110,24 @@ class TestAnalyze:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def reports_at_one_and_two_threads(path, prop, tol):
+        """The exit codes and report bytes of one analyze request run at one
+        and at two BLAS threads, the two processes side by side."""
+        procs = []
+        for threads in ("1", "2"):
+            out = path.with_name(f"{prop}-{threads}.json")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            procs.append((out, subprocess.Popen(
+                [sys.executable, "-m", "scalekit.cli", "analyze", "--property", prop,
+                 "--system", str(path), "--tol", tol, "--out", str(out)],
+                stderr=subprocess.PIPE, text=True, env=env)))
+        results = []
+        for out, proc in procs:
+            err = proc.communicate(timeout=120)[1]
+            results.append((proc.returncode, err, out.read_bytes()))
+        return results
+
     def test_bibo_report_independent_of_blas_threads(self, tmp_path):
         # the p=2 witness has 2^16 cells, enough for OpenBLAS to split a dot
         # product or a norm over its threads; the report must not depend on
@@ -119,17 +137,23 @@ class TestAnalyze:
         write_system(path, [{(k1, k2): complex(*(0.2 * rng.standard_normal(2)))
                              for k1 in range(3) for k2 in range(3)} for _ in range(2)],
                      arity=2)
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"r{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            result = subprocess.run(
-                [sys.executable, "-m", "scalekit.cli", "analyze", "--property", "bibo",
-                 "--system", str(path), "--tol", "1e-3", "--out", str(out)],
-                capture_output=True, text=True, env=env)
-            assert result.returncode == 0, result.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        one, two = self.reports_at_one_and_two_threads(path, "bibo", "1e-3")
+        assert one[0] == 0, one[1]
+        assert one == two
+
+    @pytest.mark.parametrize("prop, code", [("l1l2", 0), ("dissipative", 1), ("bibo", 0)])
+    def test_long_slice_report_independent_of_blas_threads(self, tmp_path, prop, code):
+        # one p=1 slice of 12,000 terms: the coefficient energy, the slice
+        # norms and the witness value each sum 12,000 products, which a BLAS
+        # dot splits over its threads; exponents -6000 .. 5999 leave the
+        # system outside the cone, so dissipative skips its Gram sample
+        path = tmp_path / "sys.csv"
+        rng = np.random.default_rng(1)
+        terms = rng.standard_normal((1, 12000)) + 1j * rng.standard_normal((1, 12000))
+        skio.write_time_signal(ScaleTimeSignal.from_dense(terms, (-6000,)), str(path))
+        one, two = self.reports_at_one_and_two_threads(path, prop, "1e-3")
+        assert one[0] == code, one[1]
+        assert one == two
 
 
 class TestFilterOracle:

@@ -11,6 +11,7 @@ from scalekit import (
     stieltjes_invert,
     toeplitz_psd_check,
 )
+from scalekit.cli import main
 
 TWO_PI = 2 * math.pi
 
@@ -34,11 +35,19 @@ class TestMomentSequence:
             MomentSequence(())
 
     def test_negative_t0_allowed_then_rejected_by_check(self):
+        # the matrix [[-1, 0.5], [0.5, -1]] has eigenvalues -1.5 and -0.5
         ms = MomentSequence((-1.0, 0.5))
         report = toeplitz_psd_check(ms)
         assert not report.is_psd
-        assert report.order == 0
-        assert report.min_eigenvalue == -1.0
+        assert report.order == 2
+        assert report.min_eigenvalue == pytest.approx(-1.5, rel=1e-15)
+
+    def test_negative_t0_within_tol_is_psd(self, tmp_path):
+        report = toeplitz_psd_check(MomentSequence((-1e-12, 0.0)), tol=1e-9)
+        assert report.is_psd
+        assert report.min_eigenvalue == pytest.approx(-1e-12, rel=1e-15)
+        assert main(["moments-check", "--moments", '{"t": [[-1e-12, 0]]}', "--tol", "1e-9",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestToeplitzPsd:

@@ -309,7 +309,7 @@ class TestGridCap:
 
         monkeypatch.setattr(stability, "torus_values", recording)
         h = ScaleTimeSignal([ScaleSignal({(0,) * 5: 0.5, (1,) * 5: 0.25}, arity=5)])
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 15))
+        monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 15)
         report = bibo_analysis(h)
         assert (16,) * 5 in grids
         assert all(math.prod(g) <= MAX_BOX_CELLS for g in grids)

@@ -21,6 +21,7 @@ from scalekit import (
     mult_operator_norm,
     resonant_input,
 )
+import scalekit.stability as stability
 from scalekit.cli import main
 from scalekit.io import write_time_signal
 from scalekit.spectral import torus_values
@@ -75,7 +76,7 @@ class TestMultOperatorNorm:
         # the 32^2 coarse grid, too few 36-unit cells to refine it and one
         # 64 x 32 grid
         h = peaked_box(np.random.default_rng(2), (6, 6))
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
+        monkeypatch.setattr(stability, "WORK_BUDGET", 4096)
         b = mult_operator_norm(h, tol=1e-12)
         assert not b.certified
         assert b.evaluations <= 4096
@@ -84,10 +85,10 @@ class TestMultOperatorNorm:
     def test_budget_env_override(self, monkeypatch):
         # tol 1e-9 takes the 6 x 6 box far beyond 4096 units of work
         h = peaked_box(np.random.default_rng(3), (6, 6))
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", "4096")
+        monkeypatch.setattr(stability, "WORK_BUDGET", 4096)
         b = mult_operator_norm(h, tol=1e-9)
         assert not b.certified
-        monkeypatch.delenv("SCALEKIT_MAX_GRID")
+        monkeypatch.undo()
         b = mult_operator_norm(h, tol=1e-9)
         assert b.certified
         assert b.evaluations > 4096
@@ -98,7 +99,7 @@ class TestMultOperatorNorm:
         # 64 x 64 x 32 grid, whose Ehlich-Zeller bound (9% here) is much
         # tighter than the coarse cells' (19%)
         h = peaked_box(np.random.default_rng(4), (6, 6, 6))
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 18))
+        monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 18)
         b = mult_operator_norm(h, tol=1e-9)
         sup = np.abs(h.array).sum()
         assert not b.certified
@@ -110,18 +111,12 @@ class TestMultOperatorNorm:
         # the roundoff of the direct evaluations is a few ulps of sum |c|,
         # so no refinement brackets 1 + z to 1e-16; 2^16 units keep it short
         h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 16))
+        monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 16)
         b = mult_operator_norm(h, tol=1e-16)
         assert not b.certified
         assert b.upper - b.lower > 1e-16 * b.lower
         assert b.lower <= 2.0 <= b.upper
         assert b.upper - b.lower <= 1e-13
-
-    def test_budget_above_box_cap_refused_up_front(self, monkeypatch):
-        h = ScaleSignal({(0,): 1.0, (1,): 1.0}, arity=1)
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 25))
-        with pytest.raises(ValueError, match="MAX_BOX_CELLS"):
-            mult_operator_norm(h, tol=1e-12)
 
     def test_witness_angles_replay_lower_bound(self):
         # the symbol is sum_k h(k) e^{+i k theta}, the convention of
@@ -396,6 +391,12 @@ class TestDissipativity:
         zero_angles = resonant_input(2, 4, 0.5)
         assert zero_angles.distance(resonant_input(2, 4, 0.5, (0.0, 0.0))) == 0.0
 
+    @pytest.mark.parametrize("box", [[(2, 0)], [(0, 2), (1, 1)], []])
+    def test_resonant_input_checks_box(self, box):
+        # one (lo, hi) range per scale axis, lo <= hi
+        with pytest.raises(ValueError, match=r"box must hold 1 \(lo, hi\) ranges"):
+            resonant_input(1, 3, 0.0, box=box)
+
     @pytest.mark.parametrize("time_len", [0, -1])
     def test_resonant_input_refuses_empty_window(self, time_len):
         with pytest.raises(ValueError, match="time_len must be >= 1"):
@@ -525,7 +526,7 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
     def test_sup_above_slack_never_passes(self, tol, monkeypatch):
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 15))
+        monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 15)
         rng = np.random.default_rng(21)
         for p in (1, 2):
             for on_grid in (True, False, False):
@@ -538,7 +539,7 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
     def test_sup_within_slack_never_fails(self, tol, monkeypatch):
-        monkeypatch.setenv("SCALEKIT_MAX_GRID", str(1 << 15))
+        monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 15)
         rng = np.random.default_rng(22)
         for p in (1, 2):
             for on_grid in (True, False, False):
@@ -586,7 +587,7 @@ class TestThresholdSweep:
                                      (size,) * (p + 1))).max()
         h = ScaleTimeSignal([s.scaled(target / coarse) for s in h.slices], arity=p)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("SCALEKIT_MAX_GRID", str(1 << 16))
+            mp.setattr(stability, "WORK_BUDGET", 1 << 16)
             report = dissipativity_check(h, tol=tol)
         bracket = report.sup_bracket
         if report.verdict == "pass":
@@ -702,9 +703,11 @@ class TestToleranceGrid:
         widths = (max(widths[0], 2), *widths[1:])  # at least two terms
         rng = np.random.default_rng(seed)
         h = corner_signal(rng, widths)
+        budget = 1 << budget_log
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("SCALEKIT_MAX_GRID", str(1 << budget_log))
+            mp.setattr(stability, "WORK_BUDGET", budget)
             b = mult_operator_norm(h, tol=tol)
+        assert b.evaluations <= budget
         if b.certified:
             assert b.upper - b.lower <= tol * b.lower
         size = {1: 256, 2: 32, 3: 12}[len(widths)]
