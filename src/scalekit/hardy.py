@@ -4,14 +4,14 @@ The map sends the coefficients of f to those of (1/(b* z + a*)) f(phi(z)),
 where phi(z) = (a z + b)/(b* z + a*).  The operator is an isometry of the
 coefficient l2 norm; outputs carry a certified l2 bound on everything the
 returned head misses: the discarded tail and the aliasing of the sampled
-evaluation.  The bound is a Cauchy estimate on circles |z| = R > 1, where
-max |f(phi(z))| comes from samples of f on the image circle through the
-grid inequality that also brackets torus suprema (spectral.grid_shrink).
-scale_transform keeps only the first time_len coefficients of each image
-and samples just those, on a circle |z| = rho <= 1 that trades aliasing
-for a roundoff amplification rho^-k (Lyness and Moler, SIAM J. Numer.
-Anal. 1967; Bornemann, Found. Comput. Math. 2011), roundoff included in
-its bound (_head_grid).
+evaluation.  The bound is a Cauchy estimate on circles |z| = R > 1, where max
+|f(phi(z))| comes from the plain sum of |f_k| |w|^k on the image circle, or
+from samples of f there through the grid inequality that also brackets torus
+suprema (spectral.grid_shrink).  scale_transform samples those only where the
+plain sum fails, and of each image only the first time_len coefficients, on
+a circle |z| = rho <= 1 that trades aliasing for a roundoff amplification
+rho^-k (Lyness and Moler, SIAM J. Numer. Anal. 1967; Bornemann, Found.
+Comput. Math. 2011), roundoff included in its bound (_head_grid).
 """
 
 from __future__ import annotations
@@ -82,62 +82,72 @@ def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _certified_length(coeffs: np.ndarray, m: SuMatrix, tol: float):
-    """Smallest output length n whose certified l2 error bound is <= tol.
-
-    The transformed series is analytic up to the pole -d/c of radius
-    R0 = |d|/|c| > 1.  phi maps the circle |z| = R < R0 onto the circle
-    Gamma_R of center a b (1 - R^2) / (|a|^2 - |b|^2 R^2) and radius
-    R (|a|^2 - |b|^2) / (|a|^2 - |b|^2 R^2), on which f of degree d is a
-    trigonometric polynomial of degree d in the angle.  Its samples at
-    M > 2d equispaced angles bound max |f| on Gamma_R by the grid inequality
-    (spectral.grid_shrink).  Gamma_R encloses the unit disc, so each sample
-    is evaluated as w^d f~(1/w), f~ the reversed coefficients, with w^d in
-    log space; the Horner roundoff is at most gamma P, where the plain sum
-    P = sum_k |f_k| (max |w|)^k also caps the bound, and alone bounds max |f|
-    when the grid's Horner work 9 M (d + 1) exceeds MAX_BOX_CELLS.  Roundoff
-    in the sample points is not yet inside the bound.  Over |d| - |c| R this
-    bounds M(R) = max_{|z|=R} |g|, so |g_k| <= M(R) R^-k (Cauchy).
-    With C = M(R) / sqrt(1 - R^-2) and q = R^-n, the coefficient tail beyond
-    n has l2 norm <= C q, and sampling at N >= 2n roots of unity adds
-    g_{k+N} + g_{k+2N} + ... to each head coefficient, of l2 norm
-    <= C q^2 / (1 - q^2).  Requiring q <= tol / (C + tol) keeps the sum
-    <= tol.  Minimized over a ladder of radii, all evaluated at once; a
-    radius that rounds onto 1 or R0 certifies nothing, and a bound beyond
-    double range is reported as inf.  Returns n, the bound, and the ladder
-    (log C, log R) for _head_grid.
-    """
+def _plain_ladder(coeffs: np.ndarray, m: SuMatrix):
+    """The ladder of nine circles |z| = R, 1 < R < R0 = |d|/|c| (the pole of
+    the image): f trimmed, R, |d| - |c| R, and the center a b (1 - R^2) s
+    and radius R (|a|^2 - |b|^2) s, s = 1 / (|a|^2 - |b|^2 R^2), of their
+    images Gamma_R under phi (as columns); last log_sup = log P, where
+    P = sum_k |f_k| (max |w|)^k >= max |f| on Gamma_R, one radius at a time
+    so that memory stays O(deg f)."""
     f = np.trim_zeros(coeffs, "b")
-    deg = f.size - 1
     abs_a, abs_b = abs(m.a), abs(m.b)
     radius = (abs_a / abs_b) ** np.array([0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97])
-    size = 1 << (2 * deg).bit_length()
-    gamma = (2 * deg + 2) * np.finfo(float).eps   # complex Horner, Higham Lemma 3.5
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = abs_a - abs_b * radius                    # |d| - |c| R
         scale = 1.0 / (den * (abs_a + abs_b * radius))  # 1 / (|a|^2 - |b|^2 R^2)
         center = (m.a * m.b * (1.0 - radius ** 2) * scale)[:, None]
         rad = (radius * (abs_a ** 2 - abs_b ** 2) * scale)[:, None]
-        # log P, one radius at a time so that memory stays O(deg f)
         log_f, k = np.log(np.abs(f)), np.arange(f.size)
-        log_sup = np.array([np.logaddexp.reduce(log_f + k * log_w)
-                            for log_w in np.log(np.abs(center[:, 0]) + rad[:, 0])])
-        if radius.size * size * f.size <= MAX_BOX_CELLS:
-            w = center + rad * np.exp(2j * math.pi * np.arange(size) / size)
-            reversed_vals = _horner(1.0 / w, f[::-1])  # w^-d f(w)
-            log_grid = (deg * np.log(np.abs(w)) + np.log(np.abs(reversed_vals))).max(axis=1)
-            log_sample = np.logaddexp(log_grid, math.log(gamma) + log_sup)
-            log_sup = np.fmin(log_sample - math.log(grid_shrink((f.size,), (size,))), log_sup)
+        log_p = np.array([np.logaddexp.reduce(log_f + k * log_w)
+                          for log_w in np.log(np.abs(center[:, 0]) + rad[:, 0])])
+    return f, radius, den, center, rad, log_p
+
+
+def _sampled_ladder(circles):
+    """_plain_ladder's circles, log_sup from samples and at most log P.  On
+    Gamma_R, f of degree d is a trigonometric polynomial of degree d in the
+    angle, bounded by samples at M > 2d angles (spectral.grid_shrink).  The
+    circle encloses the unit disc, so a sample is w^d f~(1/w), f~ reversed,
+    w^d in log space, and its Horner roundoff is at most gamma P.  P stays
+    when the Horner work 9 M (d + 1) would exceed MAX_BOX_CELLS.  Roundoff
+    in the sample points is not yet inside the bound."""
+    f, radius, den, center, rad, log_p = circles
+    deg = f.size - 1
+    size = 1 << (2 * deg).bit_length()
+    if center.size * size * f.size > MAX_BOX_CELLS:
+        return circles
+    gamma = (2 * deg + 2) * np.finfo(float).eps   # complex Horner, Higham Lemma 3.5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = center + rad * np.exp(2j * math.pi * np.arange(size) / size)
+        reversed_vals = _horner(1.0 / w, f[::-1])  # w^-d f(w)
+        log_grid = (deg * np.log(np.abs(w)) + np.log(np.abs(reversed_vals))).max(axis=1)
+        log_sample = np.logaddexp(log_grid, math.log(gamma) + log_p)
+        shrink = math.log(grid_shrink((f.size,), (size,)))
+        return f, radius, den, center, rad, np.fmin(log_sample - shrink, log_p)
+
+
+def _certified_length(circles, tol: float):
+    """Smallest output length n whose certified l2 error bound is <= tol,
+    from the circles' log_sup >= log max |f| on each Gamma_R.  Over
+    |d| - |c| R it bounds M(R) = max_{|z|=R} |g|, so |g_k| <= M(R) R^-k
+    (Cauchy).  With C = M(R) / sqrt(1 - R^-2) and q = R^-n, the tail beyond
+    n has l2 norm <= C q, and sampling at N >= 2n roots of unity adds
+    g_{k+N} + g_{k+2N} + ... to each head coefficient, of l2 norm
+    <= C q^2 / (1 - q^2); q <= tol / (C + tol) keeps the sum <= tol.  A
+    radius that rounds onto 1 or R0 certifies nothing, and a bound beyond
+    double range is reported as inf.  Returns n, the bound, and the ladder
+    (log C, log R) for _head_grid."""
+    _, radius, den, _, _, log_sup = circles
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_base = log_sup - np.log(den) - 0.5 * np.log1p(-radius ** -2.0)
         log_r = np.log(radius)
         log_tol = math.log(tol)
         need = np.ceil((np.logaddexp(log_base, log_tol) - log_tol) / log_r)
         n = need[need <= MAX_LEN].min(initial=np.inf)
-        certified = n <= MAX_LEN
-        x = (n if certified else MAX_LEN) * log_r   # log of C q (1 + q / (1 - q^2))
+        x = min(n, MAX_LEN) * log_r   # log of C q (1 + q / (1 - q^2))
         log_bound = log_base - x + np.log1p(np.exp(-x) / -np.expm1(-2.0 * x))
         bound = float(np.exp(np.fmin.reduce(log_bound, initial=np.inf)))
-    if not certified:
+    if n > MAX_LEN:
         raise TruncationError(
             f"truncation not converged: certified bound {bound:.3e} at "
             f"length {MAX_LEN} exceeds tol={tol:.3e}",
@@ -290,7 +300,7 @@ def transform_coeffs(m: SuMatrix, f, tol: float) -> CoeffSeq:
     exact = _exact_image(m, f, tol)
     if exact is not None:
         return exact
-    n_out, bound, _ = _certified_length(f.coeffs, m, tol)
+    n_out, bound, _ = _certified_length(_sampled_ladder(_plain_ladder(f.coeffs, m)), tol)
     size = 1 << (2 * n_out - 1).bit_length()
     return CoeffSeq(_sample_head(m, f.coeffs, n_out, size, 1.0), bound + f.tail_bound)
 
@@ -302,11 +312,11 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
     Column at index idx holds the first time_len coefficients of the image
     of x under group.element(idx); row n collects the n-th coefficient of
     every column.  The columns fill one (time_len, window box) array.
-    _certified_length still runs for each column (it raises where
-    transform_coeffs would), but only time_len rows are sampled, on the
-    circle and at the count _head_grid picks: each column is within tol,
-    plus the roundoff it states, of the exact coefficients, rows past the
-    certified length included.
+    Each column is certified from the plain sum, or where that fails from
+    the ladder's samples (raising where transform_coeffs would); only
+    time_len rows are sampled, on the circle and at the count _head_grid
+    picks: each column is within tol, plus the roundoff it states, of the
+    exact coefficients, rows past the certified length included.
     """
     x = _as_coeffseq(x)
     window = [as_index(idx, group.p) for idx in scale_window]
@@ -325,7 +335,11 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
         try:
             col = _exact_image(mat, x, tol)
             if col is None:
-                n_out, _, ladder = _certified_length(x.coeffs, mat, tol)
+                circles = _plain_ladder(x.coeffs, mat)
+                try:   # the samples only tighten P, so they serve where P fails
+                    n_out, _, ladder = _certified_length(circles, tol)
+                except TruncationError:
+                    n_out, _, ladder = _certified_length(_sampled_ladder(circles), tol)
                 rho, size, _ = _head_grid(mat, x.coeffs, time_len, n_out, ladder, tol)
                 col = _sample_head(mat, x.coeffs, time_len, size, rho)
             else:

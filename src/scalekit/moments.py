@@ -69,7 +69,8 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
     idx = np.arange(col.size)
     diff = idx[:, None] - idx[None, :]
     matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
-    eigs = np.linalg.eigvalsh(matrix)
+    # (I + iJ)/sqrt 2, J the exchange matrix, carries A + iB to real symmetric A - BJ
+    eigs = np.linalg.eigvalsh(matrix.real - matrix.imag[:, ::-1])
     min_eig = float(eigs[0])
     return PsdReport(bool(min_eig >= -tol), min_eig, len(ms.t))
 

@@ -327,11 +327,11 @@ class ScaleTimeSignal:
         if kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
         steps = energy(self.stack.array, axis=tuple(range(1, self.arity + 1)))
+        if kind == "energy":
+            return float(np.sum(steps))
         slice_norms = np.sqrt(steps).tolist()
         if kind == "sup_l2":
             return max(slice_norms, default=0.0)
-        if kind == "energy":
-            return float(sum(x * x for x in slice_norms))
         return float(sum(slice_norms))
 
     def scale_causal_projection(self) -> "ScaleTimeSignal":

@@ -229,9 +229,10 @@ class TestStackedTimeSignal:
             assert got.arity == arity
             assert dict(got.items()) == (ref[n] if 0 <= n < len(ref) else {})
         # slice by slice, in time order; dyadic values keep every sum exact
-        l2 = [math.sqrt(sum(v.real ** 2 + v.imag ** 2 for v in d.values())) for d in ref]
+        energies = [sum(v.real ** 2 + v.imag ** 2 for v in d.values()) for d in ref]
+        l2 = [math.sqrt(e) for e in energies]
         assert sig.norm("sup_l2") == max(l2, default=0.0)
-        assert sig.norm("energy") == sum(x * x for x in l2)
+        assert sig.norm("energy") == sum(energies)
         assert sig.norm("l1_l2") == sum(l2)
         cone = sig.scale_causal_projection()
         assert cone.time_len == len(ref)

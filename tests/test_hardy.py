@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,6 +363,42 @@ class TestScaleTransform:
         scale_transform(g, f, [(12,)], time_len=256, tol=1e-9)
         assert len(sizes) == 1 and sizes[0] <= 4096
 
+    def test_plain_sum_decides_before_sampling(self, monkeypatch):
+        # the transform benchmark's deepest one-generator window: the plain
+        # sum P certifies every column, so no ladder circle is sampled
+        calls = []
+        sampled = hardy._sampled_ladder
+
+        def counted(circles):
+            calls.append(len(circles[0]))
+            return sampled(circles)
+
+        monkeypatch.setattr(hardy, "_sampled_ladder", counted)
+        g = make_group([make_scale_shift(0.6, 0.2)])
+        rng = np.random.default_rng(63)
+        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        f /= np.linalg.norm(f)
+        scale_transform(g, f, [(k,) for k in range(12)], time_len=256, tol=1e-9)
+        assert calls == []
+        # within the budget only from the samples (P needs 174 at degree 64)
+        h = make_group([make_scale_shift(0.8, 0.2)])
+        rng = np.random.default_rng(64)
+        f64 = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        f64 /= np.linalg.norm(f64)
+        monkeypatch.setattr(hardy, "MAX_LEN", 171)
+        transform_coeffs(h.element((3,)), f64, 1e-9)
+        scale_transform(h, f64, [(3,)], time_len=256, tol=1e-9)
+        assert calls == [65, 65]
+        # over the budget: the samples decide, and the error is transform_coeffs's
+        monkeypatch.setattr(hardy, "MAX_LEN", 64)
+        with pytest.raises(TruncationError) as col:
+            scale_transform(g, f, [(11,)], time_len=256, tol=1e-9)
+        with pytest.raises(TruncationError) as err:
+            transform_coeffs(g.element((11,)), f, 1e-9)
+        assert calls == [65, 65, 64, 64]
+        assert str(col.value) == f"scale index (11,): {err.value}"
+        assert col.value.achieved_bound == err.value.achieved_bound
+
     @settings(max_examples=30)
     @given(mult=st.floats(0.5, 0.95), theta=st.floats(-0.99, 0.99),
            scale=st.integers(-6, 8), degree=st.integers(0, 63),
@@ -387,11 +424,19 @@ class TestScaleTransform:
             return
         time_len = {"one": 1, "below": max(1, int(frac * (n_out - 1))),
                     "above": n_out + 1 + int(frac * n_out)}[rows]
-        excess = 0.0
-        if abs(m.b) > 0.0:
-            _, _, ladder = hardy._certified_length(f, m, tol)
-            _, _, excess = hardy._head_grid(m, f, time_len, n_out, ladder, tol)
-        col = scale_transform(g, f, [(scale,)], time_len, tol).to_dense()[0][:, 0]
+        # the roundoff excess of the (rho, N) that scale_transform picks, from
+        # the ladder it certified the column with
+        grids = []
+        head_grid = hardy._head_grid
+
+        def recorded(*args):
+            grids.append(head_grid(*args))
+            return grids[-1]
+
+        with mock.patch.object(hardy, "_head_grid", recorded):
+            col = scale_transform(g, f, [(scale,)], time_len, tol).to_dense()[0][:, 0]
+        assert len(grids) == (abs(m.b) > 0.0)
+        excess = grids[0][2] if grids else 0.0
         size = 8 << (2 * max(n_out, time_len) - 1).bit_length()
         z = np.exp(2j * np.pi * np.arange(size) / size)
         den = m.c * z + m.d
