@@ -24,7 +24,7 @@ import numpy as np
 from .group import ScaleGroup
 from .moebius import SuMatrix
 from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, energy, zeros_box
-from .spectral import _fft_error, grid_shrink
+from .spectral import _fft_error, _horner, grid_shrink
 
 __all__ = ["CoeffSeq", "TruncationError", "transform_coeffs", "scale_transform", "MAX_LEN"]
 
@@ -68,18 +68,6 @@ def _as_coeffseq(f) -> CoeffSeq:
     if isinstance(f, CoeffSeq):
         return f
     return CoeffSeq(np.asarray(f, dtype=complex))
-
-
-def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] x^k elementwise for complex x, by Horner's rule in
-    one accumulator: the operations of np.polynomial.polynomial.polyval,
-    in its order and so bit-identical to it, without a temporary per step."""
-    acc = x * 0
-    acc += coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc *= x
-        acc += c
-    return acc
 
 
 def _plain_ladder(coeffs: np.ndarray, m: SuMatrix):
@@ -279,11 +267,11 @@ def transform_coeffs(m: SuMatrix, f, tol: float) -> CoeffSeq:
 
     Samples g(z) = f(phi(z)) / (b* z + a*) at the N-th roots of unity, N the
     power of two >= 2n for the certified output length n, evaluating f by
-    Horner's rule in w = phi(z).  One FFT (the periodic trapezoidal rule)
-    turns the samples into g_k + g_{k+N} + g_{k+2N} + ...; the first n are
-    returned.  g is analytic beyond the unit circle, so the aliased terms
-    obey the same Cauchy estimate as the discarded tail, and tail_bound
-    covers both (see _certified_length).
+    Horner's rule in w = phi(z) (spectral._horner).  One FFT (the periodic
+    trapezoidal rule) turns the samples into g_k + g_{k+N} + g_{k+2N} + ...;
+    the first n are returned.  g is analytic beyond the unit circle, so the
+    aliased terms obey the same Cauchy estimate as the discarded tail, and
+    tail_bound covers both (see _certified_length).
 
     Parameters
     ----------

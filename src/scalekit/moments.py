@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import check_box
+from .spectral import _horner
 
 __all__ = ["MomentSequence", "PsdReport", "HerglotzValue", "toeplitz_psd_check",
            "herglotz_eval", "stieltjes_invert"]
@@ -76,12 +77,12 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
 
 
 def herglotz_eval(ms: MomentSequence, z: complex) -> HerglotzValue:
-    """Truncated t_0 + 2 sum t_n z^n inside the disc, plus the truncation
-    order so the caller can bound the omitted tail."""
+    """Truncated t_0 + 2 sum t_n z^n inside the disc by Horner's rule
+    (spectral._horner), and the order, for the caller to bound the tail."""
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError(f"evaluation requires |z| < 1, got |z| = {abs(z)!r}")
-    value = complex(np.polynomial.polynomial.polyval(z, ms.herglotz_coeffs()))
+    value = complex(_horner(z, ms.herglotz_coeffs()))
     return HerglotzValue(value, ms.order)
 
 

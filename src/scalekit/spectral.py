@@ -1,10 +1,8 @@
 """Fourier analysis on the scale lattice, transfer functions, and the
-Hermite transform, which evaluates a scale signal as a Laurent polynomial.
-
-The forward transform pairs an exponent k with e^{-i k.theta} on a uniform
-torus grid; the Hermite transform relabels the same coefficients as powers
-z^k with no conjugation.  Evaluating the Hermite transform at e^{i theta}
-therefore reproduces the forward transform at -theta.
+Hermite transform, which evaluates a scale signal as a Laurent polynomial:
+it relabels the forward transform's pairing of an exponent k with
+e^{-i k.theta} on a torus grid as powers z^k with no conjugation, so at
+e^{i theta} it reproduces the forward transform at -theta.
 
 Every torus evaluation goes through torus_values.  On the grid
 theta_j = 2 pi j / n the character e^{-i k theta_j} depends on k only
@@ -13,10 +11,18 @@ coefficients with congruent exponents) and one FFT gives the grid values
 exactly, whatever the support width.  The converse needs the width guard:
 the inverse FFT returns the folded sums, which equal the coefficients only
 when no two exponents of the support are congruent.
+
+Every evaluation off the grid is Horner's rule along the leading axis of a
+box (_horner): nested over the box axes in _evaluate (hermite_transform,
+generalized_transfer, the Gram sample of stability.dissipativity_check),
+over time in transfer_grid, and in one variable in hardy and
+moments.herglotz_eval.  A value is within _gamma(4 sum_a (w_a + 2 |lo_a|))
+sum_e |c_e z^e| of the exact sum, w_a the widths, lo the origin (_evaluate).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,9 +55,7 @@ class SpectrumGrid:
         sizes = tuple(int(s) for s in self.grid_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"grid sizes must be positive, got {sizes!r}")
-        vals = np.asarray(self.values, complex)
-        if vals.shape != sizes:
-            vals = vals.reshape(sizes)
+        vals = np.asarray(self.values, complex).reshape(sizes)
         object.__setattr__(self, "grid_sizes", sizes)
         object.__setattr__(self, "values", vals)
 
@@ -169,28 +173,36 @@ def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:
     return ScaleSignal._from_box(box, tuple(lo for lo, _ in window))
 
 
-def _powers(w, lo: int, count: int) -> np.ndarray:
-    return np.asarray(w, complex)[..., None] ** np.arange(lo, lo + count)
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule along the leading axis, x
+    broadcast against each slab, in one accumulator updated in place (zeros
+    for no coeffs); in 1-D it takes polyval's operations, so bit for bit."""
+    acc = x * 0 + (coeffs[-1] if len(coeffs) else np.zeros(coeffs.shape[1:]))
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
-def _evaluate(array: np.ndarray, origin, points) -> np.ndarray:
+def _evaluate(array: np.ndarray, origin, points: np.ndarray) -> np.ndarray:
     """sum_e c_e prod_a z_a^e_a over the box (array, origin) at each row z
-    of points (shape (count, p)): each leading axis is contracted with the
-    powers of its variable in turn, for all points at once."""
-    points = np.asarray(points, complex)
-    out = np.broadcast_to(array, (len(points),) + array.shape)
-    for w, lo in zip(points.T, origin):
-        out = np.einsum("ij,ij...->i...", _powers(w, lo, out.shape[1]), out)
-    return out
+    of the complex points (count, p): nested Horner, last axis first, for
+    all points at once, times z_a^origin_a.  Roundoff: a complex product
+    counts as three roundings and a sum as one (Higham, 2nd ed., Lemma 3.5
+    and section 5.1), and numpy's z^lo is within 4 |lo| eps relative where
+    |log |z|| <= 1, which gives the module docstring's bound."""
+    for a in reversed(range(array.ndim)):
+        w = points[:, a].reshape((-1,) + (1,) * a)
+        array = _horner(w, np.moveaxis(array, -1, 0)) * w ** origin[a]
+    return array
 
 
 def transfer_grid(h: ScaleTimeSignal, z: complex, grid_sizes) -> SpectrumGrid:
     """H(z, theta) = sum_n z^n hhat_n(theta) sampled on the torus grid."""
     for s in h.slices or (ScaleSignal.zero(h.arity),):
         sizes = _check_alias(s, grid_sizes)
-    stack = h.stack
-    folded = np.einsum("n,n...->...", _powers(z, stack.origin[0], len(stack.array)), stack.array)
-    return SpectrumGrid(sizes, torus_values(folded, stack.origin[1:], sizes))
+    folded = _horner(complex(z), h.stack.array) * complex(z) ** h.stack.origin[0]
+    return SpectrumGrid(sizes, torus_values(folded, h.stack.origin[1:], sizes))
 
 
 def hermite_transform(x: ScaleSignal, points) -> np.ndarray:
@@ -200,6 +212,8 @@ def hermite_transform(x: ScaleSignal, points) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != x.arity:
         raise ValueError(f"points must have shape (count, {x.arity})")
     for a, lo in enumerate(x.origin):
+        if not np.isfinite(points[:, a]).all():
+            raise ValueError(f"coordinate {a} of a point is not finite")
         if lo < 0 and not points[:, a].all():
             raise ZeroDivisionError(f"variable {a} is zero but negative powers are present")
     return _evaluate(x.array, x.origin, points)
@@ -210,17 +224,22 @@ def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
 
     When h carries negative scale exponents the scale variables must lie on
     the unit circle; cone-supported h evaluates anywhere in the closed
-    polydisc (and beyond, since the sum is finite).
+    polydisc (and beyond, since the sum is finite, unless it overflows).
     """
-    z = complex(z)
-    zs = [complex(w) for w in zs]
-    if len(zs) != h.arity:
+    point = [complex(w) for w in [z, *zs]]
+    if len(point) != h.arity + 1:
         raise ValueError(f"expected {h.arity} scale coordinates")
     stack = h.stack
-    for a in range(h.arity):
-        if stack.origin[1 + a] < 0 and abs(abs(zs[a]) - 1.0) > 1e-9:
+    for a, w in enumerate(point):
+        if not cmath.isfinite(w):
+            raise ValueError(f"{'z' if a == 0 else f'zs[{a - 1}]'} is not finite: {w!r}")
+        if stack.origin[a] < 0 and abs(abs(w) - 1.0) > 1e-9:
             raise ValueError("Laurent evaluation requires torus points")
-    return complex(_evaluate(stack.array, stack.origin, [[z] + zs])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_evaluate(stack.array, stack.origin, np.array([point]))[0])
+    if not cmath.isfinite(value):
+        raise ValueError(f"the transfer value overflows at z={point[0]!r}, zs={point[1:]!r}")
+    return value
 
 
 def haar_moment(group: ScaleGroup, idx) -> complex:

@@ -146,14 +146,17 @@ class TestAnalyze:
         # one p=1 slice of 12,000 terms: the coefficient energy, the slice
         # norms and the witness value each sum 12,000 products, which a BLAS
         # dot splits over its threads; exponents -6000 .. 5999 leave the
-        # system outside the cone, so dissipative skips its Gram sample
-        path = tmp_path / "sys.csv"
+        # system outside the cone, so dissipative skips its Gram sample, and
+        # at exponents 0 .. 11,999 dissipative runs it too
         rng = np.random.default_rng(1)
         terms = rng.standard_normal((1, 12000)) + 1j * rng.standard_normal((1, 12000))
-        skio.write_time_signal(ScaleTimeSignal.from_dense(terms, (-6000,)), str(path))
-        one, two = self.reports_at_one_and_two_threads(path, prop, "1e-3")
-        assert one[0] == code, one[1]
-        assert one == two
+        for origin in (-6000, 0) if prop == "dissipative" else (-6000,):
+            path = tmp_path / f"sys{origin}.csv"
+            skio.write_time_signal(ScaleTimeSignal.from_dense(terms, (origin,)), str(path))
+            one, two = self.reports_at_one_and_two_threads(path, prop, "1e-3")
+            assert one[0] == code, one[1]
+            assert one == two
+            assert (b"gram_min_eigenvalue" in one[2]) == (origin == 0)
 
 
 class TestFilterOracle:
@@ -359,6 +362,20 @@ class TestTransformCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert complex(*doc["value"]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("z, zs, message", [
+        ("[NaN, 0]", "[[0.5, 0]]", "error: z is not finite: (nan+0j)\n"),
+        ("[0.25, 0]", "[[0, Infinity]]", "error: zs[0] is not finite: infj\n"),
+        ("[0.25, 0]", "[[1e200, 0]]", "error: the transfer value overflows at "
+                                      "z=(0.25+0j), zs=[(1e+200+0j)]\n"),
+    ])
+    def test_gtf_eval_non_finite_is_usage_error(self, tmp_path, capsys, z, zs, message):
+        path = tmp_path / "s.json"
+        write_system(path, [{(2,): 1.0}, {(0,): 1.0}])
+        assert main(["gtf-eval", "--system", str(path), "--z", z, "--zs", zs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
 
 class TestVerify:

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalekit.hardy as hardy
+from scalekit.spectral import _horner
 from scalekit import (
     CoeffSeq,
+    MomentSequence,
     SuMatrix,
     TruncationError,
+    herglotz_eval,
     make_group,
     make_scale_shift,
     scale_transform,
@@ -288,9 +291,15 @@ class TestSampledTransform:
         line = 0.9 * np.exp(2j * np.pi * np.arange(1000) / 1000)
         for x, coeffs in ((grid, c), (line, c), (line, c[:1]), (grid, c[::-1])):
             ref = np.polynomial.polynomial.polyval(x, coeffs)
-            out = hardy._horner(x, coeffs)
+            out = _horner(x, coeffs)
             np.testing.assert_array_equal(out, ref)
             assert out.tobytes() == ref.tobytes()
+        # herglotz_eval: a Python complex point and the moments' coefficients
+        ms = MomentSequence((1.0,) + tuple(0.3 * c[1:40]))
+        for z in (0.5 - 0.25j, complex(-0.0, 0.9), 0j):
+            ref = np.polynomial.polynomial.polyval(z, ms.herglotz_coeffs())
+            out = herglotz_eval(ms, z).value
+            assert np.complex128(out).tobytes() == np.complex128(ref).tobytes()
 
 
 class TestScaleTransform:

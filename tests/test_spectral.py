@@ -24,7 +24,7 @@ from scalekit import (
 )
 from scalekit.cli import main
 from scalekit.signals import MAX_BOX_CELLS
-from scalekit.spectral import torus_values
+from scalekit.spectral import _evaluate, _gamma, _horner, torus_values
 from helpers import random_scale_signal, random_time_signal, torus_points
 
 
@@ -253,6 +253,125 @@ class TestGeneralizedTransfer:
             )
             reflected = grid.values[(-np.arange(16)) % 16]
             assert np.abs(vals - reflected).max() < 1e-12
+
+
+class TestNonFinitePoints:
+    def test_hermite_names_the_coordinate(self):
+        x = ScaleSignal({(0, 0): 1.0, (1, 2): 0.5}, arity=2)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="coordinate 1 of a point is not finite"):
+                hermite_transform(x, [[0.5, 0.5], [0.5, bad]])
+
+    def test_generalized_transfer_names_the_coordinate(self):
+        h = ScaleTimeSignal([ScaleSignal({(0, 0): 1.0, (1, 1): 0.5}, arity=2)], arity=2)
+        with pytest.raises(ValueError, match=r"^z is not finite: \(nan\+0j\)$"):
+            generalized_transfer(h, complex(np.nan, 0.0), [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^zs\[1\] is not finite"):
+            generalized_transfer(h, 0.5, [0.5, complex(0.0, np.inf)])
+        # the finiteness check comes before the torus check of a Laurent box
+        laurent = ScaleTimeSignal([ScaleSignal.delta((-1,), 1)], arity=1)
+        with pytest.raises(ValueError, match=r"^zs\[0\] is not finite"):
+            generalized_transfer(laurent, 0.5, [np.nan])
+
+    def test_generalized_transfer_overflow(self):
+        # finite points whose value leaves double range: in the power
+        # z_a^origin_a, and inside the Horner sum
+        power = ScaleTimeSignal([ScaleSignal.delta((200,), 1)], arity=1)
+        inner = ScaleTimeSignal([ScaleSignal({(0,): 1.0, (2,): 1.0}, arity=1)], arity=1)
+        for h in (power, inner):
+            with pytest.raises(ValueError, match="the transfer value overflows"):
+                generalized_transfer(h, 0.5, [1e200])
+        assert generalized_transfer(inner, 0.5, [1e100]) == pytest.approx(1e200)
+
+
+class TestEmptyBoxes:
+    """Zero signals, empty signals and empty point sets evaluate to zeros
+    of the right shape in every off-grid evaluator."""
+
+    def test_transfer_grid(self):
+        for h, sizes in ((ScaleTimeSignal([], arity=1), [8]),
+                         (ScaleTimeSignal([ScaleSignal.zero(2)] * 3, arity=2), [4, 8])):
+            grid = transfer_grid(h, 0.5 + 0.25j, sizes)
+            assert grid.values.shape == tuple(sizes)
+            assert not grid.values.any()
+
+    def test_generalized_transfer(self):
+        for h in (ScaleTimeSignal([], arity=1), ScaleTimeSignal([ScaleSignal.zero(1)] * 2, arity=1)):
+            assert generalized_transfer(h, 0.5, [2.0]) == 0.0
+        h = ScaleTimeSignal([ScaleSignal.zero(3)], arity=3)
+        assert generalized_transfer(h, 1.5, [0.5, 1j, -2.0]) == 0.0
+
+    def test_hermite_transform(self):
+        rng = np.random.default_rng(41)
+        for arity in (1, 2, 3):
+            pts = rng.standard_normal((5, arity)) + 1j * rng.standard_normal((5, arity))
+            vals = hermite_transform(ScaleSignal.zero(arity), pts)
+            assert vals.shape == (5,) and not vals.any()
+            x = random_scale_signal(rng, arity)
+            for sig in (ScaleSignal.zero(arity), x):
+                assert hermite_transform(sig, np.empty((0, arity))).shape == (0,)
+
+    def test_horner_without_coefficients(self):
+        x = np.array([0.5, 1j, -2.0])
+        assert _horner(x, np.zeros(0, complex)).tolist() == [0.0] * 3
+        assert _horner(x[:, None], np.zeros((0, 4), complex)).shape == (3, 4)
+        assert _evaluate(np.zeros((0, 0)), (0, 0), np.empty((0, 2))).shape == (0,)
+
+
+def _reference(array, origin, points):
+    """sum_e c_e z^e term by term in np.clongdouble at each row z of points,
+    and sum_e |c_e z^e| in double.  Each axis's powers z_a^origin_a z_a^k
+    are running products, sixteen points at a time."""
+    vals, scale = [], []
+    pts = np.asarray(points, complex).astype(np.clongdouble)
+    for z in np.array_split(pts, -(-len(pts) // 16)):
+        terms = array.astype(np.clongdouble)[None]
+        for a, lo in enumerate(origin):
+            steps = np.repeat(z[:, a:a + 1], array.shape[a], axis=1)
+            steps[:, 0] = z[:, a] ** lo
+            shape = [len(z)] + [1] * array.ndim
+            shape[1 + a] = -1
+            terms = terms * np.cumprod(steps, axis=1).reshape(shape)
+        vals.append(terms.reshape(len(z), -1).sum(axis=1))
+        scale.append(np.abs(terms).reshape(len(z), -1).sum(axis=1).astype(float))
+    return np.concatenate(vals), np.concatenate(scale)
+
+
+def _horner_bound(array, origin, scale):
+    """_evaluate's stated bound: _gamma(4 sum_a (w_a + 2 |origin_a|)) times
+    sum_e |c_e z^e|."""
+    return _gamma(4 * sum(w + 2 * abs(lo) for w, lo in zip(array.shape, origin))) * scale
+
+
+class TestNestedHornerAccuracy:
+    def test_within_stated_bound(self):
+        # boxes of p + 1 = 2..4 axes, origins of both signs (one beyond
+        # numpy's repeated-squaring range), one-coefficient boxes and axes,
+        # and points inside, on and outside the unit polydisc
+        rng = np.random.default_rng(43)
+        for p in (1, 2, 3):
+            for shape, origin in (((1,) * (p + 1), (-3,) * (p + 1)),
+                                  ((4,) + (1,) * p, (0,) + (5,) * p),
+                                  (tuple(rng.integers(1, 6, p + 1)), tuple(rng.integers(-4, 5, p + 1))),
+                                  (tuple(rng.integers(1, 6, p + 1)), (-150,) + (0,) * p)):
+                array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for radius in (0.5, 1.0, 1.5):
+                    pts = radius * np.exp(2j * math.pi * rng.random((16, p + 1)))
+                    got = _evaluate(array, origin, pts)
+                    ref, scale = _reference(array, origin, pts)
+                    assert np.all(np.abs(got - ref) <= _horner_bound(array, origin, scale))
+
+    def test_long_scale_causal_slice_at_gram_points(self):
+        # one p = 1 slice of 12,000 terms at the 240 points of
+        # dissipativity_check's Gram sample
+        rng = np.random.default_rng(1)
+        array = rng.standard_normal((1, 12000)) + 1j * rng.standard_normal((1, 12000))
+        draws = np.random.default_rng(0).random((20, 2, 12, 2))
+        pts = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * math.pi * draws[:, 1]))
+        pts = pts.reshape(240, -1)
+        got = _evaluate(array, (0, 0), pts)
+        ref, scale = _reference(array, (0, 0), pts)
+        assert np.all(np.abs(got - ref) <= _horner_bound(array, (0, 0), scale))
 
 
 class TestHaarMoment:
