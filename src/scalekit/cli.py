@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import io as skio
@@ -113,6 +114,8 @@ def _cmd_stieltjes(args) -> int:
 
 def _cmd_analyze(args) -> int:
     h = skio.read_time_signal(args.system)
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {args.tol!r}")
     prop = args.property
     if prop == "bibo":
         report = bibo_analysis(h, tol=args.tol)

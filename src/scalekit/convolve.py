@@ -51,15 +51,16 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
                     method: str = "direct") -> ScaleTimeSignal:
     """y_n = sum_{m=0}^{n} h_{n-m} * u_m with * the group convolution.
 
-    Output time length is T_h + T_u - 1.  When both operands are supported
-    on the scale-causal cone, so is the output.  method="direct" is the
-    reference summation; method="fft" is the accelerated dense path.  Both
-    store entries only on the exact product support.  The FFT path agrees
-    with the direct one to about 1e-10 (acceptance criterion 5), but its
-    error is spread over the whole box: it does not meet the componentwise
-    bound 4 (cnt + 2) eps sum |h| |u| that the direct path meets, and it
-    can leave residues of about 1e-16 where products cancel exactly.  So
-    the CLI runs the direct path, and no size-based switch picks the FFT.
+    Output time length is T_h + T_u - 1, or 0 when an operand is empty.
+    When both operands are supported on the scale-causal cone, so is the
+    output.  method="direct" is the reference summation; method="fft" is
+    the accelerated dense path.  Both store entries only on the exact
+    product support.  The FFT path agrees with the direct one to about
+    1e-10 (acceptance criterion 5), but its error is spread over the whole
+    box: it does not meet the componentwise bound 4 (cnt + 2) eps
+    sum |h| |u| that the direct path meets, and it can leave residues of
+    about 1e-16 where products cancel exactly.  So the CLI runs the direct
+    path, and no size-based switch picks the FFT.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")

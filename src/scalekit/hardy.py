@@ -152,11 +152,10 @@ def _sample_head(m: SuMatrix, coeffs: np.ndarray, n: int, size: int,
     One FFT (the periodic trapezoidal rule) gives
     sum_j g_{k + j size} rho^(k + j size) for k < size; the first n,
     rescaled by rho^-k, are g_k plus the aliasing and roundoff that
-    _head_grid bounds.  At rho = 1 nothing is rescaled.
+    _head_grid bounds.
     """
     z = np.exp(2j * math.pi * np.arange(size) / size)
-    if rho != 1.0:
-        z *= rho
+    z *= rho
     den = m.c * z
     den += m.d
     w = m.a * z
@@ -167,8 +166,7 @@ def _sample_head(m: SuMatrix, coeffs: np.ndarray, n: int, size: int,
     del w
     samples /= den
     head = np.fft.fft(samples, norm="forward")[:n]
-    if rho != 1.0:
-        head *= rho ** -np.arange(n, dtype=float)
+    head *= rho ** -np.arange(n, dtype=float)
     return head
 
 

@@ -87,13 +87,6 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def _exponents(origin, shape) -> list:
-    """Per-axis exponent arrays of a box, shaped to broadcast against it."""
-    p = len(shape)
-    return [(o + np.arange(n)).reshape((-1,) + (1,) * (p - 1 - a))
-            for a, (o, n) in enumerate(zip(origin, shape))]
-
-
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) = x a + y b and g > 0, for a > 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -367,10 +360,10 @@ def mult_operator_norm(h: ScaleSignal, tol: float = 1e-6) -> OperatorNormBracket
     return _certify_sup(h.array, tol)
 
 
-def _slice_bound(h: ScaleTimeSignal, tol: float) -> tuple[list, float, str]:
+def _slice_bound(slices, tol: float) -> tuple[list, float, str]:
     """The slice operator-norm brackets, the sum of their uppers (a BIBO gain
     bound) and the verdict they support."""
-    brackets = [mult_operator_norm(s, tol=tol) for s in h.slices]
+    brackets = [mult_operator_norm(s, tol=tol) for s in slices]
     verdict = "pass" if all(b.certified for b in brackets) else "inconclusive"
     return brackets, float(sum(b.upper for b in brackets)), verdict
 
@@ -420,12 +413,12 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     G = sup_rho sum_n (int |h_n|^2 drho)^(1/2) over probability measures rho
     on the torus, h_n the slice symbols.  The lower bound is deterministic:
     Frank-Wolfe (_frank_wolfe) picks rho among the measures on a grid, and
-    one unit witness realizes it on a window of W_a cells on axis a:
-    v = sum_j sqrt(rho_j) c_j / ||c_j||, normalized, c_j the character at
-    atom theta_j tapered by prod_a sin(pi (k_a - o_a + 1) / (W_a + 1)).
-    necessary_lower is sum_n ||M_n^* v|| (by Parseval on a grid of
-    next_pow2(W_a + d_a) points per axis) clipped to sufficient_upper; any
-    unit v gives a valid lower bound.
+    one unit witness realizes it on a window of W_a cells on axis a, from o:
+    v = sum_j sqrt(rho_j) c_j / ||c_j||, normalized, with c_j(k) =
+    e^{i theta_j.(k - o + l)} prod_a sin(pi (k_a - o_a + 1) / (W_a + 1)) and
+    l the support box's lower corner.  necessary_lower is sum_n ||M_n^* v||
+    (by Parseval on a grid of next_pow2(W_a + d_a) points per axis) clipped
+    to sufficient_upper; any unit v gives a valid lower bound.
 
     The window follows the support of h: W_a = 256 d_a + 1, d_a the width
     of the support box on axis a less one, with the widest axis halved (or
@@ -436,17 +429,19 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     min(2 W_a, 2^floor(log2(2^24 / T) / p)) points per axis: twice the
     witness's resolution, and few enough that the T slices' grid powers fit
     MAX_BOX_CELLS together.
-    character_angles is the heaviest atom and window_spans the window.  For
-    a scale-causal h (every exponent >= 0) the witness and window_spans are
-    translated into the cone, where the cone compressions of the slice
-    operators act on v as the two-sided ones do; adversarial_input(h, n, v)
-    is then scale-causal too.
+    character_angles is the heaviest atom and window_spans the window.  The
+    witness is built at the origin o it is reported at: l, or for a
+    scale-causal h (every exponent >= 0) the box's upper corner, which puts
+    every adjoint image in the cone, where the cone compressions of the
+    slice operators act on v as the two-sided ones do;
+    adversarial_input(h, n, v) is then scale-causal too.
     """
     p = h.arity
     slices = h.slices
-    brackets, sufficient_upper, verdict = _slice_bound(h, tol)
+    brackets, sufficient_upper, verdict = _slice_bound(slices, tol)
 
     lows, highs = h.support_box() or ((0,) * p, (0,) * p)
+    origin = highs if h.is_cone_supported() else lows
     widths = [256 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
     while math.prod(widths) > 1 << 16:
         a = widths.index(max(widths))
@@ -462,9 +457,9 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     angles = {j: tuple(2.0 * math.pi * int(i) / n
                        for i, n in zip(np.unravel_index(j, sizes), sizes)) for j in rho}
 
-    exps = _exponents(lows, widths)
+    exps = np.ix_(*[lo + np.arange(w) for lo, w in zip(lows, widths)])
     taper = math.prod(np.sin(math.pi * k / (w + 1))
-                      for k, w in zip(_exponents((1,) * p, widths), widths))
+                      for k, w in zip(np.ix_(*[np.arange(1, w + 1) for w in widths]), widths))
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
     v *= 1.0 / math.sqrt(energy(v))
@@ -475,26 +470,17 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     value = sum(math.sqrt(float(np.sum(
         np.square(np.abs(torus_values(s.array, s.origin, grid))) * weight))) for s in slices)
 
-    maximizer = ScaleSignal._from_box(v, lows)
-    spans = [(lo, lo + w - 1) for lo, w in zip(lows, widths)]
-    if h.is_cone_supported():
-        # a translation changes no norm, and this one puts every adjoint image in the cone
-        shift = [max(0, hi - lo) for hi, lo in zip(highs, maximizer.origin)]
-        maximizer = ScaleSignal._from_box(
-            maximizer.array, tuple(o + d for o, d in zip(maximizer.origin, shift)))
-        spans = [(lo + d, hi + d) for (lo, hi), d in zip(spans, shift)]
-
     return StabilityReport(
         property="bibo",
         verdict=verdict,
         sufficient_upper=sufficient_upper,
         necessary_lower=float(min(value, sufficient_upper)),
-        witnesses={"maximizer": maximizer,
+        witnesses={"maximizer": ScaleSignal._from_box(v, origin),
                    "character_angles": angles[max(rho, key=rho.get)]},
         details={
             "slice_brackets": brackets,
             "certified": verdict == "pass",
-            "window_spans": spans,
+            "window_spans": [(o, o + w - 1) for o, w in zip(origin, widths)],
         },
     )
 
@@ -614,7 +600,7 @@ def resonant_input(arity: int, time_len: int, phi: float, thetas=(),
     origin = tuple(lo for lo, _ in box)
     widths = tuple(hi - lo + 1 for lo, hi in box)
     shape = check_box((time_len,) + widths)
-    exps = _exponents((0,) + origin, shape)
+    exps = np.ix_(*[o + np.arange(n) for o, n in zip((0,) + origin, shape)])
     phase = exps[0] * phi + sum(e * t for e, t in zip(exps[1:], thetas))
     amp = 1.0 / math.sqrt(math.prod(shape))
     return ScaleTimeSignal._from_box(amp * np.exp(-1j * phase), origin)
@@ -642,7 +628,7 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         raise ValueError("trials must be >= 1")
     p = h.arity
     if prop == "bibo":
-        _, bound, verdict = _slice_bound(h, 1e-6)
+        _, bound, verdict = _slice_bound(h.slices, 1e-6)
         measure = lambda y: y.norm("sup_l2")
     elif prop == "dissipative":
         # the bracket of dissipativity_check(h, 1e-6), without its Gram sample

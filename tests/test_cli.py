@@ -225,10 +225,12 @@ class TestMomentsCommands:
         path.write_text("n,k1,re,im\n0,0,0.25,0\n0,1,0.25,0\n")
         for argv in (["analyze", "--property", "bibo", "--system", str(path)],
                      ["analyze", "--property", "dissipative", "--system", str(path)],
+                     ["analyze", "--property", "l1l2", "--system", str(path)],
                      ["moments-check", "--moments", '{"t":[[1,0],[0.5,0]]}']):
             assert main(argv + ["--tol", tol]) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and "tol must be finite and >= 0" in captured.err
+            assert captured.out == ""
+            assert captured.err == f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
 
     def test_zero_tol_allowed(self, capsys):
         assert main(["moments-check", "--moments", '{"t":[[1,0],[0.5,0]]}', "--tol", "0"]) == 0

@@ -140,3 +140,31 @@ class TestBruteForce:
         monkeypatch.setattr(convolve, "WORK_GUARD", 10)
         with pytest.raises(ValueError, match="work guard"):
             brute_force_double_convolve(h, u)
+
+
+P1 = ScaleTimeSignal([delta((0,), 1)], arity=1)
+P2 = ScaleTimeSignal([delta((0, 0), 2)], arity=2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: double_convolve(P1, P2), ValueError, "arity mismatch: 1 vs 2",
+                 id="double_convolve-arity"),
+    pytest.param(lambda: brute_force_double_convolve(P2, P1), ValueError,
+                 "arity mismatch: 2 vs 1", id="brute_force-arity"),
+    pytest.param(lambda: double_convolve(P1, P1, method="fftw"), ValueError,
+                 "unknown method 'fftw'", id="double_convolve-method"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("engine", [double_convolve, brute_force_double_convolve])
+@pytest.mark.parametrize("empty", ["h", "u", "both"])
+def test_empty_operand_gives_empty_signal(engine, empty):
+    operands = {"h": P1, "u": P1}
+    for name in ("h", "u") if empty == "both" else (empty,):
+        operands[name] = ScaleTimeSignal([], arity=1)
+    y = engine(operands["h"], operands["u"])
+    assert (y.time_len, y.arity, y.is_zero) == (0, 1, True)

@@ -147,3 +147,26 @@ class TestOrderKey:
         g = make_group([make_scale_shift(0.5, 0.3)])
         keys = [g.order_key((k,)) for k in range(-8, 9)]
         assert all(b < a for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: make_group([make_scale_shift(0.5), (1.25, 0.75)]), TypeError,
+                 "generator 1 is not an SuMatrix", id="generator-type"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fixed_points_with_equal_real_parts_order_by_imaginary_part(inverse):
+    # b purely imaginary: the fixed points are +-i, whose real parts tie, so
+    # the designated attracting point is +i, the larger imaginary part
+    m = SuMatrix(math.cosh(0.5), 1j * math.sinh(0.5))
+    g = make_group([m.inverse() if inverse else m])
+    assert g.reoriented == (inverse,)
+    z = 0.3
+    for _ in range(100):
+        z = g.generators[0].apply(z)
+    assert abs(z - 1j) < 1e-12

@@ -453,3 +453,27 @@ class TestScaleTransform:
                          norm="forward")[:time_len]
         m1 = np.abs(f).sum() * (abs(m.a) + abs(m.b))
         assert np.linalg.norm(col - ref) <= tol + excess + 64 * 2.2e-16 * len(f) * m1
+
+
+G1 = make_group([make_scale_shift(0.5)])
+F1 = CoeffSeq(np.array([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: CoeffSeq(np.array([1.0, np.inf])), ValueError,
+                 "coefficients must be finite", id="coeffs-nonfinite"),
+    pytest.param(lambda: CoeffSeq(np.array([1.0]), -1.0), ValueError,
+                 "tail bound must be a nonnegative real, got -1.0", id="tail-negative"),
+    pytest.param(lambda: CoeffSeq(np.array([1.0]), math.nan), ValueError,
+                 "tail bound must be a nonnegative real, got nan", id="tail-nan"),
+    pytest.param(lambda: scale_transform(G1, F1, [(1,), (0,), (1,)], 4, 1e-9), ValueError,
+                 "scale window contains duplicate indices", id="window-duplicate"),
+    pytest.param(lambda: scale_transform(G1, F1, [(0,)], 0, 1e-9), ValueError,
+                 "time_len must be >= 1, got 0", id="time_len"),
+    pytest.param(lambda: scale_transform(G1, F1, [(0,)], 4, 0.0), ValueError,
+                 "scale index (0,): tol must be a positive real, got 0.0", id="tol-reraised"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -366,3 +366,57 @@ class TestSpectrumCsv:
         skio.write_spectrum_csv(grid, chunked)
         assert chunked.getvalue() == whole.getvalue()
         assert csv_text(sig) == whole_sig
+
+
+GOOD_SIGNAL = {"arity": 1, "shape": [1, 2], "origin": [0], "data": [[1, 0], [0, 1]]}
+
+
+def signal_with(**changes):
+    return skio.signal_from_dict({**GOOD_SIGNAL, **changes})
+
+
+def test_unpair_takes_a_scalar_as_a_real_value():
+    assert skio.unpair(2) == 2 + 0j and skio.unpair(-0.5) == -0.5 + 0j
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: skio.unpair("1+2j"), ValueError,
+                 "expected [re, im] pair, got '1+2j'", id="unpair-string"),
+    pytest.param(lambda: skio.unpair([1, 2, 3]), ValueError,
+                 "expected [re, im] pair, got [1, 2, 3]", id="unpair-triple"),
+    pytest.param(lambda: skio.sumatrix_from_dict({"a": [1, 0]}), ValueError,
+                 "malformed matrix object: {'a': [1, 0]}", id="matrix"),
+    pytest.param(lambda: skio.group_from_dict({"p": 1}), ValueError,
+                 "malformed group object: {'p': 1}", id="group"),
+    pytest.param(lambda: skio.coeffseq_from_dict([[1, 0]]), ValueError,
+                 "malformed coefficient object: [[1, 0]]", id="coefficients"),
+    pytest.param(lambda: skio.signal_from_dict([]), ValueError,
+                 "malformed signal object: <class 'list'>", id="signal"),
+    pytest.param(lambda: skio.moments_from_dict({"t": 1}), ValueError,
+                 "malformed moments object: {'t': 1}", id="moments"),
+    pytest.param(lambda: signal_with(arity=2), ValueError,
+                 "inconsistent signal shape (1, 2) / origin (0,)", id="signal-shape"),
+    pytest.param(lambda: signal_with(origin=[0, 0]), ValueError,
+                 "inconsistent signal shape (1, 2) / origin (0, 0)", id="signal-origin"),
+    pytest.param(lambda: signal_with(data=[[[1, 0]], [[0, 1]]]), ValueError,
+                 "signal data must be [re, im] pairs or real numbers", id="signal-ndim"),
+    pytest.param(lambda: signal_with(data=[[1, 0]]), ValueError,
+                 "signal data length 1 does not match shape (1, 2)", id="signal-length"),
+    pytest.param(lambda: read_csv("n,re,im\n0,1,0\n"), ValueError,
+                 "CSV header must declare at least one scale axis", id="csv-no-scale-axis"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("obj, exc, message", [
+    pytest.param({1: 2}, TypeError, "JSON object keys must be strings, got 1", id="int-key"),
+    pytest.param({"s": {0.5}}, TypeError, "cannot serialize <class 'set'>", id="set"),
+    pytest.param(1j, TypeError, "cannot serialize <class 'complex'>", id="complex"),
+])
+def test_jsonfmt_input_checks(obj, exc, message):
+    with pytest.raises(exc) as info:
+        dumps(obj)
+    assert str(info.value) == message

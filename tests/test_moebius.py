@@ -232,3 +232,13 @@ class TestInvariants:
         for other in (m.inverse(), m.compose(m), random_hyperbolic(rng).compose(m)):
             det = abs(other.a) ** 2 - abs(other.b) ** 2
             assert abs(det - 1.0) < 1e-12 * (1 + abs(other.a) ** 2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: SuMatrix.identity().log_multiplier(), ValueError,
+                 "multiplier undefined for non-hyperbolic map", id="log_multiplier"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

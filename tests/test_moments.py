@@ -246,3 +246,13 @@ class TestArrayCap:
     def test_toeplitz_order(self):
         ms = MomentSequence((1.0,) + (0.0,) * 4096)  # 4097^2 > 2^24 cells
         self.refuses_before_allocating(lambda: toeplitz_psd_check(ms))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: MomentSequence((1.0, complex(0.5, math.inf))), ValueError,
+                 "moments must be finite, got (0.5+infj)", id="non-finite"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -124,3 +124,36 @@ class TestDense:
     def test_slice_out_of_range_is_zero(self):
         s = make_ts([{(0,): 1.0}], arity=1)
         assert s.slice(5).is_zero
+
+
+S1 = ScaleSignal.delta((0,), 1)
+S2 = ScaleSignal.delta((0, 0), 2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: ScaleSignal({}), ValueError, "arity is required", id="arity-none"),
+    pytest.param(lambda: ScaleSignal({}, arity=0), ValueError, "arity must be >= 1, got 0",
+                 id="arity-zero"),
+    pytest.param(lambda: S1.distance(S2), ValueError, "arity mismatch", id="distance-arity"),
+    pytest.param(lambda: S2.inner(S1), ValueError, "arity mismatch", id="inner-arity"),
+    pytest.param(lambda: ScaleTimeSignal([]), ValueError,
+                 "arity is required for an empty signal", id="empty-without-arity"),
+    pytest.param(lambda: ScaleTimeSignal([{(0,): 1.0}], arity=1), TypeError,
+                 "slices must be ScaleSignal, got <class 'dict'>", id="slice-type"),
+    pytest.param(lambda: ScaleTimeSignal([S1, S2]), ValueError,
+                 "all slices must share the group arity", id="mixed-arities"),
+    pytest.param(lambda: setattr(ScaleTimeSignal([S1]), "time_len", 2), AttributeError,
+                 "ScaleTimeSignal is immutable", id="time-signal-immutable"),
+    pytest.param(lambda: ScaleTimeSignal.from_dense(np.ones((2, 3)), (0, 0)), ValueError,
+                 "dense signals have shape (T, w_1..w_p), p = len(origin) >= 1",
+                 id="from_dense-origin"),
+    pytest.param(lambda: ScaleTimeSignal.from_dense(np.ones(3), ()), ValueError,
+                 "dense signals have shape (T, w_1..w_p), p = len(origin) >= 1",
+                 id="from_dense-no-scale-axis"),
+    pytest.param(lambda: ScaleTimeSignal.from_dense(np.array([[1.0, np.nan]]), (0,)),
+                 ValueError, "signal entries must be finite", id="from_dense-nonfinite"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scalekit import (
     ScaleSignal,
     ScaleTimeSignal,
+    SpectrumGrid,
     double_convolve,
     generalized_transfer,
     group_convolve,
@@ -456,3 +457,29 @@ class TestGridCap:
         assert h.time_len * math.prod(candidate) <= MAX_BOX_CELLS
         assert report.witnesses["maximizer"].array.size <= 1 << 16
         assert 0.0 < report.necessary_lower <= report.sufficient_upper
+
+
+X1 = ScaleSignal({(0,): 1.0, (2,): 0.5}, arity=1)
+GRID = scale_fourier(X1, [4])
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: SpectrumGrid((0,), []), ValueError,
+                 "grid sizes must be positive, got (0,)", id="grid-zero-size"),
+    pytest.param(lambda: scale_fourier(X1, [4, 4]), ValueError,
+                 "grid rank 2 does not match signal arity 1", id="alias-rank"),
+    pytest.param(lambda: scale_fourier(X1, [-4]), ValueError,
+                 "grid sizes must be positive, got (-4,)", id="alias-sign"),
+    pytest.param(lambda: scale_fourier_inverse(GRID, [(0, 3), (0, 3)]), ValueError,
+                 "window rank does not match grid rank", id="inverse-window-rank"),
+    pytest.param(lambda: scale_fourier_inverse(GRID, [(2, 1)]), ValueError,
+                 "empty window on axis 0", id="inverse-empty-window"),
+    pytest.param(lambda: hermite_transform(X1, [0.5, 0.25]), ValueError,
+                 "points must have shape (count, 1)", id="hermite-point-shape"),
+    pytest.param(lambda: generalized_transfer(ScaleTimeSignal([X1]), 0.5, [0.5, 0.5]),
+                 ValueError, "expected 1 scale coordinates", id="transfer-coordinates"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -269,20 +269,25 @@ class TestBiboAnalysis:
             # a scale-causal system's witness is placed in the cone, so the
             # cone compressions re-derive the same value
             derived = maximizer_value(h, report, project=h.is_cone_supported())
+            lows, highs = h.support_box()
+            assert tuple(s for s, _ in report.details["window_spans"]) == (
+                highs if h.is_cone_supported() else lows)
             assert derived <= report.sufficient_upper * (1 + 1e-12)
             assert report.necessary_lower == pytest.approx(
                 min(derived, report.sufficient_upper), rel=1e-9)
 
     @pytest.mark.parametrize("arity", [1, 2])
     def test_scale_causal_witness_lies_in_the_cone(self, arity):
-        # the witness is translated until every adjoint image lies in the
-        # cone: the cone compressions then re-derive necessary_lower, and the
-        # adversarial input built from it is scale-causal
+        # the witness window starts at the support box's upper corner, so
+        # every adjoint image lies in the cone: the cone compressions then
+        # re-derive necessary_lower, and the adversarial input built from it
+        # is scale-causal
         rng = np.random.default_rng(29)
         h = random_time_signal(rng, arity, time_len=3, width=2, terms=3).scale_causal_projection()
         report = bibo_analysis(h, tol=1e-6 if arity == 1 else 1e-3)
         v = report.witnesses["maximizer"]
         lo, hi = v.support_box()
+        assert tuple(s for s, _ in report.details["window_spans"]) == h.support_box()[1]
         assert all(a >= b for a, b in zip(lo, h.support_box()[1]))
         assert all(s <= a and b <= t
                    for (s, t), a, b in zip(report.details["window_spans"], lo, hi))
@@ -880,3 +885,28 @@ class TestEmpiricalVerify:
         report = empirical_verify(h, "dissipative", trials=3, seed=0)
         assert report.bound == reference.sup_bracket.upper ** 2
         assert report.analyzer_verdict == reference.verdict
+
+
+H1 = ScaleTimeSignal([delta((0,), 1, 0.5), delta((1,), 1, 0.25)], arity=1)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: mult_operator_norm(H1.slice(0), tol=-1.0), ValueError,
+                 "tol must be finite and >= 0, got -1.0", id="sup-tol"),
+    pytest.param(lambda: adversarial_input(H1, -1, delta((0,), 1)), ValueError,
+                 "time index must be nonnegative", id="adversarial-time"),
+    pytest.param(lambda: empirical_verify(H1, "bibo", 0, seed=0), ValueError,
+                 "trials must be >= 1", id="verify-trials"),
+])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("prop", ["bibo", "dissipative", "l1l2"])
+def test_verify_zero_system_has_zero_bound_and_ratio(prop):
+    # a zero bound only comes from a zero system, whose output is zero too
+    zero = ScaleTimeSignal([ScaleSignal.zero(1)], arity=1)
+    report = empirical_verify(zero, prop, 2, seed=0)
+    assert (report.bound, report.max_ratio, report.ok) == (0.0, 0.0, True)
