@@ -317,8 +317,8 @@ def scale_transform(group: ScaleGroup, x, scale_window, time_len: int,
     widths = tuple(hi - lo + 1 for lo, hi in zip(mins, map(max, zip(*window))))
     dense = zeros_box((time_len,) + widths)
     for idx in window:
-        mat = group.element(idx)
         try:
+            mat = group.element(idx)
             col = _exact_image(mat, x, tol)
             if col is None:
                 circles = _plain_ladder(x.coeffs, mat)

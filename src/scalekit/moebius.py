@@ -57,13 +57,15 @@ class SuMatrix:
     a: complex
     b: complex
 
-    def __post_init__(self):
+    def __post_init__(self, scale=None):
+        # the determinant scale is the pair's own 1 + |a|^2 unless compose
+        # passes its factors'
         a = complex(self.a)
         b = complex(self.b)
         _require_finite(a, "a")
         _require_finite(b, "b")
         det = abs(a) ** 2 - abs(b) ** 2
-        if not abs(a) > abs(b) or abs(det - 1.0) > DET_TOL * (1.0 + abs(a) ** 2):
+        if not abs(a) > abs(b) or abs(det - 1.0) > DET_TOL * (scale or 1.0 + abs(a) ** 2):
             raise ValueError(f"not an SU(1,1) pair: |a|^2 - |b|^2 = {det!r}")
         if a.real < -CLASS_TOL or (abs(a.real) <= CLASS_TOL and a.imag < 0.0):
             a, b = -a, -b
@@ -83,10 +85,13 @@ class SuMatrix:
         return SuMatrix(1.0, 0.0)
 
     def compose(self, other: "SuMatrix") -> "SuMatrix":
-        """Matrix product self @ other (acts as self after other on points)."""
-        a = self.a * other.a + self.b * other.b.conjugate()
-        b = self.a * other.b + self.b * other.a.conjugate()
-        return SuMatrix(a, b)
+        """Matrix product self @ other (acts as self after other on points),
+        its determinant checked at the factors' scale (1 + |a1|^2)(1 + |a2|^2)."""
+        m = object.__new__(SuMatrix)
+        object.__setattr__(m, "a", self.a * other.a + self.b * other.b.conjugate())
+        object.__setattr__(m, "b", self.a * other.b + self.b * other.a.conjugate())
+        m.__post_init__((1.0 + abs(self.a) ** 2) * (1.0 + abs(other.a) ** 2))
+        return m
 
     def inverse(self) -> "SuMatrix":
         return SuMatrix(self.a.conjugate(), -self.b)

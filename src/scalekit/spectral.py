@@ -225,6 +225,8 @@ def generalized_transfer(h: ScaleTimeSignal, z: complex, zs) -> complex:
     When h carries negative scale exponents the scale variables must lie on
     the unit circle; cone-supported h evaluates anywhere in the closed
     polydisc (and beyond, since the sum is finite, unless it overflows).
+    The value carries _evaluate's roundoff bound only where |log |z_a|| <= 1
+    on every axis with a nonzero origin; numpy's z^lo is unbounded beyond.
     """
     point = [complex(w) for w in [z, *zs]]
     if len(point) != h.arity + 1:

@@ -304,8 +304,10 @@ class TestTransformCommands:
         sp = tmp_path / "sig.json"
         sp.write_text(json.dumps({"coeffs": [[x, 0.0] for x in f / np.linalg.norm(f)],
                                   "tail_bound": 0.0}))
-        # the bound beyond double range, then the old input's finite bound
+        # the bound beyond double range, also at scale 40, where repeated
+        # squaring put the pole inside the circle; then a finite bound
         for mult, window, last, bound in [(0.3, "[[3],[32]]", "(32,)", "inf"),
+                                          (0.3, "[[40]]", "(40,)", "inf"),
                                           (0.6, "[[7],[12]]", "(12,)", "7.191e+07")]:
             gp = tmp_path / "group.json"
             gp.write_text(json.dumps(skio.group_to_dict(make_group([make_scale_shift(mult, 0.2)]))))
@@ -316,16 +318,24 @@ class TestTransformCommands:
             err = capsys.readouterr().err
             assert f"scale index {last}" in err and f"certified bound {bound} " in err
 
-    def test_scale_transform_refuses_pole_inside_the_circle(self, tmp_path, capsys):
-        # at scale 40 the rounded group element has |a| < |b|
+    @pytest.mark.parametrize("gens, window, code, err", [
+        # multiplier 0.5 at scale 64: |a| and |b| round equal
+        pytest.param([(0.5, 0.0)], "[[0],[64]]", 2,
+                     "error: scale index (64,): not an SU(1,1) pair", id="rounds-to-circle"),
+        # (16, -8) is the identity, which repeated squaring refused
+        pytest.param([(0.5, 0.2), (0.25, 0.2)], "[[0,0],[16,-8]]", 0, "", id="identity"),
+    ])
+    def test_scale_transform_group_elements(self, tmp_path, capsys, gens, window, code, err):
         sp = tmp_path / "sig.json"
-        sp.write_text(json.dumps({"coeffs": [[1.0, 0.0]], "tail_bound": 0.0}))
+        sp.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.5, 0.0]], "tail_bound": 0.0}))
         gp = tmp_path / "group.json"
-        gp.write_text(json.dumps(skio.group_to_dict(make_group([make_scale_shift(0.3, 0.2)]))))
-        code = main(["scale-transform", "--signal", str(sp), "--group", str(gp),
-                     "--window", "[[40]]", "--time-len", "4", "--tol", "1e-10"])
-        assert code == 2
-        assert "not an SU(1,1) pair" in capsys.readouterr().err
+        group = make_group([make_scale_shift(*gen) for gen in gens])
+        gp.write_text(json.dumps(skio.group_to_dict(group)))
+        assert main(["scale-transform", "--signal", str(sp), "--group", str(gp),
+                     "--window", window, "--time-len", "4", "--tol", "1e-10",
+                     "--out", str(tmp_path / "out.json")]) == code
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) if err else stderr == ""
 
     def test_spectrum(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from scalekit import SuMatrix, make_group, make_scale_shift
 from scalekit.group import MAX_EXPONENT
+
+EPS = np.finfo(float).eps
 
 
 class TestMakeGroup:
@@ -86,11 +89,62 @@ class TestElement:
         with pytest.raises(ValueError, match="not an SU"):
             make_group([make_scale_shift(0.5, 0.0)]).element((MAX_EXPONENT,))
 
-    def test_refuses_pole_inside_the_circle(self):
-        # at scale 40, |a| < |b| in floating point and |a|^2 - |b|^2 = -65,536,
-        # which the determinant tolerance, relative to |a|^2, would accept
-        with pytest.raises(ValueError, match="not an SU"):
-            make_group([make_scale_shift(0.3, 0.2)]).element((40,))
+    def test_deep_element_keeps_the_pole_outside_the_circle(self):
+        # repeated squaring gave |a| < |b| at scale 40; the closed form keeps
+        # |a| > |b|, and |a|^2 - |b|^2 misses 1 only by the rounding of |a|^2
+        m = make_group([make_scale_shift(0.3, 0.2)]).element((40,))
+        assert abs(m.a) > abs(m.b)
+        assert abs(abs(m.a) ** 2 - abs(m.b) ** 2 - 1.0) <= 4 * EPS * abs(m.a) ** 2
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("alphas", [(0.3,), (0.5,), (0.5, 0.25)])
+    def test_matches_long_double_product(self, alphas):
+        # against the product of generator powers in extended precision: each
+        # entry within (w + 4) eps of e^w, w = sum_j |k_j v_j| the growth of
+        # the factors (w = |v| for one generator), for |k| <= 24
+        g = make_group([make_scale_shift(alpha, 0.2) for alpha in alphas])
+        powers = []   # per generator, exponent -> power
+        for gen in g.generators:
+            m = np.array([[gen.a, gen.b], [gen.b.conjugate(), gen.a.conjugate()]],
+                         dtype=np.clongdouble)
+            inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            table = {0: np.eye(2, dtype=np.clongdouble)}
+            for k in range(1, 25):
+                table[k] = table[k - 1] @ m
+                table[-k] = table[1 - k] @ inv
+            powers.append(table)
+        checked = 0
+        for idx in itertools.product(range(-24, 25), repeat=g.p):
+            try:
+                got = g.element(idx)
+            except ValueError:
+                continue
+            ref = np.eye(2, dtype=np.clongdouble)
+            for table, k in zip(powers, idx):
+                ref = ref @ table[k]
+            ref = ref if ref[0, 0].real > 0 else -ref
+            w = sum(abs(k * lm) for k, lm in zip(idx, g.gen_log_multipliers)) / 2
+            err = max(abs(complex(ref[0, 0]) - got.a), abs(complex(ref[0, 1]) - got.b))
+            assert err <= (w + 4) * EPS * math.exp(w), idx
+            checked += 1
+        assert checked > 0.7 * 49 ** g.p
+
+    def test_refusal_is_monotone_in_depth(self):
+        # two generators: powers of one nearly cancel those of the other,
+        # which repeated squaring could not survive at order_key 0
+        g = make_group([make_scale_shift(0.5, 0.2), make_scale_shift(0.25, 0.2)])
+        accepted, refused = [], []
+        for idx in itertools.product(range(-24, 25), repeat=2):
+            try:
+                g.element(idx)
+                accepted.append(abs(g.order_key(idx)))
+            except ValueError:
+                refused.append(abs(g.order_key(idx)))
+        assert 35.0 < max(accepted) < min(refused)
+        # order_key (16, -8) is 8.9e-15, the rounding of the two log
+        # multipliers; the element is the identity up to that
+        assert abs(g.order_key((16, -8))) < 1e-14
+        assert g.element((16, -8)).entry_distance(SuMatrix.identity()) < 1e-14
 
     def test_accepts_plain_int_for_cyclic(self):
         g = make_group([make_scale_shift(0.5, 0.0)])

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from scalekit import MapClass, SuMatrix, make_scale_shift
+from scalekit import MapClass, SuMatrix, make_group, make_scale_shift
 from helpers import disc_point, random_hyperbolic
 
 
@@ -40,6 +41,12 @@ class TestConstructor:
         with pytest.raises(ValueError):
             SuMatrix(1.5, 0.5)
 
+    def test_rejects_determinant_off_by_1e_11(self):
+        # the pair's own scale 1 + |a|^2 is about 2, so 1e-11 is 5 DET_TOL
+        b = 0.001
+        with pytest.raises(ValueError, match="not an SU"):
+            SuMatrix(math.sqrt(1.0 + b * b + 1e-11), b)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SuMatrix(complex("nan"), 0.0)
@@ -75,6 +82,21 @@ class TestCompose:
         lhs = make_scale_shift(0.5, theta).compose(make_scale_shift(0.5, theta))
         rhs = make_scale_shift(0.25, theta)
         assert lhs.entry_distance(rhs) < 1e-12
+
+    def test_accepts_identity_products(self):
+        # the product's determinant carries the rounding of factors with
+        # |a| up to about 2,000, far above the product's own |a| of 1: all
+        # 2,057 pairs in [-8, 8]^2 whose exponents sum to the identity
+        g = make_group([make_scale_shift(0.5, 0.2), make_scale_shift(0.25, 0.2)])
+        box = list(itertools.product(range(-8, 9), repeat=2))
+        count = 0
+        for i1, i2 in itertools.product(box, repeat=2):
+            if i1[0] + i2[0] == -2 * (i1[1] + i2[1]):
+                m1, m2 = g.element(i1), g.element(i2)
+                dist = m1.compose(m2).entry_distance(SuMatrix.identity())
+                assert dist < 1e-12 * max(1.0, abs(m1.a) * abs(m2.a))
+                count += 1
+        assert count == 2057
 
     def test_acts_as_map_composition(self):
         rng = np.random.default_rng(7)

@@ -874,17 +874,23 @@ class TestEmpiricalVerify:
         (2, {(0, 0, 0): 0.8, (1, 0, 1): 0.5j, (2, 1, 1): 0.3}),  # fail
     ])
     def test_dissipative_bound_is_the_analyzer_bracket(self, arity, entries, monkeypatch):
-        # the bound and verdict of dissipativity_check(h, 1e-6), bit for
-        # bit, without its Gram sample
+        # the verdict of dissipativity_check(h, 1e-6), bit for bit, without
+        # its Gram sample; a fail keeps that bracket's bound, and a pass is
+        # checked against the tighter precision bracket's
         steps = 1 + max(e[0] for e in entries)
         h = ScaleTimeSignal([ScaleSignal({e[1:]: v for e, v in entries.items() if e[0] == n},
                                          arity=arity) for n in range(steps)], arity=arity)
         reference = dissipativity_check(h, 1e-6)
         assert "gram_min_eigenvalue" in reference.details
+        bracket = reference.sup_bracket
+        if reference.verdict == "pass":
+            bracket = stability._certify_sup(h.stack.array, 1e-6)
+            assert bracket.certified and bracket.upper < reference.sup_bracket.upper
         monkeypatch.setattr("scalekit.stability._evaluate", None)
         report = empirical_verify(h, "dissipative", trials=3, seed=0)
-        assert report.bound == reference.sup_bracket.upper ** 2
+        assert report.bound == bracket.upper ** 2
         assert report.analyzer_verdict == reference.verdict
+        assert report.max_ratio <= 1.0 + 1e-9
 
 
 H1 = ScaleTimeSignal([delta((0,), 1, 0.5), delta((1,), 1, 0.25)], arity=1)
