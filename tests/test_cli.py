@@ -318,24 +318,28 @@ class TestTransformCommands:
             err = capsys.readouterr().err
             assert f"scale index {last}" in err and f"certified bound {bound} " in err
 
-    @pytest.mark.parametrize("gens, window, code, err", [
-        # multiplier 0.5 at scale 64: |a| and |b| round equal
-        pytest.param([(0.5, 0.0)], "[[0],[64]]", 2,
-                     "error: scale index (64,): not an SU(1,1) pair", id="rounds-to-circle"),
-        # (16, -8) is the identity, which repeated squaring refused
-        pytest.param([(0.5, 0.2), (0.25, 0.2)], "[[0,0],[16,-8]]", 0, "", id="identity"),
-    ])
-    def test_scale_transform_group_elements(self, tmp_path, capsys, gens, window, code, err):
+    def _transform_on_group(self, tmp_path, gens, window):
         sp = tmp_path / "sig.json"
         sp.write_text(json.dumps({"coeffs": [[1.0, 0.0], [0.5, 0.0]], "tail_bound": 0.0}))
         gp = tmp_path / "group.json"
         group = make_group([make_scale_shift(*gen) for gen in gens])
         gp.write_text(json.dumps(skio.group_to_dict(group)))
-        assert main(["scale-transform", "--signal", str(sp), "--group", str(gp),
+        return main(["scale-transform", "--signal", str(sp), "--group", str(gp),
                      "--window", window, "--time-len", "4", "--tol", "1e-10",
-                     "--out", str(tmp_path / "out.json")]) == code
-        stderr = capsys.readouterr().err
-        assert stderr.startswith(err) if err else stderr == ""
+                     "--out", str(tmp_path / "out.json")])
+
+    def test_scale_transform_refuses_pole_inside_the_circle(self, tmp_path, capsys):
+        # multiplier 0.5 at scale 64: |a| and |b| round equal, so the
+        # element's pole is not strictly outside the circle
+        assert self._transform_on_group(tmp_path, [(0.5, 0.0)], "[[0],[64]]") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: scale index (64,): not an SU(1,1) pair")
+
+    def test_scale_transform_accepts_two_generator_identity(self, tmp_path, capsys):
+        # (16, -8) is the identity, which repeated squaring refused
+        gens = [(0.5, 0.2), (0.25, 0.2)]
+        assert self._transform_on_group(tmp_path, gens, "[[0,0],[16,-8]]") == 0
+        assert capsys.readouterr().err == ""
 
     def test_spectrum(self, tmp_path, capsys):
         path = tmp_path / "s.json"
