@@ -11,7 +11,6 @@ generator 0, and an element is the point v = -order_key / 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,10 +19,13 @@ from .signals import as_index, in_causal_cone
 
 __all__ = ["ScaleGroup", "make_group", "MAX_EXPONENT"]
 
-COMMUTATOR_TOL = 1e-10
+# Tolerance on the distance of two generators' axes, relative to the sum of
+# their rounding scales |a| |b|^2 / s^3 (see _axis).
+AXIS_TOL = 1e-14
 MULTIPLIER_SEP = 1e-12
-# Exponent guard.  What limits depth is |a| and |b| rounding equal, about
-# e^|v| > 2^26 (|order_key| > 36); SuMatrix refuses those elements.
+# Exponent guard.  What limits depth is |a| and |b| rounding equal: beyond
+# about e^|v| > 2^26 (|order_key| > 36) rounding decides whether SuMatrix
+# refuses an element.
 MAX_EXPONENT = 64
 
 
@@ -31,9 +33,20 @@ def _prefers_flip(m: SuMatrix) -> bool:
     """True when the attracting fixed point is not the lexicographically
     larger point of the fixed pair (by real part, then imaginary part)."""
     fp = m.fixed_points()
-    if abs(fp.xi1.real - fp.xi2.real) <= 1e-9:
-        return fp.xi2.imag > fp.xi1.imag
-    return fp.xi2.real > fp.xi1.real
+    key1 = (fp.xi1.real, fp.xi1.imag)
+    key2 = (fp.xi2.real, fp.xi2.imag)
+    if abs(key1[0] - key2[0]) <= 1e-9:
+        return key2[1] > key1[1]
+    return key2[0] > key1[0]
+
+
+def _axis(m: SuMatrix) -> tuple[float, float]:
+    """Norm s = sqrt(|b|^2 - Im(a)^2) of a hyperbolic pair's axis, which
+    makes X = [[i Im a, b], [b*, -i Im a]] / s square to I, and the scale
+    |a| |b|^2 / s^3 by which an eps-relative change of the entries moves X."""
+    im, ab = abs(m.a.imag), abs(m.b)
+    s = math.sqrt((ab - im) * (ab + im))
+    return s, abs(m.a) * ab * ab / s ** 3
 
 
 @dataclass(frozen=True)
@@ -49,20 +62,26 @@ class ScaleGroup:
         return len(self.generators)
 
     def element(self, idx) -> SuMatrix:
-        """Product of generator powers, cosh(v) I + sinh(v) X at v =
-        -order_key(idx) / 2, X = [[i Im a0, b0], [b0*, -i Im a0]] / sinh(v0)
-        the axis of generator 0, sinh(v0) = sqrt((Re a0 - 1)(Re a0 + 1)).
-        The group law holds up to the rounding of v; the trade-off is that a
-        one-generator entry is within about (|v| + 4) eps of e^|v|, not a few
-        eps as by repeated squaring."""
+        """Product of generator powers: cosh(v) I + sinh(v) X at v =
+        -order_key(idx) / 2 on generator 0's axis X (see _axis).
+
+        Its determinant is 1 up to a few eps |a|^2 at any depth.  Relative
+        to m e^w (m = |b0| / s0, w = sum_j |k_j v_j|), it is within about
+        (w + 4) eps + sum_j |k_j e_j| / (1 - mu_j) of the product of the
+        stored generators' powers, plus the axis distance make_group admits.
+        e_j = |a_j|^2 - |b_j|^2 - 1 is generator j's rounding; its term, from
+        v_j read off Re a_j alone, dominates near mu_j = 1.
+        """
         idx = as_index(idx, self.p)
         for k in idx:
             if abs(k) > MAX_EXPONENT:
-                raise ValueError(f"exponent {k} exceeds the guard |k| <= {MAX_EXPONENT}")
-        a0, b0 = self.generators[0].a, self.generators[0].b
+                raise ValueError(
+                    f"exponent {k} exceeds the guard |k| <= {MAX_EXPONENT}"
+                )
+        g0 = self.generators[0]
         v = -self.order_key(idx) / 2.0
-        sh = math.sinh(v) / math.sqrt((a0.real - 1.0) * (a0.real + 1.0))
-        return SuMatrix(complex(math.cosh(v), a0.imag * sh), b0 * sh)
+        sh = math.sinh(v) / _axis(g0)[0]
+        return SuMatrix(complex(math.cosh(v), g0.a.imag * sh), g0.b * sh)
 
     def order_key(self, idx) -> float:
         """Signed log multiplier sum; negative on the zooming side."""
@@ -78,8 +97,9 @@ def make_group(generators) -> ScaleGroup:
 
     Each generator must be hyperbolic; any generator attracting to the
     non-designated fixed point is replaced by its inverse (recorded in
-    `reoriented`).  All pairs must commute and the multipliers must be
-    pairwise distinct.
+    `reoriented`).  The generators must commute, which for hyperbolic maps
+    is sharing generator 0's axis up to the rounding of their entries, and
+    the multipliers must be pairwise distinct.
     """
     gens = tuple(generators)
     if not gens:
@@ -94,22 +114,24 @@ def make_group(generators) -> ScaleGroup:
         flip = _prefers_flip(g)
         oriented.append(g.inverse() if flip else g)
         flips.append(flip)
-    pairs = list(itertools.combinations(range(len(oriented)), 2))
-    for i, j in pairs:
-        dist = oriented[i].compose(oriented[j]).entry_distance(
-            oriented[j].compose(oriented[i])
-        )
-        if dist > COMMUTATOR_TOL:
+    g0 = oriented[0]
+    s0, r0 = _axis(g0)
+    for j, g in enumerate(oriented[1:], 1):
+        s, r = _axis(g)
+        dist = max(abs(g.a.imag / s - g0.a.imag / s0), abs(g.b / s - g0.b / s0))
+        if dist > AXIS_TOL * (r0 + r):
             raise ValueError(
-                f"generators {i} and {j} do not commute "
-                f"(commutator norm {dist:.3e})"
+                f"generators 0 and {j} do not commute "
+                f"(axis distance {dist:.3e})"
             )
+    p = len(oriented)
     mults = [g.multiplier() for g in oriented]
-    for i, j in pairs:
-        if abs(mults[i] - mults[j]) < MULTIPLIER_SEP:
-            raise ValueError(
-                f"generators {i} and {j} have duplicated multiplier "
-                f"{mults[i]!r}"
-            )
+    for i in range(p):
+        for j in range(i + 1, p):
+            if abs(mults[i] - mults[j]) < MULTIPLIER_SEP:
+                raise ValueError(
+                    f"generators {i} and {j} have duplicated multiplier "
+                    f"{mults[i]!r}"
+                )
     logs = tuple(g.log_multiplier() for g in oriented)
     return ScaleGroup(tuple(oriented), logs, tuple(flips))

@@ -304,10 +304,8 @@ class TestTransformCommands:
         sp = tmp_path / "sig.json"
         sp.write_text(json.dumps({"coeffs": [[x, 0.0] for x in f / np.linalg.norm(f)],
                                   "tail_bound": 0.0}))
-        # the bound beyond double range, also at scale 40, where repeated
-        # squaring put the pole inside the circle; then a finite bound
+        # the bound beyond double range, then the old input's finite bound
         for mult, window, last, bound in [(0.3, "[[3],[32]]", "(32,)", "inf"),
-                                          (0.3, "[[40]]", "(40,)", "inf"),
                                           (0.6, "[[7],[12]]", "(12,)", "7.191e+07")]:
             gp = tmp_path / "group.json"
             gp.write_text(json.dumps(skio.group_to_dict(make_group([make_scale_shift(mult, 0.2)]))))

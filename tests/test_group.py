@@ -33,6 +33,21 @@ class TestMakeGroup:
         with pytest.raises(ValueError, match="do not commute"):
             make_group([make_scale_shift(0.5, 0.1), make_scale_shift(0.5, 0.9)])
 
+    def test_rejects_generator_off_the_shared_axis(self):
+        # conjugating by a rotation of 3e-11 leaves a commutator of only
+        # 1.7e-11, but the element would put this generator on generator 0's
+        # axis, 2.3e-11 away from it
+        g1 = make_scale_shift(0.25, 0.2)
+        rotated = SuMatrix(g1.a, g1.b * complex(math.cos(3e-11), math.sin(3e-11)))
+        with pytest.raises(ValueError, match="generators 0 and 1 do not commute"):
+            make_group([make_scale_shift(0.5, 0.2), rotated])
+
+    def test_accepts_shared_axis_at_any_entry_scale(self):
+        # the commutator of these rounds to 2.3e-10, yet their axes agree to
+        # the rounding of their entries
+        g = make_group([make_scale_shift(1e-6, 1.4), make_scale_shift(1e-3, 1.4)])
+        assert g.p == 2
+
     def test_rejects_duplicate_multiplier(self):
         with pytest.raises(ValueError, match="duplicated multiplier"):
             make_group([make_scale_shift(0.5, 0.3), make_scale_shift(2.0, 0.3)])
@@ -89,24 +104,36 @@ class TestElement:
         with pytest.raises(ValueError, match="not an SU"):
             make_group([make_scale_shift(0.5, 0.0)]).element((MAX_EXPONENT,))
 
-    def test_deep_element_keeps_the_pole_outside_the_circle(self):
-        # repeated squaring gave |a| < |b| at scale 40; the closed form keeps
-        # |a| > |b|, and |a|^2 - |b|^2 misses 1 only by the rounding of |a|^2
-        m = make_group([make_scale_shift(0.3, 0.2)]).element((40,))
-        assert abs(m.a) > abs(m.b)
+    def test_refuses_pole_inside_the_circle(self):
+        # at scale 40 (|order_key| 48) |a| and |b| round equal, so the pole
+        # is on the circle to rounding
+        with pytest.raises(ValueError, match="not an SU"):
+            make_group([make_scale_shift(0.3, 0.2)]).element((40,))
+
+    @pytest.mark.parametrize("alphas, idx", [((0.99, 0.3), (0, 10)), ((0.999,), (MAX_EXPONENT,))])
+    def test_near_identity_axis_keeps_the_determinant(self, alphas, idx):
+        # an axis normalized by Re a0 alone missed X^2 = I by e0 / sinh^2(v0),
+        # which sinh^2(v) turned into a refused determinant at (0, 10)
+        m = make_group([make_scale_shift(alpha, 0.2) for alpha in alphas]).element(idx)
         assert abs(abs(m.a) ** 2 - abs(m.b) ** 2 - 1.0) <= 4 * EPS * abs(m.a) ** 2
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
-    @pytest.mark.parametrize("alphas", [(0.3,), (0.5,), (0.5, 0.25)])
+    @pytest.mark.parametrize("alphas", [(0.3,), (0.5,), (0.8,), (0.99,), (0.5, 0.25), (0.6, 0.8)])
     def test_matches_long_double_product(self, alphas):
-        # against the product of generator powers in extended precision: each
-        # entry within (w + 4) eps of e^w, w = sum_j |k_j v_j| the growth of
-        # the factors (w = |v| for one generator), for |k| <= 24
+        # against the product of generator powers in extended precision, for
+        # |k| <= 24: relative to m e^w, within (w + 4) eps + sum_j |k_j e_j| /
+        # (1 - mu_j), with m = |b0| / s0 the size of the axis, w = sum_j
+        # |k_j v_j| the growth of the factors and e_j = |a_j|^2 - |b_j|^2 - 1
+        # generator j's rounding
         g = make_group([make_scale_shift(alpha, 0.2) for alpha in alphas])
+        g0 = g.generators[0]
+        m_axis = abs(g0.b) / math.sqrt(abs(g0.b) ** 2 - g0.a.imag ** 2)
         powers = []   # per generator, exponent -> power
-        for gen in g.generators:
+        drift = []    # per generator, |e_j| / (1 - mu_j)
+        for gen, lm in zip(g.generators, g.gen_log_multipliers):
             m = np.array([[gen.a, gen.b], [gen.b.conjugate(), gen.a.conjugate()]],
                          dtype=np.clongdouble)
+            drift.append(float(abs(abs(m[0, 0]) ** 2 - abs(m[0, 1]) ** 2 - 1)) / -math.expm1(lm))
             inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
             table = {0: np.eye(2, dtype=np.clongdouble)}
             for k in range(1, 25):
@@ -124,23 +151,24 @@ class TestElement:
                 ref = ref @ table[k]
             ref = ref if ref[0, 0].real > 0 else -ref
             w = sum(abs(k * lm) for k, lm in zip(idx, g.gen_log_multipliers)) / 2
+            rel = (w + 4) * EPS + sum(abs(k) * d for k, d in zip(idx, drift))
             err = max(abs(complex(ref[0, 0]) - got.a), abs(complex(ref[0, 1]) - got.b))
-            assert err <= (w + 4) * EPS * math.exp(w), idx
+            assert err <= rel * m_axis * math.exp(w), idx
             checked += 1
         assert checked > 0.7 * 49 ** g.p
 
-    def test_refusal_is_monotone_in_depth(self):
+    def test_refuses_only_where_a_and_b_round_equal(self):
         # two generators: powers of one nearly cancel those of the other,
-        # which repeated squaring could not survive at order_key 0
+        # which repeated squaring could not survive at order_key 0; now only
+        # |order_key| > 36, where 1 / |b|^2 < 2 eps, is left to rounding
         g = make_group([make_scale_shift(0.5, 0.2), make_scale_shift(0.25, 0.2)])
-        accepted, refused = [], []
+        refused = []
         for idx in itertools.product(range(-24, 25), repeat=2):
             try:
                 g.element(idx)
-                accepted.append(abs(g.order_key(idx)))
             except ValueError:
                 refused.append(abs(g.order_key(idx)))
-        assert 35.0 < max(accepted) < min(refused)
+        assert min(refused) > 36.0
         # order_key (16, -8) is 8.9e-15, the rounding of the two log
         # multipliers; the element is the identity up to that
         assert abs(g.order_key((16, -8))) < 1e-14
