@@ -43,12 +43,16 @@ def _load_json_arg(text: str):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    payload = dumps(doc) + "\n"
+    # the text and its newline are written apart: text + "\n" would copy
+    # the whole report once more
+    text = dumps(doc)
     if out:
         with open(out, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _cmd_scale_transform(args) -> int:

@@ -7,6 +7,10 @@ CSV rows are the signal's stack on (n, k); the JSON tensor is its to_dense
 layout.  One codec per format: every value but a group and a signal goes
 to JSON through the to_dict walk, every CSV table is written by
 _write_table, and numpy parses CSV rows in one pass over the handle.
+Every float array and table (a complex array's [re, im] rows, a scale
+signal's entry list, the CSV rows) is written a chunk of rows at a time
+by _jsonfmt's table kernel, whose cells are '%.17g' byte for byte; only
+near-ties and extreme exponents are formatted one float at a time.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ import json
 import math
 import warnings
 from dataclasses import fields, is_dataclass
-from itertools import chain
 
 import numpy as np
 
-from ._jsonfmt import EntryList, _keyed_rows, dumps
+from ._jsonfmt import EntryList, _keyed_chunks, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
@@ -49,24 +52,26 @@ def pair(z: complex) -> list:
 def unpair(obj) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+    if not (isinstance(obj, (list, tuple, np.ndarray)) and len(obj) == 2):
         raise ValueError(f"expected [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 
 
 def to_dict(value):
     """The JSON value of a scalekit value: a dataclass becomes its fields in
-    declaration order minus those that are None, a complex number or array
-    [re, im] pairs (an array flattened in C order), a ScaleSignal its entry
-    list (an EntryList, which dumps writes by chunks of rows); lists, tuples
-    and dicts are walked, numpy scalars become Python's."""
+    declaration order minus those that are None, a complex number an
+    [re, im] pair, an array the (n, 2) float array of its [re, im] rows in
+    C order, a ScaleSignal its entry list (an EntryList); dumps writes
+    both by chunks of rows.  Lists, tuples and dicts are walked, numpy
+    scalars become Python's."""
     if is_dataclass(value):
         return {f.name: to_dict(v) for f in fields(value)
                 if (v := getattr(value, f.name)) is not None}
     if isinstance(value, complex):
         return pair(value)
     if isinstance(value, np.ndarray):
-        return (np.stack((value.real, value.imag), -1).reshape(-1, 2) + 0.0).tolist()
+        pairs = np.stack((value.real, value.imag), -1).reshape(-1, 2)
+        return pairs.astype(float, copy=False) + 0.0
     if isinstance(value, ScaleSignal):
         return EntryList(value.array, value.origin)
     if isinstance(value, (list, tuple)):
@@ -141,12 +146,11 @@ def signal_from_dict(obj) -> ScaleTimeSignal:
 
 def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     """A CSV header, then per row the key of cell flat[i] of a box of this
-    shape and origin, and the real and imaginary part of values[i] with 17
-    significant digits; the keys are built one chunk of rows at a time."""
+    shape and origin, and the real and imaginary part of values[i] as
+    '%.17g' writes them; the _jsonfmt table kernel writes each chunk."""
     fh.write(",".join(header) + "\n")
-    row = ",".join(["%s"] * len(shape) + ["%.17g", "%.17g"]) + "\n"
-    for n, rows in _keyed_rows(shape, origin, flat, values):
-        fh.write(row * n % tuple(chain.from_iterable(rows)))
+    for text in _keyed_chunks(shape, origin, flat, values, "", ",", "\n"):
+        fh.write(text)
 
 
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:
@@ -214,7 +218,8 @@ def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
             write_signal_csv(sig, fh)
         return
     with open(path, "w") as fh:
-        fh.write(dumps(signal_to_dict(sig)) + "\n")
+        fh.write(dumps(signal_to_dict(sig)))
+        fh.write("\n")
 
 
 def write_spectrum_csv(grid: SpectrumGrid, fh) -> None:

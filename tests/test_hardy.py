@@ -209,6 +209,12 @@ class TestSampledTransform:
         with pytest.raises(TruncationError) as err:
             transform_coeffs(g.element((32,)), f, 1e-10)
         assert err.value.achieved_bound == math.inf
+        # the same one-ulp pair built directly, whatever rounding element
+        # takes at that depth
+        with pytest.raises(TruncationError) as err:
+            transform_coeffs(SuMatrix(116152865.6270941 + 23545351.515702315j,
+                                      118515280.75055875), f, 1e-10)
+        assert err.value.achieved_bound == math.inf
         # multiplier 0.6 at scale 12 misses the budget by a finite bound
         with pytest.raises(TruncationError) as err:
             transform_coeffs(make_group([make_scale_shift(0.6, 0.2)]).element((12,)), f, 1e-10)

@@ -1,10 +1,14 @@
 import io
 import json
+import math
 import re
+import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scalekit import (
     CoeffSeq, MomentSequence, ScaleSignal, ScaleTimeSignal, SuMatrix, bibo_analysis,
@@ -14,6 +18,7 @@ from scalekit import (
 from scalekit import io as skio
 from scalekit import _jsonfmt as jsonfmt
 from scalekit._jsonfmt import dumps
+from scalekit.spectral import SpectrumGrid
 from scalekit.stability import OperatorNormBracket, StabilityReport
 from helpers import random_time_signal
 
@@ -73,6 +78,86 @@ class TestJsonFmt:
             array[2, 1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 dumps(array)
+
+
+def percent_cells(values) -> str:
+    return ",".join("%.17g" % v for v in values)
+
+
+def kernel_cells(values) -> str:
+    return jsonfmt._table([np.asarray(values, float)], len(values), ",")
+
+
+# every finite double by its bit pattern, subnormals and -0.0 included
+FINITE_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]).filter(math.isfinite)
+
+
+class TestTableKernel:
+    """The _jsonfmt table kernel against the '%.17g' it replaces."""
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), FINITE_BITS),
+                    min_size=1, max_size=64))
+    def test_float_cells_match_percent_format(self, values):
+        assert kernel_cells(values) == percent_cells(values)
+
+    def test_edge_values(self):
+        powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+        ulps = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0)])
+        notation = [1e-5, 9.9999999999999991e-06, 1.0000000000000001e-05, 1e-4,
+                    9.9999999999999991e-05, 1e16, 9999999999999998.0, 1e17,
+                    99999999999999984.0, 1.0000000000000002e17]
+        integers = [2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, sys.float_info.max,
+                    sys.float_info.min, 5e-324, 0.0, -0.0]
+        # exact 17-digit ties (half to even) and decimal near-ties with
+        # their neighbours
+        ties = [2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75, 2.0 ** 49 + 0.125, 2.0 ** 49 + 0.375]
+        rng = np.random.default_rng(17)
+        near = np.array([float(f"{d}5e{e}") for d, e in zip(
+            rng.integers(10 ** 16, 10 ** 17, 300).tolist(),
+            rng.integers(-330, 290, 300).tolist())])
+        near = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, 0)])
+        values = np.concatenate([ulps, notation, integers, ties, near])
+        values = np.concatenate([values, -values])
+        assert kernel_cells(values) == percent_cells(values)
+
+    def test_double_double_path_decides_ordinary_values(self):
+        # the '%' fallback is for near-ties and the table's edges only
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(4096) * 10.0 ** rng.integers(-30, 30, 4096)
+        decided = jsonfmt._scaled_digits(np.abs(values))[0]
+        assert decided.mean() > 0.999
+        assert not jsonfmt._scaled_digits(np.array([5e-324, 1e-300, 1.7e308]))[0].any()
+
+    def test_key_columns_exact_for_any_origin(self):
+        # negative keys, origins beyond int64, and index spans within and
+        # beyond the row count
+        index = np.array([0, 5, 5, 2, 9, 0, 3, 7, 1, 4])
+        for origin in (-7, 2 ** 63, 2 ** 70, -(2 ** 64) - 3):
+            for idx in (index, index * 1000):
+                text = jsonfmt._table([(idx, origin), ";"], len(idx))
+                assert text == "".join(f"{i + origin};" for i in idx.tolist())
+
+    def test_non_finite_spectrum_csv_as_percent_writes_it(self):
+        values = np.array([[complex(np.inf, 1.5), complex(np.nan, -np.inf)],
+                           [complex(-0.0, 1e-310), complex(0.25, np.nan)]])
+        buf = io.StringIO()
+        skio.write_spectrum_csv(SpectrumGrid((2, 2), values), buf)
+        rows = "".join(f"{j1},{j2},{'%.17g' % z.real},{'%.17g' % z.imag}\n"
+                       for (j1, j2), z in np.ndenumerate(values))
+        assert buf.getvalue() == "j1,j2,re,im\n" + rows
+
+    def test_complex_array_written_as_rows_with_the_same_error(self):
+        values = np.array([1 + 2j, complex(-0.0, 0.5), complex(3.0, np.nan)])
+        doc = skio.to_dict(values)
+        assert isinstance(doc, np.ndarray) and doc.shape == (3, 2)
+        pairs = [skio.pair(z) for z in values]
+        with pytest.raises(ValueError) as rows:
+            dumps(doc)
+        with pytest.raises(ValueError) as walk:
+            dumps(pairs)
+        assert str(rows.value) == str(walk.value) == "cannot serialize non-finite float nan"
+        assert dumps(skio.to_dict(values[:2])) == dumps(pairs[:2]) == "[[1,2],[0,0.5]]"
 
 
 class TestMatrixGroupJson:
