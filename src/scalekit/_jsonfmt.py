@@ -30,7 +30,6 @@ origin.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -54,27 +53,29 @@ _LEAD = np.frombuffer(b"0.000", np.uint8)
 _PLACES = np.arange(18, dtype=np.int8)[:, None]
 
 
-@functools.cache
-def _pow10() -> np.ndarray:
-    """Rows H, H_hi, H_lo, L; column _K_MAX - k holds 10^(16-k) for k in
-    [_K_MIN, _K_MAX]: H and L rounded from exact integers (int / int rounds
-    correctly), H split into halves of 26 and 27 bits."""
-    pairs = []
-    for m in range(16 - _K_MAX, 17 - _K_MIN):
-        t = 10 ** abs(m)
-        if m >= 0:
-            h = float(t)
-            pairs.append((h, float(t - int(h))))
-        else:
-            h = 1 / t
-            num, den = h.as_integer_ratio()
-            pairs.append((h, (den - num * t) / (den * t)))
-    h, low = np.array(pairs).T
-    t = h * _SPLIT
-    hh = t - (t - h)
-    table = np.stack((h, hh, h - hh, low))
-    table.flags.writeable = False
-    return table
+_POW10 = np.zeros((4, _K_MAX - _K_MIN + 1))  # filled by _pow10
+
+
+def _pow10(cols: np.ndarray) -> np.ndarray:
+    """Columns cols of the table with rows H, H_hi, H_lo, L, whose column
+    _K_MAX - k holds 10^m, m = 16 - k: H = fl(10^m) and L = fl(10^m - H),
+    each one division of exact integers (int / int rounds correctly), and
+    H split into halves of 26 and 27 bits.  Each column is built the first
+    time it is asked for (H = 0 until then)."""
+    table = _POW10.take(cols, axis=1)
+    if table[0].all():
+        return table
+    missing = (np.bincount(cols, minlength=_POW10.shape[1]) > 0) & (_POW10[0] == 0)
+    for col in np.flatnonzero(missing).tolist():
+        m = col + 16 - _K_MAX
+        num, den = 10 ** max(m, 0), 10 ** max(-m, 0)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        low = (num * h_den - h_num * den) / (den * h_den)
+        t = h * _SPLIT
+        hh = t - (t - h)
+        _POW10[:, col] = h, hh, h - hh, low
+    return _POW10.take(cols, axis=1)
 
 
 def _scaled_digits(a: np.ndarray):
@@ -83,7 +84,7 @@ def _scaled_digits(a: np.ndarray):
     k = np.floor(np.log10(a))
     inside = (k >= _K_MIN) & (k <= _K_MAX)
     k = np.where(inside, k, 0).astype(np.intp)
-    h, hh, hl, low = _pow10().take(_K_MAX - k, axis=1)
+    h, hh, hl, low = _pow10(_K_MAX - k)
     with np.errstate(over="ignore", invalid="ignore"):  # outside: not decided
         p = a * h
         t = a * _SPLIT

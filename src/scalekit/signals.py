@@ -75,11 +75,13 @@ def zeros_box(shape) -> np.ndarray:
 def trim_box(array: np.ndarray, origin) -> tuple[np.ndarray, tuple]:
     """View of array on the bounding box of its nonzeros, and its origin;
     an array without nonzeros gives an empty box at the zero origin."""
-    hits = np.nonzero(array)
-    if hits[0].size == 0:
-        return array[(slice(0, 0),) * array.ndim], (0,) * array.ndim
-    cut = tuple(slice(int(h.min()), int(h.max()) + 1) for h in hits)
-    return array[cut], tuple(int(o) + c.start for o, c in zip(origin, cut))
+    nonzero, cut = array != 0, []
+    for axis in range(array.ndim):
+        hits = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(array.ndim) if a != axis)))
+        if not hits.size:
+            return array[(slice(0, 0),) * array.ndim], (0,) * array.ndim
+        cut.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return array[tuple(cut)], tuple(int(o) + c.start for o, c in zip(origin, cut))
 
 
 def cone_box(array: np.ndarray, origin) -> tuple[np.ndarray, tuple]:
@@ -149,14 +151,18 @@ class ScaleSignal:
         if not np.isfinite(values).all():
             raise ValueError("signal entries must be finite")
         keep = values != 0
-        keys, values = keys[keep], values[keep]
+        if not keep.all():
+            keys, values = keys[keep], values[keep]
         if not len(values):
             return cls._from_box(np.zeros((0,) * keys.shape[1], complex), (0,) * keys.shape[1])
-        lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
-        box = np.full(check_box(b - a + 1 for a, b in zip(lo, hi)), complex(-0.0, -0.0))
-        np.add.at(box, tuple((keys - lo).T), values)
+        columns = keys.T.copy()  # one contiguous row per axis
+        lo, hi = columns.min(axis=1).tolist(), columns.max(axis=1).tolist()
+        shape = check_box(b - a + 1 for a, b in zip(lo, hi))
+        columns -= np.array(lo)[:, None]
+        box = np.full(math.prod(shape), complex(-0.0, -0.0))
+        np.add.at(box, np.ravel_multi_index(tuple(columns), shape), values)
         box[box == 0] = 0
-        return cls._from_box(box, lo)
+        return cls._from_box(box.reshape(shape), lo)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaleSignal is immutable")

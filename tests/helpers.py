@@ -59,3 +59,17 @@ def disc_point(rng, radius=0.99) -> complex:
     r = radius * np.sqrt(rng.random())
     phi = 2.0 * np.pi * rng.random()
     return complex(r * np.cos(phi), r * np.sin(phi))
+
+
+def slab_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
+    """Full linear convolution of two boxes by slab adds, the reference for
+    convolve.box_convolve: for each nonzero position k of h (lexicographic
+    unless positions gives another order), h(k) * u is added into the
+    output window at offset k, whatever u's fill."""
+    out = np.zeros([a + b - 1 if h.size and u.size else 0 for a, b in zip(h.shape, u.shape)],
+                   complex)
+    if positions is None:
+        positions = np.argwhere(h)
+    for pos in map(tuple, positions.tolist()):
+        out[tuple(slice(k, k + n) for k, n in zip(pos, u.shape))] += h[pos] * u
+    return out

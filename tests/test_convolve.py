@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalekit.convolve as convolve
 from scalekit import (
@@ -9,7 +10,7 @@ from scalekit import (
     double_convolve,
     group_convolve,
 )
-from helpers import random_scale_signal, random_time_signal
+from helpers import random_scale_signal, random_time_signal, slab_convolve
 
 
 def delta(idx, arity, value=1.0):
@@ -118,6 +119,70 @@ class TestDoubleConvolve:
         h = random_time_signal(rng, 1, time_len=3)
         u = random_time_signal(rng, 1, time_len=5)
         assert double_convolve(h, u).time_len == 7
+
+
+# cell parts: signed zeros, exactly cancelling values and values far apart
+# in magnitude, so that a change in summation order shows in the last bits
+PARTS = np.array([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1, -0.3, 7.25, 3e-5, -2.5e8])
+
+
+@st.composite
+def boxes(draw, arity):
+    """A complex box of 1..5 cells per axis whose nonzeros fill it to a
+    drawn fraction in [0.01, 1]; zero cells are +0 or -0, and half the
+    boxes are non-contiguous views into a larger array."""
+    shape = draw(st.tuples(*[st.integers(1, 5)] * arity))
+    fill = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = np.where(rng.random((2,) + shape) < 0.5, rng.choice(PARTS, (2,) + shape),
+                     rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-8, 9, (2,) + shape))
+    zeros = rng.choice([0.0, -0.0], (2,) + shape)
+    parts = np.where(rng.random(shape) < fill, parts, zeros)
+    box = np.empty(shape, complex)
+    box.real, box.imag = parts  # as drawn, signed zeros included
+    if draw(st.booleans()):
+        big = np.zeros(tuple(n + 2 for n in shape), complex)
+        big[(slice(1, -1),) * arity] = box
+        box = big[(slice(1, -1),) * arity]
+    return box
+
+
+def time_descending(h):
+    pos = np.argwhere(h)
+    return pos[np.argsort(-pos[:, 0], kind="stable")]
+
+
+class TestBoxConvolve:
+    """The cell loop (u less than half full) against the slab loop, bit
+    for bit: each output cell must sum the same products in the same order."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_slab_loop_bit_for_bit(self, data):
+        arity = data.draw(st.integers(1, 3))
+        h, u = data.draw(boxes(arity)), data.draw(boxes(arity))
+        positions = time_descending(h) if data.draw(st.booleans()) else None
+        got, ref = convolve.box_convolve(h, u, positions), slab_convolve(h, u, positions)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pad", [0, 3])  # u 3/4 full (slabs), 3/25 full (cells)
+    def test_exact_cancellation_leaves_plus_zero(self, pad):
+        # h = [d0, d1], u = [d0 + d1, -d1] on (n, k): y_1(1) = 1 - 1
+        h = np.array([[1, 0], [0, 1]], complex)
+        u = np.zeros((2 + pad, 2 + pad), complex)
+        u[0, 0] = u[0, 1] = 1
+        u[1, 1] = -1
+        got = convolve.box_convolve(h, u, time_descending(h))
+        assert got.tobytes() == slab_convolve(h, u, time_descending(h)).tobytes()
+        assert got[1, 1] == 0 and not np.signbit(got[1, 1].real) and not np.signbit(got[1, 1].imag)
+
+    @pytest.mark.parametrize("h_shape", [(0, 3), (2, 2)])
+    def test_h_without_nonzeros_gives_zeros(self, h_shape):
+        h, u = np.zeros(h_shape, complex), np.zeros((4, 4), complex)
+        u[1, 2] = 1  # under half full: the cell loop's side
+        got = convolve.box_convolve(h, u)
+        assert got.shape == slab_convolve(h, u).shape and not got.any()
 
 
 class TestBruteForce:

@@ -5,6 +5,7 @@ import re
 import struct
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ class TestTableKernel:
         rows = "".join(f"{j1},{j2},{'%.17g' % z.real},{'%.17g' % z.imag}\n"
                        for (j1, j2), z in np.ndenumerate(values))
         assert buf.getvalue() == "j1,j2,re,im\n" + rows
+
+    def test_pow10_columns_built_on_demand_match_the_exact_table(self, monkeypatch):
+        monkeypatch.setattr(jsonfmt, "_POW10", np.zeros_like(jsonfmt._POW10))
+        ks = np.arange(jsonfmt._K_MIN, jsonfmt._K_MAX + 1)
+        cols = jsonfmt._K_MAX - ks
+        jsonfmt._pow10(cols[::7][::-1])  # some columns first, out of order
+        got = jsonfmt._pow10(cols)
+        # 10^(16-k) exactly; float() of a Fraction rounds correctly
+        exact = [Fraction(10) ** (16 - k) for k in ks.tolist()]
+        h = np.array([float(x) for x in exact])
+        low = np.array([float(x - Fraction(v)) for x, v in zip(exact, h.tolist())])
+        t = h * jsonfmt._SPLIT
+        hh = t - (t - h)
+        assert got.tobytes() == np.stack((h, hh, h - hh, low)).tobytes()
 
     def test_complex_array_written_as_rows_with_the_same_error(self):
         values = np.array([1 + 2j, complex(-0.0, 0.5), complex(3.0, np.nan)])
@@ -429,6 +444,74 @@ class TestCsvReader:
         sig = read_csv("n,k1,re,im\n0,0,1,0\n0,0,1e16,0\n0,0,-1e16,0\n"
                        "0,1,2,-0.0\n0,1,0.5,-0.0\n1,0,-0.0,3\n")
         assert csv_text(sig) == "n,k1,re,im\n0,1,2.5,-0\n1,0,-0,3\n"
+
+
+# CRLF endings, blank lines, spaces and quoted fields, as in the cases above
+READER_TEXTS = [
+    'n,k1,re,im\r\n\r\n0, 1 ,"0.5", -0.25\r\n\r\n2,-2,1e-3,0\r\n',
+    '"n","k1","re","im"\n0,"1",0.5,"-0.25"\n\n\n2,-2,1,0',
+    "n,k1,k2,re,im\r\n1,0,0,1,0\r\n0,0,-1,0.5,-0.0\r\n",
+    "n,k1,re,im\n0,0,1,0\n0,0,1e16,0\n0,0,-1e16,0\n0,1,2,-0.0\n0,1,0.5,-0.0\n",
+    "n,k1,k2,re,im\n",
+]
+
+BAD_READER_TEXTS = [
+    ("n,k1,re,im\n0,0,1,0\n\n0,x,1,0\n", "line 4"),
+    ("n,k1,re,im\r\n0,0,1,0\r\n\r\n0,x,1,0\r\n", "line 4"),
+    ('n,k1,re,im\n\n"0","1.5",1,0\n', "line 3"),
+    ("n,k1,re,im\r\n0,0,1,0\r\n-1,0,1,0\r\n", "line 3: negative time index"),
+    ('n,k1,re,im\n0,0,"1"\n', "line 2"),
+]
+
+
+class TestPathAndHandleReaders:
+    """read_time_signal hands numpy the path, read_signal_csv the handle;
+    both must read the same signal and name the same bad line."""
+
+    @pytest.fixture(autouse=True)
+    def every_file_by_path(self, monkeypatch):
+        monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", 0)
+
+    @staticmethod
+    def both(tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        yield lambda: skio.read_time_signal(str(path))
+        with open(path, newline="") as fh:
+            yield lambda: skio.read_signal_csv(fh)
+
+    @pytest.mark.parametrize("text", READER_TEXTS)
+    def test_same_signal(self, tmp_path, text):
+        by_path, by_handle = (read() for read in self.both(tmp_path, text))
+        assert by_path.time_len == by_handle.time_len
+        assert by_path.stack.origin == by_handle.stack.origin
+        assert by_path.stack.array.shape == by_handle.stack.array.shape
+        assert by_path.stack.array.tobytes() == by_handle.stack.array.tobytes()
+        assert csv_text(by_path) == csv_text(read_csv(text))
+
+    @pytest.mark.parametrize("text, line", BAD_READER_TEXTS)
+    def test_bad_row_names_the_same_line(self, tmp_path, text, line):
+        messages = []
+        for read in self.both(tmp_path, text):
+            with pytest.raises(ValueError, match=line) as err:
+                read()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_numpy_gets_the_path_of_a_large_file_only(self, tmp_path, monkeypatch):
+        seen, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            seen.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "s.csv"
+        path.write_text("n,k1,re,im\n0,1,0.5,0\n")
+        for limit in (path.stat().st_size, path.stat().st_size + 1):
+            monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", limit)
+            assert list(skio.read_time_signal(str(path)).items()) == [(0, (1,), 0.5 + 0j)]
+        assert seen[0] == str(path.resolve()) and not isinstance(seen[1], str)
 
 
 class TestSpectrumCsv:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalekit import ScaleSignal, ScaleTimeSignal, support_bound
+from scalekit.signals import trim_box
 from helpers import random_time_signal
 
 
@@ -111,6 +113,82 @@ class TestSupportBound:
     def test_p2_rejected(self):
         with pytest.raises(ValueError, match="ordered cyclic cone"):
             support_bound(ScaleSignal({(0, 0): 1.0}, arity=2))
+
+
+def bits(z) -> bytes:
+    return np.array(z, complex).tobytes()
+
+
+# parts whose sums depend on their order: (1 + 1e16) - 1e16 is 0, and
+# 1 + (1e16 - 1e16) is 1; signed zeros too
+ORDERED_PARTS = st.sampled_from([1.0, -1.0, 1e16, -1e16, 0.1, 0.2, -0.3, 3e-5, 0.0, -0.0])
+
+
+class TestFromEntries:
+    @settings(max_examples=200)
+    @given(st.integers(1, 3).flatmap(lambda arity: st.tuples(st.just(arity), st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * arity), ORDERED_PARTS, ORDERED_PARTS),
+        max_size=12))), st.booleans())
+    def test_duplicates_sum_in_listed_order_bit_for_bit(self, case, strided):
+        arity, rows = case
+        keys = np.array([k for k, _, _ in rows], np.int64).reshape(-1, arity)
+        values = np.array([complex(re, im) for _, re, im in rows], complex)
+        if strided:  # a column view, as the CSV reader hands over
+            wide = np.zeros((len(keys), 2 * arity), np.int64)
+            wide[:, ::2] = keys
+            keys = wide[:, ::2]
+        # reference: zero values dropped, the rest added in row order onto -0.0
+        sums: dict = {}
+        for k, re, im in rows:
+            if complex(re, im) != 0:
+                sums[k] = sums.get(k, complex(-0.0, -0.0)) + complex(re, im)
+        sig = ScaleSignal._from_entries(keys, values)
+        assert dict(sig.items()) == {k: v for k, v in sums.items() if v != 0}
+        for k, v in sums.items():
+            assert bits(sig.get(k)) == bits(v if v != 0 else 0j)
+
+    def test_cancelling_entries_on_every_box_edge_are_trimmed(self):
+        keys = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0], [3, 2, 4], [1, 2, 1], [3, 2, 4]])
+        values = np.array([1e16, 2.0, -1e16, 0.5j, 1.0, -0.5j])
+        sig = ScaleSignal._from_entries(keys, values)
+        assert sig.support_box() == ((1, 1, 1), (1, 2, 1))
+        assert sig.array.shape == (1, 2, 1)
+
+    def test_all_cancelling_entries_give_the_empty_box_at_the_zero_origin(self):
+        sig = ScaleSignal._from_entries(np.array([[5, -3], [5, -3]]), np.array([1.5, -1.5]))
+        assert sig.is_zero and sig.array.shape == (0, 0) and sig.origin == (0, 0)
+
+    def test_negative_zero_part_survives(self):
+        keys = np.array([[0], [0], [2]])
+        values = np.array([complex(2, -0.0), complex(0.5, -0.0), complex(-0.0, 3)])
+        sig = ScaleSignal._from_entries(keys, values)
+        assert bits(sig.get(0)) == bits(complex(2.5, -0.0))
+        assert bits(sig.get(2)) == bits(complex(-0.0, 3))
+        assert bits(sig.get(1)) == bits(0j)  # a cell without an entry reads +0
+
+
+class TestTrimBox:
+    @settings(max_examples=200)
+    @given(st.integers(1, 3).flatmap(lambda arity: st.tuples(*[st.integers(1, 6)] * arity)),
+           st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_nonzero_reference(self, shape, fill, seed):
+        rng = np.random.default_rng(seed)
+        array = np.where(rng.random(shape) < fill, rng.standard_normal(shape) + 0j,
+                         rng.choice([0.0, -0.0], shape) + 0j)
+        origin = tuple(rng.integers(-5, 6, len(shape)).tolist())
+        got, at = trim_box(array, origin)
+        hits = np.nonzero(array)
+        if not hits[0].size:
+            assert got.shape == (0,) * len(shape) and at == (0,) * len(shape)
+            return
+        cut = tuple(slice(h.min(), h.max() + 1) for h in hits)
+        assert got.tobytes() == array[cut].tobytes()
+        assert at == tuple(o + c.start for o, c in zip(origin, cut))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_box_is_the_empty_box_at_the_zero_origin(self, zero):
+        got, at = trim_box(np.full((3, 4, 2), complex(zero, zero)), (5, -2, 7))
+        assert got.shape == (0, 0, 0) and at == (0, 0, 0)
 
 
 class TestDense:
