@@ -64,8 +64,9 @@ def to_dict(value):
     declaration order minus those that are None, a complex number an
     [re, im] pair, an array the (n, 2) float array of its [re, im] rows in
     C order, a ScaleSignal its entry list (an EntryList); dumps writes
-    both by chunks of rows.  Lists, tuples and dicts are walked, numpy
-    scalars become Python's."""
+    both by chunks of rows.  Adding 0.0 writes -0.0 as 0, since JSON
+    readers parse "-0" as the integer 0 and its sign could not come back.
+    Lists, tuples and dicts are walked, numpy scalars become Python's."""
     if is_dataclass(value):
         return {f.name: to_dict(v) for f in fields(value)
                 if (v := getattr(value, f.name)) is not None}
@@ -120,11 +121,9 @@ def coeffseq_from_dict(obj) -> CoeffSeq:
 
 
 def signal_to_dict(sig: ScaleTimeSignal) -> dict:
-    # data: float [re, im] rows; + 0.0 writes -0.0 as 0, since JSON readers
-    # parse "-0" as the integer 0 and its sign could not come back
     dense, origin = sig.to_dense()
     return {"arity": sig.arity, "shape": list(dense.shape), "origin": list(origin),
-            "data": dense.reshape(-1, 1).view(float) + 0.0}
+            "data": to_dict(dense)}
 
 
 def signal_from_dict(obj) -> ScaleTimeSignal:

@@ -12,12 +12,17 @@ exactly, whatever the support width.  The converse needs the width guard:
 the inverse FFT returns the folded sums, which equal the coefficients only
 when no two exponents of the support are congruent.
 
-Every evaluation off the grid is Horner's rule along the leading axis of a
-box (_horner): nested over the box axes in _evaluate (hermite_transform,
-generalized_transfer, the Gram sample of stability.dissipativity_check),
-over time in transfer_grid, and in one variable in hardy and
-moments.herglotz_eval.  A value is within _gamma(4 sum_a (w_a + 2 |lo_a|))
-sum_e |c_e z^e| of the exact sum, w_a the widths, lo the origin (_evaluate).
+Every evaluation off the grid but one is Horner's rule along the leading
+axis of a box (_horner): nested over the box axes in _evaluate
+(hermite_transform, generalized_transfer, the Gram sample of
+stability.dissipativity_check), over time in transfer_grid, and in one
+variable in hardy and moments.herglotz_eval.  A value is within
+_gamma(4 sum_a (w_a + 2 |lo_a|)) sum_e |c_e z^e| of the exact sum, w_a the
+widths, lo the origin (_evaluate).  The exception is stability._direct,
+which evaluates the cell centres and the witness of a torus bracket as a sum
+of K exponentials: K per point is the unit stability.WORK_BUDGET counts,
+where Horner's rule would cost the whole box of the lattice exponents (K = 3
+for the exponents {0, 3, 1000}, against a box 1001 wide).
 """
 
 from __future__ import annotations

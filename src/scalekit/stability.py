@@ -417,18 +417,21 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     v = sum_j sqrt(rho_j) c_j / ||c_j||, normalized, with c_j(k) =
     e^{i theta_j.(k - o + l)} prod_a sin(pi (k_a - o_a + 1) / (W_a + 1)) and
     l the support box's lower corner.  necessary_lower is sum_n ||M_n^* v||
-    (by Parseval on a grid of next_pow2(W_a + d_a) points per axis) clipped
-    to sufficient_upper; any unit v gives a valid lower bound.
+    clipped to sufficient_upper; any unit v gives a valid lower bound.
 
-    The window follows the support of h: W_a = 256 d_a + 1, d_a the width
-    of the support box on axis a less one, with the widest axis halved (or
-    cut to what fits) until the window has at most 2^16 cells.  The taper
-    spreads an atom over about pi / W_a and costs a relative
-    (pi d_a / W_a)^2 / 8 at worst (the symbol (1 + z^d) / 2), about 2e-5 per
-    axis where nothing was cut.  The grid has
-    min(2 W_a, 2^floor(log2(2^24 / T) / p)) points per axis: twice the
-    witness's resolution, and few enough that the T slices' grid powers fit
-    MAX_BOX_CELLS together.
+    One grid of G_a = W_a + max(W_a, d_a) points per axis carries both the
+    atoms and the value, d_a the width of the support box on axis a less
+    one: twice the witness's resolution where W_a >= d_a, and no adjoint
+    image (W_a + d_a cells per axis) wraps on it.  So, by Parseval,
+    necessary_lower is sum_n sqrt(sum_j |h_n(theta_j)|^2 |v(theta_j)|^2 / N)
+    over its N points, the Frank-Wolfe objective at v's own spectral measure.
+    The window follows the support of h: W_a = 256 d_a + 1, with the widest
+    axis halved (or cut to what fits) until the window has at most 2^16
+    cells and the T slices' grid powers fit MAX_BOX_CELLS together,
+    T prod_a G_a <= 2^24.  Where even one-cell windows do not fit, it raises
+    ValueError before any slice is bracketed.  The taper spreads an atom
+    over about pi / W_a and costs a relative (pi d_a / W_a)^2 / 8 at worst
+    (the symbol (1 + z^d) / 2), about 2e-5 per axis where nothing was cut.
     character_angles is the heaviest atom and window_spans the window.  The
     witness is built at the origin o it is reported at: l, or for a
     scale-causal h (every exponent >= 0) the box's upper corner, which puts
@@ -438,16 +441,20 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     """
     p = h.arity
     slices = h.slices
+    lows, highs = h.support_box() or ((0,) * p, (0,) * p)
+    widths = [256 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
+    grid = lambda: tuple(w + max(w, hi - lo) for w, lo, hi in zip(widths, lows, highs))
+    while math.prod(widths) > 1 << 16 or len(slices) * math.prod(grid()) > MAX_BOX_CELLS:
+        a = widths.index(max(widths))
+        if widths[a] == 1:
+            raise ValueError(f"BIBO witness grid {grid()} for {len(slices)} slices "
+                             f"exceeds MAX_BOX_CELLS = {MAX_BOX_CELLS}")
+        fit = (1 << 16) // (math.prod(widths) // widths[a])
+        widths[a] = max(fit, widths[a] // 2) if fit < widths[a] else widths[a] // 2
+    sizes = grid()
     brackets, sufficient_upper, verdict = _slice_bound(slices, tol)
 
-    lows, highs = h.support_box() or ((0,) * p, (0,) * p)
     origin = highs if h.is_cone_supported() else lows
-    widths = [256 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
-    while math.prod(widths) > 1 << 16:
-        a = widths.index(max(widths))
-        widths[a] = max((1 << 16) // (math.prod(widths) // widths[a]), widths[a] // 2)
-    cap = 1 << ((MAX_BOX_CELLS // max(1, len(slices))).bit_length() - 1) // p
-    sizes = tuple(min(2 * w, cap) for w in widths)
     # |h_n|^2 on the grid: the adjoint images of the character e^{i k.theta}
     # have norms |sum_k h_n(k) e^{-i k.theta}|, the convention of torus_values
     power = np.zeros((len(slices), math.prod(sizes)))
@@ -463,12 +470,9 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     v = taper * sum(math.sqrt(w) * np.exp(1j * sum(t * e for t, e in zip(angles[j], exps)))
                     for j, w in rho.items())
     v *= 1.0 / math.sqrt(energy(v))
-    # no adjoint image wraps on this grid: each has at most W_a + d_a cells
-    # per axis, and its symbol is conj(hhat_n) vhat
-    grid = tuple(_next_pow2(w + hi - lo) for w, lo, hi in zip(widths, lows, highs))
-    weight = np.square(np.abs(torus_values(v, lows, grid))) / math.prod(grid)
-    value = sum(math.sqrt(float(np.sum(
-        np.square(np.abs(torus_values(s.array, s.origin, grid))) * weight))) for s in slices)
+    # ||M_n^* v||^2 by Parseval: the image's symbol is conj(hhat_n) vhat
+    power *= np.square(np.abs(torus_values(v, lows, sizes))).ravel() / math.prod(sizes)
+    value = sum(math.sqrt(m) for m in power.sum(axis=1).tolist())
 
     return StabilityReport(
         property="bibo",

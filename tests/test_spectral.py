@@ -418,8 +418,8 @@ class TestGridCap:
         assert "MAX_BOX_CELLS" in capsys.readouterr().err
 
     def test_bibo_candidate_grid_capped(self, monkeypatch):
-        # at p = 5 a 64^5-point candidate grid would exceed the cap: the
-        # candidate grid shrinks to fit it, and the analysis runs
+        # at p = 5 the 2^16-cell window is 8 x 8 x 8 x 8 x 16 cells, and the
+        # witness grid has twice its points per axis
         import scalekit.stability as stability
         grids = []
 
@@ -431,7 +431,7 @@ class TestGridCap:
         h = ScaleTimeSignal([ScaleSignal({(0,) * 5: 0.5, (1,) * 5: 0.25}, arity=5)])
         monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 15)
         report = bibo_analysis(h)
-        assert (16,) * 5 in grids
+        assert (16, 16, 16, 16, 32) in grids
         assert all(math.prod(g) <= MAX_BOX_CELLS for g in grids)
         assert len(report.witnesses["character_angles"]) == 5
         assert report.witnesses["maximizer"].array.size <= MAX_BOX_CELLS
@@ -439,8 +439,8 @@ class TestGridCap:
 
     def test_bibo_candidate_powers_fit_the_cap_together(self, monkeypatch):
         # the candidate grid holds one row of powers per slice: with eight
-        # p = 4 slices its points per axis shrink until all eight rows fit
-        # MAX_BOX_CELLS (64^4 points each would need 2^27)
+        # p = 4 slices the eight rows fit MAX_BOX_CELLS together (64^4
+        # points each would need 2^27), and the witness is valued on it
         import scalekit.stability as stability
         grids = []
 

@@ -297,6 +297,82 @@ class TestBiboAnalysis:
         u = adversarial_input(h, h.time_len - 1, v)
         assert u.is_cone_supported() and not u.is_zero
 
+    # a 13^5 box: at p = 5 the 2^16-cell window is no wider than the
+    # support, W_a <= d_a = 12 (6 < 12 on two axes), and the witness grid
+    # has W_a + d_a points per axis (32 per axis would exceed MAX_BOX_CELLS)
+    WIDE_P5 = ScaleTimeSignal([ScaleSignal({(0,) * 5: 1.0, (12,) * 5: 0.5}, arity=5)])
+
+    def test_window_narrower_than_support(self):
+        h = self.WIDE_P5
+        report = bibo_analysis(h)
+        assert [t - s + 1 for s, t in report.details["window_spans"]] == [6, 6, 12, 12, 12]
+        assert report.verdict == "pass"
+        assert report.sufficient_upper == pytest.approx(1.5, rel=1e-6)
+        derived = maximizer_value(h, report)
+        assert report.necessary_lower == pytest.approx(derived, rel=1e-12, abs=0.0)
+        assert 1.1 <= report.necessary_lower <= report.sufficient_upper
+
+    def test_window_narrower_than_support_cli(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_time_signal(self.WIDE_P5, str(path))
+        assert main(["analyze", "--property", "bibo", "--system", str(path)]) == 0
+
+    def test_window_shrinks_for_the_slice_count(self, monkeypatch):
+        # with a cap of 2^18, three p = 2 slices on 255 x 257 windows would
+        # need 3 * 510 * 514 grid points: the widest axes are halved until
+        # the three grid powers fit, and the value still matches the
+        # maximizer's adjoint images
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        h = ScaleTimeSignal([ScaleSignal(dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], row)),
+                                         arity=2) for row in values])
+        full = bibo_analysis(h, tol=1e-3)
+        monkeypatch.setattr(stability, "MAX_BOX_CELLS", 1 << 18)
+        report = bibo_analysis(h, tol=1e-3)
+        widths = [t - s + 1 for s, t in report.details["window_spans"]]
+        assert widths == [127, 128]
+        assert [t - s + 1 for s, t in full.details["window_spans"]] == [255, 257]
+        assert 3 * math.prod(2 * w for w in widths) <= 1 << 18
+        derived = maximizer_value(h, report)
+        assert report.necessary_lower == pytest.approx(
+            min(derived, report.sufficient_upper), rel=1e-12, abs=0.0)
+
+    def test_witness_grid_refused_before_the_slice_brackets(self, monkeypatch):
+        # under a cap of 7 points, even one-cell windows need a (2, 2) grid
+        # for each of two slices
+        h = ScaleTimeSignal([ScaleSignal({(0, 0): 1.0, (1, 1): 0.5}, arity=2)] * 2)
+        monkeypatch.setattr(stability, "MAX_BOX_CELLS", 7)
+
+        def spent(*args):
+            raise AssertionError("slice brackets ran")
+
+        monkeypatch.setattr(stability, "_slice_bound", spent)
+        with pytest.raises(ValueError, match=r"witness grid \(2, 2\) for 2 slices"):
+            bibo_analysis(h)
+
+    def test_one_grid_after_the_slice_brackets(self, monkeypatch):
+        # T grids of slice powers and one of the witness, all of one size
+        events = []
+        _slice_bound = stability._slice_bound
+
+        def recording(array, origin, sizes):
+            events.append(tuple(sizes))
+            return torus_values(array, origin, sizes)
+
+        def slice_bound(slices, tol):
+            out = _slice_bound(slices, tol)
+            events.append("brackets")
+            return out
+
+        monkeypatch.setattr(stability, "torus_values", recording)
+        monkeypatch.setattr(stability, "_slice_bound", slice_bound)
+        rng = np.random.default_rng(13)
+        h = random_time_signal(rng, 1, time_len=3, width=2, terms=3)
+        bibo_analysis(h)
+        after = events[events.index("brackets") + 1:]
+        lows, highs = h.support_box()
+        assert after == [(2 * (256 * (highs[0] - lows[0]) + 1),)] * (h.time_len + 1)
+
 
 class TestAdversarialInput:
     def test_scalar_alignment(self):
