@@ -101,7 +101,6 @@ class TestConstruction:
     @settings(max_examples=200)
     @given(entry_lists())
     def test_matches_dict_store(self, case):
-        # construction, adjoint_reflect and project_cone on one draw
         arity, entries = case
         sig = ScaleSignal(entries, arity=arity)
         ref = dict_of(entries)
@@ -111,16 +110,6 @@ class TestConstruction:
         for k in list(ref) + [(9,) * arity]:
             assert sig.get(k) == ref.get(k, 0.0)
 
-        got = sig.adjoint_reflect()
-        assert_trimmed(got)
-        assert dict(got.items()) == {tuple(-k for k in idx): v.conjugate()
-                                     for idx, v in ref.items()}
-
-        got = sig.project_cone()
-        assert_trimmed(got)
-        assert dict(got.items()) == {k: v for k, v in ref.items() if min(k) >= 0}
-        assert got.is_cone_supported()
-
     def test_cancellation_at_box_edge_trims(self):
         sig = ScaleSignal([((0, 1), 1.0), ((3, 1), 2.0), ((3, 1), -2.0)], arity=2)
         assert sig.support_box() == ((0, 1), (0, 1))
@@ -128,6 +117,14 @@ class TestConstruction:
 
 
 class TestConvolutionsAgainstOracle:
+    @settings(max_examples=200)
+    @given(signal_pairs())
+    def test_group_convolve(self, pair):
+        h, u = pair
+        got = group_convolve(h, u)
+        ref = brute_force_double_convolve(ScaleTimeSignal([h]), ScaleTimeSignal([u]))
+        assert_same(ScaleTimeSignal([got]), ref)
+
     @settings(max_examples=200)
     @given(time_signal_pairs())
     def test_double_convolve_direct(self, pair):
@@ -174,14 +171,28 @@ class TestConvolutionsAgainstOracle:
 
 class TestMethodsAgainstDicts:
     @settings(max_examples=200)
+    @given(entry_lists())
+    def test_adjoint_reflect(self, case):
+        arity, entries = case
+        got = ScaleSignal(entries, arity=arity).adjoint_reflect()
+        assert_trimmed(got)
+        ref = {tuple(-k for k in idx): v.conjugate() for idx, v in dict_of(entries).items()}
+        assert dict(got.items()) == ref
+
+    @settings(max_examples=200)
+    @given(entry_lists())
+    def test_project_cone(self, case):
+        arity, entries = case
+        got = ScaleSignal(entries, arity=arity).project_cone()
+        assert_trimmed(got)
+        ref = {k: v for k, v in dict_of(entries).items() if min(k) >= 0}
+        assert dict(got.items()) == ref
+        assert got.is_cone_supported()
+
+    @settings(max_examples=200)
     @given(signal_pairs())
     def test_inner_and_distance(self, pair):
-        # and group_convolve against the dict oracle, on the same draw
         a, b = pair
-        got = group_convolve(a, b)
-        ref = brute_force_double_convolve(ScaleTimeSignal([a]), ScaleTimeSignal([b]))
-        assert_same(ScaleTimeSignal([got]), ref)
-
         ra, rb = dict(a.items()), dict(b.items())
         inner = sum((v * rb.get(k, 0.0).conjugate() for k, v in ra.items()), 0j)
         assert a.inner(b) == inner
@@ -198,7 +209,6 @@ class TestStackedTimeSignal:
     @settings(max_examples=300)
     @given(step_lists())
     def test_matches_per_step_dicts(self, case):
-        # and the dense round trip, on the same draw
         arity, steps = case
         sig = time_signal(arity, steps)
         ref = [dict_of(e) for e in steps]
@@ -230,19 +240,6 @@ class TestStackedTimeSignal:
         assert cone.is_cone_supported()
         assert sig.is_cone_supported() == all(min(k) >= 0 for k in keys)
 
-        dense, origin = sig.to_dense()
-        box = sig.support_box()
-        if box is None:
-            assert dense.shape == (len(steps),) + (1,) * arity
-            assert origin == (0,) * arity and not dense.any()
-        else:
-            assert origin == box[0]
-            assert dense.shape == (len(steps),) + tuple(b - a + 1 for a, b in zip(*box))
-        back = ScaleTimeSignal.from_dense(dense, origin)
-        assert back.time_len == sig.time_len
-        assert list(back.items()) == list(sig.items())
-        assert_trimmed(back.stack)
-
     @settings(max_examples=200)
     @given(step_lists().flatmap(lambda case: st.tuples(st.just(case), step_lists(case[0]))))
     def test_distance(self, cases):
@@ -256,6 +253,24 @@ class TestStackedTimeSignal:
         # numpy's complex modulus may differ from Python's hypot by an ulp
         assert got == pytest.approx(dist, rel=1e-15, abs=0.0)
 
+    @settings(max_examples=200)
+    @given(step_lists())
+    def test_dense_round_trip(self, case):
+        arity, steps = case
+        sig = time_signal(arity, steps)
+        dense, origin = sig.to_dense()
+        box = sig.support_box()
+        if box is None:
+            assert dense.shape == (len(steps),) + (1,) * arity
+            assert origin == (0,) * arity and not dense.any()
+        else:
+            assert origin == box[0]
+            assert dense.shape == (len(steps),) + tuple(b - a + 1 for a, b in zip(*box))
+        back = ScaleTimeSignal.from_dense(dense, origin)
+        assert back.time_len == sig.time_len
+        assert list(back.items()) == list(sig.items())
+        assert_trimmed(back.stack)
+
 
 FINITE = st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
 
@@ -264,9 +279,6 @@ class TestFormatsRoundTrip:
     @settings(max_examples=100)
     @given(time_signal_pairs(values=FINITE))
     def test_csv_write_read_write(self, pair):
-        # and JSON, on the same draw
-        from scalekit._jsonfmt import dumps
-
         for sig in pair:
             first = io.StringIO()
             skio.write_signal_csv(sig, first)
@@ -274,9 +286,15 @@ class TestFormatsRoundTrip:
             skio.write_signal_csv(skio.read_signal_csv(io.StringIO(first.getvalue())), second)
             assert second.getvalue() == first.getvalue()
 
-            text = dumps(skio.signal_to_dict(sig))
-            back = skio.signal_from_dict(json.loads(text))
-            assert dumps(skio.signal_to_dict(back)) == text
+    @settings(max_examples=100)
+    @given(time_signal_pairs(values=FINITE))
+    def test_json_write_read_write(self, pair):
+        from scalekit._jsonfmt import dumps
+
+        for sig in pair:
+            first = dumps(skio.signal_to_dict(sig))
+            back = skio.signal_from_dict(json.loads(first))
+            assert dumps(skio.signal_to_dict(back)) == first
 
     def test_csv_rows_lexicographic_from_shifted_slices(self):
         rng = np.random.default_rng(61)
