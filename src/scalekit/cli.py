@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (ValueError, TypeError, KeyError, OSError,
+    except (ValueError, TypeError, KeyError, OSError, OverflowError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,21 +2,21 @@
 
 Three system properties are analyzed: bounded input / bounded output gain,
 energy dissipativity, and l1-to-l2 boundedness.  Torus suprema are
-certified by refining cells (_certify_sup): the support is reduced to its
-difference lattice, one coarse FFT grid gives a global bound by the grid
-inequality at spectral.grid_shrink, and cells around the grid points are
-bounded by Taylor's theorem and Bernstein's inequality, then halved until
-the bracket is decided, roundoff included in the upper bound.  A
-precision question stops at relative width tol, a threshold question once
-it is decided.  Every report carries enough data (bounds, witnesses,
-grids, work) to replay the verdict.
+certified by refining cells (_certify_sup): the symbol is scaled by an
+exact power of two and reduced to its difference lattice, one coarse FFT
+grid gives a global bound by the grid inequality at spectral.grid_shrink,
+and cells around the grid points are bounded by Taylor's theorem and
+Bernstein's inequality, then halved until the bracket is decided, roundoff
+included in the upper bound.  A precision question stops at relative
+width tol, a threshold question once it is decided.  Every report carries
+enough data (bounds, witnesses, grids, work) to replay the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,52 +87,52 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x a + y b and g > 0, for a > 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b, x0, x1, y0, y1 = b, a - q * b, x1, x0 - q * x1, y1, y0 - q * y1
-    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+def _exponent(array: np.ndarray) -> int:
+    """E such that array 2^-E, exact where normal, has its largest real or
+    imaginary part in [1/2, 1): its np.frexp exponent, at least -1021 so
+    that 2^-E is a double (0 for zeros).  Parts the scale would leave
+    subnormal, a span over 2^1021, raise ValueError."""
+    parts = np.abs([array.real, array.imag])
+    scale = max(-1021, int(np.frexp(parts.max(initial=0.0))[1]))
+    if ((parts > 0) & (parts < math.ldexp(1.0, scale - 1022))).any():
+        raise ValueError("coefficient parts span more than 2^1021")
+    return scale
+
+
+def _scale_back(x: float, k: int, name: str, toward: float = 0.0) -> float:
+    """x 2^k, one ulp toward toward where that is inexact (subnormal);
+    ValueError naming the result where it is not a finite double."""
+    if not math.isfinite(x) or math.frexp(x)[1] + k > 1024:
+        raise ValueError(f"{name} {x!r} * 2^{k} is not a finite double")
+    y = math.ldexp(x, k)
+    return y if math.ldexp(y, -k) == x else math.nextafter(y, toward)
 
 
 def _difference_lattice(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A basis L (rows) of the lattice spanned by e_j - e_0, the rows of
     exps less the first, and the coordinates m with e_j - e_0 = m_j L.
 
-    Integer row reduction: a difference is first reduced modulo the echelon
-    basis, all differences at once; a nonzero remainder joins the basis by
-    extended-Euclid steps on its leading columns, which are unimodular and
-    keep the lattice, and leave a pivot that is new or a proper divisor of
-    the old one.  The basis is then reduced above its pivots (Hermite
-    normal form), which makes it the identity when the lattice is Z^p.
+    L is the Hermite normal form of the differences (Cohen, A Course in
+    Computational Algebraic Number Theory, Sec. 2.4), in exact integers.
+    Column by column, Euclid's algorithm reduces every row by the one of
+    least nonzero entry there, which moves last, until one row keeps an
+    entry: made positive, that row is the column's pivot, and the basis
+    rows above it are reduced into [0, pivot) there.  The steps are
+    unimodular, and the form is unique: echelon, positive pivots, the
+    identity when the lattice is Z^p.
     """
     diffs = exps - exps[0]
-    basis: dict = {}   # pivot column -> row with a positive pivot
-    rest = diffs
-    while True:
-        for col in sorted(basis):
-            row = np.array(basis[col])
-            rest = rest - (rest[:, col] // row[col])[:, None] * row
-        rest = rest[rest.any(axis=1)]
-        if not len(rest):
-            break
-        v = rest[0].tolist()
-        for col in range(len(v)):
-            if v[col]:
-                if col not in basis:
-                    basis[col] = v if v[col] > 0 else [-t for t in v]
-                    break
-                b = basis[col]
-                g, x, y = _egcd(b[col], v[col])
-                basis[col] = [x * s + y * t for s, t in zip(b, v)]
-                v = [b[col] // g * t - v[col] // g * s for s, t in zip(b, v)]
-    cols = sorted(basis)
-    for i, c in enumerate(cols):
-        for c0 in cols[:i]:
-            q = basis[c0][c] // basis[c][c]
-            basis[c0] = [s - q * t for s, t in zip(basis[c0], basis[c])]
-    lattice = np.array([basis[c] for c in cols], np.int64)
+    rest, basis, cols = diffs.astype(object), [], []
+    for col in range(diffs.shape[1]):
+        while len(live := np.flatnonzero(rest[:, col])) > 1:
+            pivot = rest[live[np.argmin(np.abs(rest[live, col]))]]
+            rest = np.vstack([rest - (rest[:, col] // pivot[col])[:, None] * pivot, pivot])
+        if len(live):
+            row, rest = rest[live[0]], np.delete(rest, live[0], axis=0)
+            row = row if row[col] > 0 else -row
+            basis = [b - b[col] // row[col] * row for b in basis] + [row]
+            cols.append(col)
+    lattice = np.array(basis, np.int64).reshape(-1, diffs.shape[1])
     coords = np.empty((len(diffs), len(cols)), np.int64)
     for i, c in enumerate(cols):
         coords[:, i] = diffs[:, c] // lattice[i, c]
@@ -229,7 +229,15 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     """Bracket the sup of |h| = |sum c_e e^{i e.theta}| over the torus.
 
     The K nonzero coefficients c_e form the dense box array; its origin
-    changes no modulus.  A box with at most one term is exact, and any
+    changes no modulus.
+
+    Scale.  The coefficients, and the threshold if any, are scaled by 2^-E,
+    which puts the largest part in [1/2, 1) (_exponent), and lower and
+    upper back by 2^E (_scale_back), as Blue's norm scales (ACM TOMS
+    1978).  The scale is exact and every step below commutes with it, so
+    any 2^k multiple gets the same witness angles and evaluations, and the
+    squares in _cell_upper and the relative roundoff bounds stay in the
+    normal range.  A box with at most one term is then exact, and any
     angle attains its sup.  Otherwise:
 
     Lattice.  The differences e_j - e_0 span a lattice with basis L (rows,
@@ -271,10 +279,15 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    scale = _exponent(array)
+    array = array * 2.0 ** -scale
+    threshold = None if threshold is None else threshold * 2.0 ** -scale
+    back = lambda b: replace(b, lower=_scale_back(b.lower, scale, "lower"),
+                             upper=_scale_back(b.upper, scale, "upper", math.inf))
     if np.count_nonzero(array) <= 1:
         value = float(np.abs(array).max(initial=0.0))
-        return OperatorNormBracket(value, value, threshold is None or value <= threshold,
-                                   witness_angles=(0.0,) * array.ndim)
+        return back(OperatorNormBracket(value, value, threshold is None or value <= threshold,
+                                        witness_angles=(0.0,) * array.ndim))
     nonzero = np.nonzero(array)
     exps, coefs = np.stack(nonzero, -1), array[nonzero]
     lattice, m = _difference_lattice(exps)
@@ -347,7 +360,7 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     lower = float(abs(_direct(angles[None, :], shifted, coefs)[0, 0]))
     upper = max(lower, min(spread, max(dropped, float(ub.max(initial=0.0)))))
     certified = upper - lower <= tol * lower if threshold is None else upper <= threshold
-    return OperatorNormBracket(lower, upper, certified, sizes, tuple(angles.tolist()), units)
+    return back(OperatorNormBracket(lower, upper, certified, sizes, tuple(angles.tolist()), units))
 
 
 def mult_operator_norm(h: ScaleSignal, tol: float = 1e-6) -> OperatorNormBracket:
@@ -365,7 +378,8 @@ def _slice_bound(slices, tol: float) -> tuple[list, float, str]:
     bound) and the verdict they support."""
     brackets = [mult_operator_norm(s, tol=tol) for s in slices]
     verdict = "pass" if all(b.certified for b in brackets) else "inconclusive"
-    return brackets, float(sum(b.upper for b in brackets)), verdict
+    total = _scale_back(float(sum(b.upper for b in brackets)), 0, "sufficient_upper")
+    return brackets, total, verdict
 
 
 def _golden_max(f) -> float:
@@ -422,7 +436,9 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     One grid of G_a = W_a + max(W_a, d_a) points per axis carries both the
     atoms and the value, d_a the width of the support box on axis a less
     one: twice the witness's resolution where W_a >= d_a, and no adjoint
-    image (W_a + d_a cells per axis) wraps on it.  So, by Parseval,
+    image (W_a + d_a cells per axis) wraps on it; an axis where h does not
+    vary (d_a = 0) gets one point.  The powers and the value are taken from
+    h 2^-E (_exponent), and the value is scaled back.  So, by Parseval,
     necessary_lower is sum_n sqrt(sum_j |h_n(theta_j)|^2 |v(theta_j)|^2 / N)
     over its N points, the Frank-Wolfe objective at v's own spectral measure.
     The window follows the support of h: W_a = 256 d_a + 1, with the widest
@@ -443,7 +459,7 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     slices = h.slices
     lows, highs = h.support_box() or ((0,) * p, (0,) * p)
     widths = [256 * (hi - lo) + 1 for lo, hi in zip(lows, highs)]
-    grid = lambda: tuple(w + max(w, hi - lo) for w, lo, hi in zip(widths, lows, highs))
+    grid = lambda: tuple(w + max(w, hi - lo) * (hi > lo) for w, lo, hi in zip(widths, lows, highs))
     while math.prod(widths) > 1 << 16 or len(slices) * math.prod(grid()) > MAX_BOX_CELLS:
         a = widths.index(max(widths))
         if widths[a] == 1:
@@ -455,11 +471,13 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
     brackets, sufficient_upper, verdict = _slice_bound(slices, tol)
 
     origin = highs if h.is_cone_supported() else lows
-    # |h_n|^2 on the grid: the adjoint images of the character e^{i k.theta}
-    # have norms |sum_k h_n(k) e^{-i k.theta}|, the convention of torus_values
+    # |h_n|^2 2^-2E on the grid: the adjoint images of the character
+    # e^{i k.theta} have norms |sum_k h_n(k) e^{-i k.theta}|, the convention
+    # of torus_values
+    scale = _exponent(h.stack.array)
     power = np.zeros((len(slices), math.prod(sizes)))
     for row, s in zip(power, slices):
-        np.square(np.abs(torus_values(s.array, s.origin, sizes)).ravel(), out=row)
+        np.square(np.abs(torus_values(s.array * 2.0 ** -scale, s.origin, sizes)).ravel(), out=row)
     rho = _frank_wolfe(power)
     angles = {j: tuple(2.0 * math.pi * int(i) / n
                        for i, n in zip(np.unravel_index(j, sizes), sizes)) for j in rho}
@@ -478,7 +496,7 @@ def bibo_analysis(h: ScaleTimeSignal, tol: float = 1e-6) -> StabilityReport:
         property="bibo",
         verdict=verdict,
         sufficient_upper=sufficient_upper,
-        necessary_lower=float(min(value, sufficient_upper)),
+        necessary_lower=min(_scale_back(value, scale, "necessary_lower"), sufficient_upper),
         witnesses={"maximizer": ScaleSignal._from_box(v, origin),
                    "character_angles": angles[max(rho, key=rho.get)]},
         details={
@@ -571,15 +589,17 @@ def l1l2_gain(h: ScaleTimeSignal) -> StabilityReport:
 
     The transfer function lies in the tensor Hardy space exactly when this
     sum is finite, and the squared norm is the plain coefficient energy;
-    the Hermite-side statement gives the same number.
+    the Hermite-side statement gives the same number.  It is summed over
+    h 2^-E (_exponent) and scaled back, each value a finite double or a
+    ValueError.
     """
-    total = float(energy(h.stack.array))
-    gain = math.sqrt(total)
+    scale = _exponent(h.stack.array)
+    total = float(energy(h.stack.array * 2.0 ** -scale))
     return StabilityReport(
         property="l1_l2",
         verdict="pass",
-        gain=gain,
-        details={"coefficient_energy": total},
+        gain=_scale_back(math.sqrt(total), scale, "gain"),
+        details={"coefficient_energy": _scale_back(total, 2 * scale, "coefficient_energy")},
     )
 
 

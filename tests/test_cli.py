@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,35 @@ class TestAnalyze:
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["gain"] == pytest.approx((1 / (1 - 0.25)) ** 0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("k, prop, code", [
+        (-600, "bibo", 0), (-600, "dissipative", 0), (-600, "l1l2", 0),
+        (900, "bibo", 0), (900, "l1l2", 2)])
+    def test_extreme_scales_print_finite_reports(self, tmp_path, capsys, k, prop, code):
+        # 2^k (1 + z^3 / 2 - i z^5 / 4): every printed number is a finite
+        # double; at 2^900 the coefficient energy is not one, and the run
+        # exits 2 naming it before any output
+        s = math.ldexp(1.0, k)
+        path = tmp_path / "probe.json"
+        write_system(path, [{(0,): s, (3,): s / 2, (5,): -0.25j * s}])
+        assert main(["analyze", "--property", prop, "--system", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error: coefficient_energy ")
+            assert captured.err.rstrip().endswith("is not a finite double")
+            return
+        doc = json.loads(captured.out)
+        assert not any(w in captured.out for w in ("inf", "nan", "Infinity", "NaN"))
+        if prop == "l1l2":
+            assert doc["gain"] == math.ldexp(math.sqrt(1.3125), k)
+            return
+        # a 400,001-point grid max of the unscaled symbol, below its sup
+        grid_max = math.ldexp(1.736331639270814, k)
+        if prop == "bibo":
+            assert 0.0 < doc["necessary_lower"] <= grid_max <= doc["sufficient_upper"]
+        else:
+            assert doc["sup_bracket"]["lower"] <= grid_max <= doc["sup_bracket"]["upper"]
 
     def test_no_cone_flag(self, geometric_json, capsys):
         # scale-causality is read from the system, so there is no --cone
@@ -411,6 +441,17 @@ class TestVerify:
                          "--seed", "9", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_dissipative_bound_beyond_double_range_exits_2(self, tmp_path, capsys):
+        # at 2^900 the certified sup is finite, but its square, the energy
+        # bound, is not a double: exit 2 before any output, not a traceback
+        s = math.ldexp(1.0, 900)
+        path = tmp_path / "probe.json"
+        write_system(path, [{(0,): s, (3,): s / 2, (5,): -0.25j * s}])
+        assert main(["verify", "--property", "dissipative", "--system", str(path),
+                     "--trials", "1", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scalekit import (
     ScaleSignal,
@@ -373,6 +373,24 @@ class TestBiboAnalysis:
         lows, highs = h.support_box()
         assert after == [(2 * (256 * (highs[0] - lows[0]) + 1),)] * (h.time_len + 1)
 
+    def test_flat_axis_gets_one_grid_point(self, monkeypatch):
+        # h does not vary on axis 0 (d_0 = 0, W_0 = 1): one grid point there
+        # holds every atom and adjoint image, so the power row and the
+        # witness run on a (1, 1538) grid, not (2, 1538)
+        sizes = []
+
+        def recording(array, origin, grid):
+            sizes.append(tuple(grid))
+            return torus_values(array, origin, grid)
+
+        monkeypatch.setattr(stability, "torus_values", recording)
+        h = ScaleTimeSignal([ScaleSignal({(0, 0): 1.0, (0, 3): 0.5}, arity=2)])
+        report = bibo_analysis(h, tol=1e-9)
+        assert sizes[-2:] == [(1, 1538)] * 2
+        assert report.details["window_spans"] == [(0, 0), (3, 771)]
+        # the two-point grid gave 1.4999750882704517
+        assert report.necessary_lower == pytest.approx(1.4999750882704517, rel=1e-15, abs=0.0)
+
 
 class TestAdversarialInput:
     def test_scalar_alignment(self):
@@ -710,6 +728,15 @@ def peaked_box(rng, shape):
                                  (0,) * len(shape))
 
 
+def int_det(rows) -> int:
+    """The determinant of a square integer matrix, by Leibniz's formula in
+    Python integers."""
+    n = len(rows)
+    return sum((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+               * math.prod(rows[i][perm[i]] for i in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
 def symbol_at(h, angles) -> float:
     """|sum_e c_e e^{i e.theta}| at one point, by a direct sum."""
     return abs(sum(v * cmath.exp(1j * sum(e * t for e, t in zip(k, angles)))
@@ -739,6 +766,29 @@ class TestToleranceGrid:
         assert (m @ lattice == exps - exps[0]).all()
         lattice, m = _difference_lattice(np.array([[0, 0], [1, 5], [2, 0], [0, 1]]))
         assert lattice.tolist() == [[1, 0], [0, 1]]
+
+    @settings(max_examples=120)
+    @given(p=st.integers(1, 4), data=st.data())
+    def test_lattice_is_the_hermite_normal_form(self, p, data):
+        rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * p),
+                                  min_size=2, max_size=7, unique=True))
+        lattice, m = _difference_lattice(np.array(rows))
+        basis, coords = lattice.tolist(), m.tolist()
+        diffs = [[a - b for a, b in zip(row, rows[0])] for row in rows]
+        # e_j - e_0 = m_j L exactly, in Python integers
+        assert [[sum(c * row[a] for c, row in zip(cj, basis)) for a in range(p)]
+                for cj in coords] == diffs
+        # echelon, positive pivots, entries above a pivot in [0, pivot)
+        pivots = [next(a for a, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        assert len(basis) == np.linalg.matrix_rank(np.array(diffs))
+        for i, (row, c) in enumerate(zip(basis, pivots)):
+            assert row[c] > 0 and all(0 <= above[c] < row[c] for above in basis[:i])
+        if p == 1:
+            assert basis == [[math.gcd(*(d[0] for d in diffs))]]
+        if len(basis) == p <= 3:
+            minors = [int_det(sub) for sub in itertools.combinations(diffs, p)]
+            assert abs(int_det(basis)) == math.gcd(*minors)
 
     def test_ridge_reduces_to_one_variable(self):
         # terms at (0, 0) and (2, 2): |h| peaks on a ridge in theta, but
@@ -911,6 +961,107 @@ class TestL1L2:
             u = random_time_signal(rng, 1, time_len=4, width=2, terms=3)
             y = double_convolve(h, u)
             assert math.sqrt(y.norm("energy")) <= gain * u.norm("l1_l2") + 1e-9
+
+
+def probe(k):
+    """2^k (1 + z^3 / 2 - i z^5 / 4), sup about 1.7363 2^k."""
+    s = math.ldexp(1.0, k)
+    return ScaleSignal({(0,): s, (3,): s / 2, (5,): -0.25j * s}, arity=1)
+
+
+def times_pow2(array, k):
+    """array 2^k, part by part: exact wherever the parts stay normal."""
+    return np.ldexp(array.real, k) + 1j * np.ldexp(array.imag, k)
+
+
+def normal(*values) -> bool:
+    return all(np.finfo(float).tiny <= abs(v) < math.inf for v in values)
+
+
+class TestPowerOfTwoScale:
+    """Every torus bracket is exactly 2^k-equivariant wherever its results
+    are normal doubles: the analyzers scale the largest part into [1/2, 1)."""
+
+    @settings(max_examples=60)
+    @given(widths=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+           k=st.integers(-1000, 1000), threshold=st.sampled_from([None, 0.5, 2.0, 8.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bracket_scales_bit_for_bit(self, widths, k, threshold, seed):
+        array = corner_signal(np.random.default_rng(seed), widths).array
+        scaled = times_pow2(array, k)
+        assume((times_pow2(scaled, -k) == array).all())
+        ref = stability._certify_sup(array, 1e-9, threshold)
+        assume(normal(math.ldexp(ref.lower, k), math.ldexp(ref.upper, k)))
+        b = stability._certify_sup(scaled, 1e-9,
+                                   None if threshold is None else math.ldexp(threshold, k))
+        assert (b.lower, b.upper) == (math.ldexp(ref.lower, k), math.ldexp(ref.upper, k))
+        assert (b.witness_angles, b.evaluations, b.certified, b.grid_sizes) == (
+            ref.witness_angles, ref.evaluations, ref.certified, ref.grid_sizes)
+
+    @settings(max_examples=40)
+    @given(k=st.integers(-1000, 1000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_l1l2_gain_scales_bit_for_bit(self, k, seed):
+        h = random_time_signal(np.random.default_rng(seed), 1, time_len=3, width=2, terms=3)
+        ref = l1l2_gain(h)
+        array = times_pow2(h.stack.array, k)
+        assume((times_pow2(array, -k) == h.stack.array).all())
+        scaled = ScaleTimeSignal._from_box(array, h.stack.origin[1:])
+        energy = ref.details["coefficient_energy"]
+        if math.frexp(energy)[1] + 2 * k > 1024:   # beyond the largest double
+            with pytest.raises(ValueError, match="coefficient_energy .* is not a finite double"):
+                l1l2_gain(scaled)
+            return
+        report = l1l2_gain(scaled)
+        if normal(math.ldexp(ref.gain, k)):
+            assert report.gain == math.ldexp(ref.gain, k)
+        if normal(math.ldexp(energy, 2 * k)):
+            assert report.details["coefficient_energy"] == math.ldexp(energy, 2 * k)
+
+    def test_deep_scale_bracket_covers_the_grid_max(self):
+        # 2^-600: squares of the unscaled parts would be subnormal, and the
+        # upper bound fell 3.3e-5 below this grid max
+        h = probe(-600)
+        b = mult_operator_norm(h, tol=1e-9)
+        theta = 2.0 * math.pi * np.arange(400001) / 400001
+        grid_max = np.abs(sum(c * np.exp(1j * e[0] * theta) for e, c in h.items())).max()
+        assert b.certified and grid_max <= b.upper and b.lower <= b.upper
+        ref = mult_operator_norm(probe(0), tol=1e-9)
+        assert (b.lower, b.upper) == (math.ldexp(ref.lower, -600), math.ldexp(ref.upper, -600))
+
+    def test_large_scale_bracket_is_certified_and_finite(self):
+        # 2^900: the upper bound was inf, uncertified
+        b = mult_operator_norm(probe(900), tol=1e-9)
+        ref = mult_operator_norm(probe(0), tol=1e-9)
+        assert b.certified and math.isfinite(b.upper)
+        assert (b.lower, b.upper) == (math.ldexp(ref.lower, 900), math.ldexp(ref.upper, 900))
+
+    def test_deep_scale_bibo_and_l1l2_keep_their_values(self):
+        # necessary_lower read 0 at 2^-600 and the gain 0 at 2^-538
+        ref = bibo_analysis(ScaleTimeSignal([probe(0)]), tol=1e-9)
+        report = bibo_analysis(ScaleTimeSignal([probe(-600)]), tol=1e-9)
+        assert report.necessary_lower == math.ldexp(ref.necessary_lower, -600) > 0.0
+        assert report.sufficient_upper == math.ldexp(ref.sufficient_upper, -600)
+        two = lambda k: ScaleTimeSignal([ScaleSignal({(0,): math.ldexp(1.0, k),
+                                                      (3,): math.ldexp(0.5, k)}, arity=1)])
+        assert l1l2_gain(two(-538)).gain == math.ldexp(l1l2_gain(two(0)).gain, -538)
+        with pytest.raises(ValueError, match=r"coefficient_energy 0\.3125 \* 2\^1026 is not"):
+            l1l2_gain(two(512))
+
+    def test_parts_spanning_beyond_the_normal_range_are_refused(self):
+        h = ScaleSignal({(0,): 1.0, (1,): 2.0 ** -1030}, arity=1)
+        with pytest.raises(ValueError, match="span more than 2\\^1021"):
+            mult_operator_norm(h)
+
+    def test_subnormal_symbol(self):
+        # sup 1.5 2^-1060, below the normal range: the scale stops at 2^1021,
+        # the bracket scaled back is rounded outward, and a threshold that
+        # leaves the double range once scaled is above every sup
+        h = ScaleTimeSignal([ScaleSignal({(0,): 2.0 ** -1060, (1,): 2.0 ** -1061}, arity=1)])
+        report = dissipativity_check(h)
+        assert report.verdict == "pass"
+        assert report.sup_bracket.lower <= 1.5 * 2.0 ** -1060 <= report.sup_bracket.upper
+        b = stability._certify_sup(h.stack.array, 1e-9, threshold=1e300)
+        assert b.certified and b.upper == report.sup_bracket.upper
 
 
 class TestEmpiricalVerify:
