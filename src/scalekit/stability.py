@@ -6,7 +6,8 @@ certified by refining cells (_certify_sup): the symbol is scaled by an
 exact power of two and reduced to its difference lattice, one coarse FFT
 grid gives a global bound by the grid inequality at spectral.grid_shrink,
 and cells around the grid points are bounded by Taylor's theorem and
-Bernstein's inequality, then halved until the bracket is decided, roundoff
+Bernstein's inequality; each further level is the cheaper of the kept
+cells halved and a finer grid, until the bracket is decided, roundoff
 included in the upper bound.  A precision question stops at relative
 width tol, a threshold question once it is decided.  Every report carries
 enough data (bounds, witnesses, grids, work) to replay the verdict.
@@ -212,6 +213,24 @@ def _cell_upper(vals: np.ndarray, err: np.ndarray, delta: np.ndarray, spread: fl
     return np.nextafter(np.sqrt(bound * (1.0 + 8.0 * (len(delta) + 2) * eps)), np.inf)
 
 
+def _grid_values(m: np.ndarray, coefs: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """g = sum_j c_j e^{i m_j.phi} and its gradient on the FFT grid of sizes
+    (flat, one column each, as _direct), and a bound on the roundoff of each
+    column: _fft_error, plus the one rounding of the gradient weights
+    i m_ja c_j, at most u |m_ja c_j|."""
+    # g's box under negated exponents: torus_values pairs e with e^{-i e.phi}
+    top = m.max(axis=0)
+    box = zeros_box(tuple(top - m.min(axis=0) + 1))
+    weights = _weights(m, coefs)
+    vals = np.empty((math.prod(sizes), weights.shape[1]), complex)
+    for col, w in enumerate(weights.T):
+        box[tuple((top - m).T)] = w
+        vals[:, col] = torus_values(box, tuple(-top), sizes).reshape(-1)
+    err = np.array([_fft_error(sizes, math.sqrt(energy(w))) for w in weights.T])
+    err[1:] += float(np.finfo(float).eps) / 2.0 * np.abs(weights[:, 1:]).sum(axis=0)
+    return vals, err
+
+
 def _grid_bound(mags: np.ndarray, sizes, widths, norm: float) -> float:
     """sup |g| <= (grid max + e) / grid_shrink, rounded up: the grid
     inequality on the FFT grid values mags of g, whose coefficients have l2
@@ -246,36 +265,38 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     with the same sup (L has rank r, so theta -> L theta covers the r-torus).
     m is centred, so g has exponents in [-n_a / 2, n_a / 2] on axis a.
 
-    Coarse level.  One FFT grid of M_a = next_pow2(4 w_a) points per axis
-    (next_pow2(2 w_a - 1) if that exceeds the budget), w_a = n_a + 1, gives
-    the Ehlich-Zeller bound spread = (grid_max + e) / grid_shrink(w, M) >=
-    sup |g|, e = _fft_error covering the FFT roundoff, and r more FFTs give
-    the gradient.  Each grid point is the centre of a cell of half-width
-    pi / M_a.
+    Levels.  The first level is one FFT grid of M_a = next_pow2(4 w_a)
+    points per axis (next_pow2(2 w_a - 1) if that exceeds the budget),
+    w_a = n_a + 1.  A grid level evaluates g and its gradient on the whole
+    torus by r + 1 FFTs (_grid_values, roundoff _fft_error), lowers spread
+    to its Ehlich-Zeller bound (grid_max + e) / grid_shrink(w, M) >= sup |g|,
+    and makes each grid point the centre of a cell of half-width pi / M_a.
 
     Cells.  A cell is bounded by _cell_upper.  It is dropped when its
     bound is at most (lower - s)(1 + tol), lower the largest |g| seen at a
-    centre and s the roundoff of lower and of the reported witness value;
-    with a threshold the cut is the threshold, and a centre above it
-    decides a fail.  Every other cell is halved on every axis, and its 2^r
-    children are evaluated directly (_direct, roundoff _direct_error); a
-    child's half-width is rounded up by 16 eps so that the children cover
-    their parent in floating point.
+    centre and s the roundoff of lower (the largest of any level's) and of
+    the reported witness value; with a threshold the cut is the threshold,
+    and a centre above it decides a fail.  The next level is the cheaper
+    of two, the cells on a tie: the kept cells halved on every axis, whose
+    2^r children are evaluated directly (_direct, roundoff _direct_error),
+    a child's half-width rounded up by 16 eps so that the children cover
+    their parent in floating point; or the last grid with its axis of
+    largest n_a / M_a doubled.
 
     Budget.  WORK_BUDGET, the constant MAX_BOX_CELLS = 2^24, counts work:
     one unit per grid point and K per evaluated cell.  No coarse grid
-    exceeds MAX_BOX_CELLS (torus_values refuses it), so evaluations never
-    exceed the budget.  The loop stops when no cell is left, when halving
-    no longer shrinks a cell, (threshold) at a fail, or when a level would
-    exceed the budget; then the units left buy the finest grid of g that
-    fits, whose Ehlich-Zeller bound replaces spread where it is tighter
-    and whose max may raise lower.  upper is the largest bound of a
-    dropped or remaining cell, at most spread and never below lower, so it
-    holds whenever the loop stops.  The witness solves L theta = phi* for the
-    best centre phi*, and lower is |h| there, evaluated from the original
-    exponents.  certified means upper - lower <= tol lower as computed
-    (never, for a tol below the roundoff floor), or with a threshold
-    upper <= threshold, and evaluations counts the units spent.
+    exceeds MAX_BOX_CELLS (torus_values refuses it), and no later level
+    exceeds the units left, so evaluations never exceed the budget.  The
+    loop stops when no cell is left, when halving no longer shrinks a
+    cell, (threshold) at a fail, or when neither next level fits the units
+    left.  upper is the largest bound of a dropped or remaining cell, at
+    most spread and never below lower; each level's cells cover the torus,
+    so it holds whenever the loop stops.  The witness solves
+    L theta = phi* for the best centre phi*, and lower is |h| there,
+    evaluated from the original exponents.  certified means
+    upper - lower <= tol lower as computed (never, for a tol below the
+    roundoff floor), or with a threshold upper <= threshold, and
+    evaluations counts the units spent.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -298,64 +319,46 @@ def _certify_sup(array, tol, threshold=None) -> OperatorNormBracket:
     sizes = tuple(_next_pow2(4 * w) for w in widths)
     if math.prod(sizes) > WORK_BUDGET:
         sizes = tuple(_next_pow2(2 * w - 1) for w in widths)
-    # g's box under negated exponents: torus_values pairs e with e^{-i e.phi}
-    top = m.max(axis=0)
-    box = zeros_box(tuple(widths))
-    cells = tuple((top - m).T)
-    weights = _weights(m, coefs)
-    vals = np.empty((math.prod(sizes), r + 1), complex)
-    err = np.empty(r + 1)
-    for col, w in enumerate(weights.T):
-        box[cells] = w
-        vals[:, col] = torus_values(box, tuple(-top), sizes).reshape(-1)
-        err[col] = _fft_error(sizes, math.sqrt(energy(w)))
-    # the gradient weights i m_ja c_j are rounded once, by at most u |m_ja c_j|
-    err[1:] += eps / 2.0 * np.abs(weights[:, 1:]).sum(axis=0)
     norm = math.sqrt(energy(coefs))
-    spread = _grid_bound(np.abs(vals[:, 0]), sizes, widths, norm)
-    centres = _grid_angles(np.arange(len(vals)), sizes)
-    delta = np.array([math.nextafter(math.pi / n, math.inf) for n in sizes])
-
     # |h| is evaluated about the centre of its box, the smallest phases
     shifted = exps - (exps.min(axis=0) + exps.max(axis=0)) // 2
     direct_err = _direct_error(m, coefs)
-    slack = max(err[0], direct_err[0]) + _direct_error(shifted, coefs)[0]
+    witness_err = _direct_error(shifted, coefs)[0]
+    slack = direct_err[0] + witness_err
     offsets = np.array(list(itertools.product((-0.5, 0.5), repeat=r)))
-    units, lower, dropped = math.prod(sizes), -1.0, 0.0
+    units, lower, dropped, spread, grid = math.prod(sizes), -1.0, 0.0, math.inf, sizes
+    # a cell level lists its centres; a grid level's are its points' angles
+    at = lambda i: _grid_angles(i, last) if centres is None else centres[i]
     while True:
+        if grid is None:   # the kept cells' children
+            centres = (at(np.flatnonzero(keep))[:, None, :] + offsets * delta).reshape(-1, r)
+            vals, err, delta = _direct(centres, m, coefs), direct_err, child
+        else:   # the whole torus on a grid, the last level's arrays released first
+            vals = ub = mags = keep = centres = None
+            vals, err = _grid_values(m, coefs, grid)
+            spread = min(spread, _grid_bound(np.abs(vals[:, 0]), grid, widths, norm))
+            slack = max(slack, err[0] + witness_err)
+            delta, last = np.array([math.nextafter(math.pi / n, math.inf) for n in grid]), grid
         ub = _cell_upper(vals, err, delta, spread, widths)
         mags = np.abs(vals[:, 0])
         best = int(np.argmax(mags))
         if mags[best] > lower:
-            lower, witness = float(mags[best]), centres[best]
+            lower, witness = float(mags[best]), at(best)
         if threshold is not None and lower > threshold:
             break
         cut = threshold if threshold is not None else (lower - slack) * (1.0 + tol)
         keep = ub > cut
         dropped = max(dropped, float(ub[~keep].max(initial=0.0)))
-        centres, ub = centres[keep], ub[keep]
-        child = delta / 2.0 + 16.0 * eps
-        if not len(centres) or (child > 0.75 * delta).any():
+        ub, kept = ub[keep], int(np.count_nonzero(keep))
+        # the next level is the cheaper one: a cell costs K units, a grid
+        # point one; a finer grid doubles the axis where n_a / M_a is largest
+        child, cells = delta / 2.0 + 16.0 * eps, len(coefs) * len(offsets) * kept
+        a = max(range(r), key=lambda a: (widths[a] - 1) / last[a])
+        grid = last[:a] + (2 * last[a],) + last[a + 1:]
+        cost = min(cells, math.prod(grid))
+        if not kept or (child > 0.75 * delta).any() or cost > WORK_BUDGET - units:
             break
-        if units + len(coefs) * len(offsets) * len(centres) > WORK_BUDGET:
-            # a cell costs K units and a grid point one: the units left buy
-            # the finest grid that fits, doubled where n_a / M_a is largest
-            fine = list(sizes)
-            while units + 2 * math.prod(fine) <= WORK_BUDGET:
-                a = max(range(r), key=lambda a: (widths[a] - 1) / fine[a])
-                fine[a] *= 2
-            if fine != list(sizes):
-                box[cells] = coefs
-                mags = np.abs(torus_values(box, tuple(-top), fine)).reshape(-1)
-                units += math.prod(fine)
-                spread = min(spread, _grid_bound(mags, fine, widths, norm))
-                best = int(np.argmax(mags))
-                if mags[best] > lower:
-                    lower, witness = float(mags[best]), _grid_angles(best, fine)
-            break
-        centres = (centres[:, None, :] + offsets * delta).reshape(-1, r)
-        units += len(coefs) * len(centres)
-        vals, err, delta = _direct(centres, m, coefs), direct_err, child
+        units, grid = units + cost, grid if math.prod(grid) < cells else None
     angles = np.linalg.lstsq(lattice.astype(float), witness, rcond=None)[0] % (2.0 * math.pi)
     lower = float(abs(_direct(angles[None, :], shifted, coefs)[0, 0]))
     upper = max(lower, min(spread, max(dropped, float(ub.max(initial=0.0)))))
@@ -548,6 +551,8 @@ def dissipativity_check(h: ScaleTimeSignal, tol: float = 1e-9) -> StabilityRepor
     (1 - z_a conj(w_a)) of g = h / (1 + tol), positive if sup |h| <= 1 + tol,
     is sampled on 20 fixed sets of 12 points: gram_bug marks a pass with
     an eigenvalue below -tol, which only an analyzer fault can cause.
+    Where the sampled kernel is not a finite double, which only a decided
+    fail far above 1 reaches, details.gram says so in place of the sample.
     """
     stack = h.stack
     bracket = _certify_sup(stack.array, tol, threshold=1.0 + tol)
@@ -563,15 +568,20 @@ def dissipativity_check(h: ScaleTimeSignal, tol: float = 1e-9) -> StabilityRepor
         # radius 0.9 sqrt(U), angle 2 pi V per variable, from one seed-0 stream
         draws = np.random.default_rng(0).random((20, 2, 12, h.arity + 1))
         pts = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * math.pi * draws[:, 1]))
-        g = _evaluate(stack.array, stack.origin, pts.reshape(240, -1)) / (1 + tol)
-        # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
-        kern = np.prod(1.0 / (1.0 - pts[:, :, None, :] * pts[:, None, :, :].conj()), axis=3)
-        gram = (1.0 - g.reshape(20, 12, 1) * g.conj().reshape(20, 1, 12)) * kern
-        gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
-        gram_min = float(np.linalg.eigvalsh(gram)[:, 0].min())
-        details["gram_min_eigenvalue"] = gram_min
-        if verdict == "pass" and gram_min < -tol:
-            details["gram_bug"] = True
+        # |g| near 1e154 or beyond, only on a decided fail, overflows the kernel
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _evaluate(stack.array, stack.origin, pts.reshape(240, -1)) / (1 + tol)
+            # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
+            kern = np.prod(1.0 / (1.0 - pts[:, :, None, :] * pts[:, None, :, :].conj()), axis=3)
+            gram = (1.0 - g.reshape(20, 12, 1) * g.conj().reshape(20, 1, 12)) * kern
+        if not np.isfinite(gram).all():
+            details["gram"] = "skipped (sampled kernel not finite)"
+        else:
+            gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+            gram_min = float(np.linalg.eigvalsh(gram)[:, 0].min())
+            details["gram_min_eigenvalue"] = gram_min
+            if verdict == "pass" and gram_min < -tol:
+                details["gram_bug"] = True
     else:
         details["gram"] = "skipped (not scale-causal)"
 
@@ -640,7 +650,11 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
     Draws complex Gaussian inputs on a fixed support, normalizes them in
     the property's input norm, runs the double convolution, and compares
     the observed gain with the certified bound.  A ratio above 1 + 1e-9
-    indicates an analyzer bug, since the bounds are theorems.
+    indicates an analyzer bug, since the bounds are theorems.  The inputs
+    are convolved with h 2^-E (_exponent) and compared with the bound of
+    h 2^-E; bound is scaled back (_scale_back, rounded up where subnormal,
+    ValueError where it is not a finite double).  The scale is exact, so
+    max_ratio is the same at every scale where the norms are normal.
     """
     prop = property.replace("-", "_")
     if prop == "l1l2":
@@ -650,9 +664,10 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = h.arity
+    p, scale = h.arity, _exponent(h.stack.array)
+    hs = ScaleTimeSignal._from_stack(h.stack.scaled(2.0 ** -scale), h.time_len)
     if prop == "bibo":
-        _, bound, verdict = _slice_bound(h.slices, 1e-6)
+        _, bound, verdict = _slice_bound(hs.slices, 1e-6)
         measure = lambda y: y.norm("sup_l2")
     elif prop == "dissipative":
         # the verdict of dissipativity_check(h, 1e-6), without its Gram sample
@@ -660,10 +675,10 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         verdict = _threshold_verdict(bracket, 1e-6)
         if verdict == "pass":   # checked against the precision bracket's bound
             bracket = _certify_sup(h.stack.array, 1e-6)
-        bound = bracket.upper ** 2
+        bound = math.ldexp(bracket.upper, -scale) ** 2
         measure = lambda y: y.norm("energy")
     else:
-        report = l1l2_gain(h)
+        report = l1l2_gain(hs)
         bound, verdict = report.gain, report.verdict
         measure = lambda y: math.sqrt(y.norm("energy"))
 
@@ -673,6 +688,7 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
     shape = check_box((time_len,) + tuple(hi + 2 - lo for lo, hi in zip(origin, maxs)))
     cells = math.prod(shape[1:])
     rng = np.random.default_rng(seed)
+    reported = _scale_back(float(bound), scale * (1 + (prop == "dissipative")), "bound", math.inf)
 
     max_ratio = 0.0
     for _ in range(trials):
@@ -683,18 +699,15 @@ def empirical_verify(h: ScaleTimeSignal, property: str, trials: int,
         if prop == "dissipative":
             unorm = math.sqrt(unorm)
         u = ScaleTimeSignal._from_box(vals * (1.0 / unorm), origin)
-        observed = measure(double_convolve(h, u))
-        if bound == 0.0:
-            ratio = 0.0 if observed == 0.0 else math.inf
-        else:
-            ratio = observed / bound
+        observed = measure(double_convolve(hs, u))
+        ratio = observed / bound if bound else (math.inf if observed else 0.0)
         max_ratio = max(max_ratio, ratio)
 
     return EmpiricalReport(
         property=prop,
         trials=trials,
         seed=int(seed),
-        bound=float(bound),
+        bound=reported,
         max_ratio=float(max_ratio),
         ok=bool(max_ratio <= 1.0 + 1e-9),
         analyzer_verdict=verdict,

@@ -64,17 +64,18 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("k, prop, code", [
         (-600, "bibo", 0), (-600, "dissipative", 0), (-600, "l1l2", 0),
-        (900, "bibo", 0), (900, "l1l2", 2)])
+        (900, "bibo", 0), (900, "dissipative", 1), (900, "l1l2", 2)])
     def test_extreme_scales_print_finite_reports(self, tmp_path, capsys, k, prop, code):
         # 2^k (1 + z^3 / 2 - i z^5 / 4): every printed number is a finite
         # double; at 2^900 the coefficient energy is not one, and the run
-        # exits 2 naming it before any output
+        # exits 2 naming it before any output, and the dissipative fail
+        # keeps its report though its Gram kernel overflows
         s = math.ldexp(1.0, k)
         path = tmp_path / "probe.json"
         write_system(path, [{(0,): s, (3,): s / 2, (5,): -0.25j * s}])
         assert main(["analyze", "--property", prop, "--system", str(path)]) == code
         captured = capsys.readouterr()
-        if code:
+        if code == 2:
             assert captured.out == ""
             assert captured.err.startswith("error: coefficient_energy ")
             assert captured.err.rstrip().endswith("is not a finite double")
@@ -451,7 +452,30 @@ class TestVerify:
         assert main(["verify", "--property", "dissipative", "--system", str(path),
                      "--trials", "1", "--seed", "0"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith("error: bound ")
+
+    @pytest.mark.parametrize("prop", ["bibo", "dissipative"])
+    def test_extreme_scales_keep_the_ratio(self, tmp_path, capsys, prop):
+        # the draws are convolved with h 2^-E and the bound is scaled back:
+        # the output norms underflowed to a ratio of 0 at 2^-600 and
+        # overflowed at 2^900.  The dissipative bound, a squared sup, rounds
+        # up to the least subnormal at 2^-600 (2^900 exits 2, above).  2^-1
+        # is the reference, a pass for both properties
+        power = 2 if prop == "dissipative" else 1
+        docs = {}
+        for k in (-1, -600) if power == 2 else (-1, -600, 900):
+            s = math.ldexp(1.0, k)
+            path = tmp_path / f"probe{k}.json"
+            write_system(path, [{(0,): s, (3,): s / 2, (5,): -0.25j * s}])
+            assert main(["verify", "--property", prop, "--system", str(path),
+                         "--trials", "3", "--seed", "0"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            docs[k] = json.loads(captured.out)
+        for k, doc in docs.items():
+            assert doc["max_ratio"] == docs[-1]["max_ratio"] > 0.0
+            assert doc["bound"] == max(math.ldexp(docs[-1]["bound"], power * (k + 1)),
+                                       math.ldexp(1.0, -1074))
 
 
 class TestUsage:

@@ -95,15 +95,16 @@ class TestMultOperatorNorm:
 
     def test_budget_stop_spends_the_rest_on_one_grid(self, monkeypatch):
         # one refined cell of a dense 6 x 6 x 6 box costs 216 units, so after
-        # the 32^3 coarse grid no level fits 2^18 units; the rest buys a
-        # 64 x 64 x 32 grid, whose Ehlich-Zeller bound (9% here) is much
-        # tighter than the coarse cells' (19%)
+        # the 32^3 coarse grid each level is a grid, one axis doubled: the
+        # 64 x 32 x 32 and 64 x 64 x 32 grids fit 2^18 units, and the last
+        # one's Ehlich-Zeller bound (9% here) is much tighter than the coarse
+        # cells' (19%)
         h = peaked_box(np.random.default_rng(4), (6, 6, 6))
         monkeypatch.setattr(stability, "WORK_BUDGET", 1 << 18)
         b = mult_operator_norm(h, tol=1e-9)
         sup = np.abs(h.array).sum()
         assert not b.certified
-        assert b.evaluations == 32 ** 3 + 64 * 64 * 32
+        assert b.evaluations == 32 ** 3 + 64 * 32 * 32 + 64 * 64 * 32
         assert b.lower <= sup <= b.upper <= 1.12 * sup
         assert symbol_at(h, b.witness_angles) == pytest.approx(b.lower, rel=1e-12)
 
@@ -620,6 +621,16 @@ def offset_grid_max(h, size, offset) -> float:
     return float(np.abs(vals).max())
 
 
+def fft_offset_grid_max(array, size, offset) -> float:
+    """max |sum_e c_e e^{i e.theta}| over a box at origin 0 on the grid
+    theta_j = 2 pi (j + offset_a) / size, by one FFT of the phase-shifted,
+    conjugated coefficients (torus_values pairs e with e^{-i e.theta})."""
+    phase = sum(np.arange(n).reshape((-1,) + (1,) * (array.ndim - 1 - a)) * o
+                for a, (n, o) in enumerate(zip(array.shape, offset)))
+    shifted = np.conj(array * np.exp(2j * math.pi * phase / size))
+    return float(np.abs(torus_values(shifted, (0,) * array.ndim, (size,) * array.ndim)).max())
+
+
 class TestThresholdSweep:
     """dissipativity_check decides sup <= 1 + tol and stops as soon as it can."""
 
@@ -805,6 +816,19 @@ class TestToleranceGrid:
             b = mult_operator_norm(h, tol=1e-9)
             assert b.certified
             assert b.lower <= np.abs(h.array).sum() <= b.upper
+
+    def test_wide_dense_boxes_certify(self):
+        # a refined cell of a dense 48 x 48 box costs 2304 units: cells alone
+        # spent the budget and stopped 1e-3 wide, and the 6 x 6 x 6 box 1e-1
+        # wide; levels priced as cells or a finer grid certify both
+        for shape, size in (((48, 48), 1024), ((6, 6, 6), 128)):
+            rng = np.random.default_rng(0)
+            array = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            h = ScaleSignal._from_box(array, (0,) * len(shape))
+            b = mult_operator_norm(h, tol=1e-9)
+            assert b.certified and b.evaluations <= stability.WORK_BUDGET
+            assert fft_offset_grid_max(array, size, rng.uniform(0, 1, len(shape))) <= b.upper
+            assert symbol_at(h, b.witness_angles) == pytest.approx(b.lower, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(1, 3), kind=st.sampled_from(["box", "step", "line"]),
@@ -1034,6 +1058,19 @@ class TestPowerOfTwoScale:
         ref = mult_operator_norm(probe(0), tol=1e-9)
         assert b.certified and math.isfinite(b.upper)
         assert (b.lower, b.upper) == (math.ldexp(ref.lower, 900), math.ldexp(ref.upper, 900))
+
+    def test_gram_sample_beyond_the_double_range_is_skipped(self):
+        # 2^900: 1 - g conj(g) overflowed, and the eigen-solve raised "did
+        # not converge"; the fail keeps its bracket and witness, and
+        # details.gram says why there is no sample
+        ref = dissipativity_check(ScaleTimeSignal([probe(0)]))
+        report = dissipativity_check(ScaleTimeSignal([probe(900)]))
+        assert ref.verdict == report.verdict == "fail"
+        assert math.isfinite(ref.details["gram_min_eigenvalue"])
+        assert report.details == {"tol": 1e-9, "gram": "skipped (sampled kernel not finite)"}
+        b, r = report.sup_bracket, ref.sup_bracket
+        assert (b.lower, b.upper) == (math.ldexp(r.lower, 900), math.ldexp(r.upper, 900))
+        assert report.witnesses["argmax_angles"] == ref.witnesses["argmax_angles"]
 
     def test_deep_scale_bibo_and_l1l2_keep_their_values(self):
         # necessary_lower read 0 at 2^-600 and the gain 0 at 2^-538
