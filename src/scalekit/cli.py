@@ -9,11 +9,14 @@ COMMANDS is the one table of subcommands: name -> help, handler and
 argument specs.  main builds the parser of the command that its first
 argument names, and of all of them when it names none (-h, no arguments,
 an unknown word); the help, usage and error text are the same either way.
+Each parser is built once per process: parsing leaves it unchanged, and
+argparse formats help and errors only when it prints them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,8 +199,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of COMMANDS[command] alone, or of every command when
     command names none.  A lone command's metavar lists every command, so
     the top-level usage printed with an unrecognized-argument error is the
-    same either way."""
-    single = command in COMMANDS
+    same either way.  Parsers are cached, one per command and one shared by
+    every other word, so the cache holds at most len(COMMANDS) + 1."""
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    single = command is not None
     parser = argparse.ArgumentParser(
         prog="scalekit",
         description="Multi-scale discrete-time system toolbox (batch only).",

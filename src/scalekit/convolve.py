@@ -10,9 +10,11 @@ its products in the order of the lexicographic reference loop.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .signals import ScaleSignal, ScaleTimeSignal, check_box, zeros_box
+from .signals import ScaleSignal, ScaleTimeSignal, check_box, first_nonfinite, zeros_box
 
 __all__ = [
     "group_convolve",
@@ -80,7 +82,8 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     componentwise bound 4 (cnt + 2) eps sum |h| |u| that the direct path
     meets, and it can leave residues of about 1e-16 where products cancel
     exactly.  So the CLI runs the direct path, and no size-based switch
-    picks the FFT.
+    picks the FFT.  An output entry that is not a finite double raises
+    ValueError naming it as (n, k).
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
@@ -90,15 +93,21 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
         return ScaleTimeSignal([], arity=h.arity)
     # the stacks on (n, k): the double convolution is their convolution
     hs, us = h.stack, u.stack
-    if method == "fft" and not (hs.is_zero or us.is_zero):
-        full = _convolve_fft(hs.array, us.array)
-    else:
-        # h's time index descending, then its scale index ascending: each
-        # output entry sums over input time m ascending, as y_n's formula reads
-        pos = np.argwhere(hs.array)
-        full = box_convolve(hs.array, us.array, pos[np.argsort(-pos[:, 0], kind="stable")])
+    # products beyond the double range are reported below, entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "fft" and not (hs.is_zero or us.is_zero):
+            full = _convolve_fft(hs.array, us.array)
+        else:
+            # h's time index descending, then its scale index ascending: each
+            # output entry sums over input time m ascending, as y_n's formula reads
+            pos = np.argwhere(hs.array)
+            full = box_convolve(hs.array, us.array, pos[np.argsort(-pos[:, 0], kind="stable")])
     # the origins add, so cone-supported operands give a cone-supported output
-    stack = ScaleSignal._from_box(full, tuple(a + b for a, b in zip(hs.origin, us.origin)))
+    origin = tuple(a + b for a, b in zip(hs.origin, us.origin))
+    bad = first_nonfinite(full, origin)
+    if bad is not None:
+        raise ValueError(f"output entry (n, k) = {(bad[0], bad[1:])} is not a finite double")
+    stack = ScaleSignal._from_box(full, origin)
     return ScaleTimeSignal._from_stack(stack, h.time_len + u.time_len - 1)
 
 
@@ -122,7 +131,9 @@ def _convolve_fft(h: np.ndarray, u: np.ndarray) -> np.ndarray:
 def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal) -> ScaleTimeSignal:
     """Literal quadruple loop over time indices and lattice points.
 
-    Test oracle; refuses instances whose estimated work exceeds WORK_GUARD.
+    Test oracle; refuses instances whose estimated work exceeds WORK_GUARD,
+    and names an output entry that is not a finite double as double_convolve
+    does.
     """
     if h.arity != u.arity:
         raise ValueError(f"arity mismatch: {h.arity} vs {u.arity}")
@@ -158,6 +169,8 @@ def brute_force_double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal) -> Scale
                 hm = h_maps[j]
                 for phi, uv in u_lists[m]:
                     total += hm.get(tuple(a - b for a, b in zip(gamma, phi)), 0.0) * uv
+            if not cmath.isfinite(total):
+                raise ValueError(f"output entry (n, k) = {(n, gamma)} is not a finite double")
             entries[gamma] = total
         slices.append(ScaleSignal(entries, arity=h.arity))
     return ScaleTimeSignal(slices, arity=h.arity)

@@ -15,6 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import check_box
 from .spectral import _horner
@@ -35,9 +36,9 @@ class MomentSequence:
         vals = tuple(complex(v) for v in self.t)
         if not vals:
             raise ValueError("at least one moment is required")
-        for v in vals:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"moments must be finite, got {v!r}")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ValueError(f"moments must be finite, got {vals[finite.argmin()]!r}")
         t0 = vals[0]
         if abs(t0.imag) > 1e-12 * (1.0 + abs(t0)):
             raise ValueError(f"t_0 must be real, got {t0!r}")
@@ -67,11 +68,11 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     col = np.asarray(ms.t, complex)
     check_box((col.size, col.size))
-    idx = np.arange(col.size)
-    diff = idx[:, None] - idx[None, :]
-    matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
+    # windows[i, j] = t_{i+j-N}, t_{-m} = conj(t_m): the Toeplitz matrix
+    # A + iB = (t_{i-j}) with its columns reversed, as a strided view
+    windows = sliding_window_view(np.concatenate((np.conj(col[:0:-1]), col)), col.size)
     # (I + iJ)/sqrt 2, J the exchange matrix, carries A + iB to real symmetric A - BJ
-    eigs = np.linalg.eigvalsh(matrix.real - matrix.imag[:, ::-1])
+    eigs = np.linalg.eigvalsh(windows.real[:, ::-1] - windows.imag)
     min_eig = float(eigs[0])
     return PsdReport(bool(min_eig >= -tol), min_eig, len(ms.t))
 

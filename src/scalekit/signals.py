@@ -72,6 +72,15 @@ def zeros_box(shape) -> np.ndarray:
     return np.zeros(check_box(shape), complex)
 
 
+def first_nonfinite(array: np.ndarray, origin) -> tuple | None:
+    """The exponent of the box's first cell (C order) that is not a finite
+    complex double, or None: one isfinite over the box."""
+    bad = ~np.isfinite(array)
+    if not bad.any():
+        return None
+    return tuple(int(i) + o for i, o in zip(np.unravel_index(bad.argmax(), array.shape), origin))
+
+
 def trim_box(array: np.ndarray, origin) -> tuple[np.ndarray, tuple]:
     """View of array on the bounding box of its nonzeros, and its origin;
     an array without nonzeros gives an empty box at the zero origin."""

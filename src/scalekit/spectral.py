@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import ScaleGroup
-from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box, zeros_box
+from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box, first_nonfinite, zeros_box
 
 __all__ = [
     "SpectrumGrid",
@@ -153,9 +153,15 @@ def scale_fourier(x: ScaleSignal, grid_sizes) -> SpectrumGrid:
 
     Grid sizes must cover the support width on every axis (anti-aliasing
     guard); then the grid mean of |values|^2 equals the signal energy.
+    A value beyond the double range raises ValueError naming its grid index.
     """
     sizes = _check_alias(x, grid_sizes)
-    return SpectrumGrid(sizes, torus_values(x.array, x.origin, sizes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = torus_values(x.array, x.origin, sizes)
+    bad = first_nonfinite(values, (0,) * len(sizes))
+    if bad is not None:
+        raise ValueError(f"spectrum value at grid index j = {bad} is not a finite double")
+    return SpectrumGrid(sizes, values)
 
 
 def scale_fourier_inverse(grid: SpectrumGrid, window) -> ScaleSignal:

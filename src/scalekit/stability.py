@@ -15,6 +15,7 @@ enough data (bounds, witnesses, grids, work) to replay the verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -538,6 +539,21 @@ def _threshold_verdict(bracket: OperatorNormBracket, tol: float) -> str:
     return "pass" if bracket.upper <= 1.0 + tol else "inconclusive"
 
 
+@functools.cache
+def _gram_sample(variables: int) -> tuple[np.ndarray, np.ndarray]:
+    """dissipativity_check's 240 points in the open polydisc of that many
+    variables, as 20 sets of 12 rows, and each set's products of disc Szego
+    kernels 1 / (1 - z_i conj(z_j)), one factor per variable: the (240,
+    variables) and (20, 12, 12) arrays, read-only, built once per count."""
+    # radius 0.9 sqrt(U), angle 2 pi V per variable, from one seed-0 stream
+    draws = np.random.default_rng(0).random((20, 2, 12, variables))
+    pts = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * math.pi * draws[:, 1]))
+    kern = np.prod(1.0 / (1.0 - pts[:, :, None, :] * pts[:, None, :, :].conj()), axis=3)
+    pts = pts.reshape(240, variables)
+    pts.flags.writeable = kern.flags.writeable = False
+    return pts, kern
+
+
 def dissipativity_check(h: ScaleTimeSignal, tol: float = 1e-9) -> StabilityReport:
     """Certify or refute contractivity of the transfer function.
 
@@ -550,7 +566,8 @@ def dissipativity_check(h: ScaleTimeSignal, tol: float = 1e-9) -> StabilityRepor
     For scale-causal systems, the kernel (1 - g(z) conj(g(w))) / prod_a
     (1 - z_a conj(w_a)) of g = h / (1 + tol), positive if sup |h| <= 1 + tol,
     is sampled on 20 fixed sets of 12 points: gram_bug marks a pass with
-    an eigenvalue below -tol, which only an analyzer fault can cause.
+    an eigenvalue below -tol, which only an analyzer fault can cause.  The
+    points and their Szego kernels are built once per arity (_gram_sample).
     Where the sampled kernel is not a finite double, which only a decided
     fail far above 1 reaches, details.gram says so in place of the sample.
     """
@@ -565,14 +582,10 @@ def dissipativity_check(h: ScaleTimeSignal, tol: float = 1e-9) -> StabilityRepor
 
     details: dict = {"tol": tol}
     if h.is_cone_supported():
-        # radius 0.9 sqrt(U), angle 2 pi V per variable, from one seed-0 stream
-        draws = np.random.default_rng(0).random((20, 2, 12, h.arity + 1))
-        pts = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * math.pi * draws[:, 1]))
+        pts, kern = _gram_sample(h.arity + 1)
         # |g| near 1e154 or beyond, only on a decided fail, overflows the kernel
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _evaluate(stack.array, stack.origin, pts.reshape(240, -1)) / (1 + tol)
-            # products of disc Szego kernels 1 / (1 - z_i conj(z_j)), one per variable
-            kern = np.prod(1.0 / (1.0 - pts[:, :, None, :] * pts[:, None, :, :].conj()), axis=3)
+            g = _evaluate(stack.array, stack.origin, pts) / (1 + tol)
             gram = (1.0 - g.reshape(20, 12, 1) * g.conj().reshape(20, 1, 12)) * kern
         if not np.isfinite(gram).all():
             details["gram"] = "skipped (sampled kernel not finite)"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,22 @@ class TestFilterOracle:
                      "--u", str(tmp_path / "no.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["filter", "oracle"])
+    def test_products_beyond_the_double_range_exit_2(self, command, tmp_path, capsys):
+        # every product overflows: exit 2 naming the first output entry,
+        # before the output file is opened, and no numpy warning
+        hp, up, out = tmp_path / "h.csv", tmp_path / "u.csv", tmp_path / "y.csv"
+        write_system(hp, [{(0,): 1e308, (1,): 5e307}])
+        write_system(up, [{(0,): 1e300}, {(2,): 3e300}])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--h", str(hp), "--u", str(up), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: output entry (n, k) = (0, (0,)) is not a finite double\n")
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestMomentsCommands:
     def test_moments_check_fail_inline(self, capsys):
@@ -388,6 +405,21 @@ class TestTransformCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --n must be a time index >= 0, got -1\n"
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_spectrum_beyond_the_double_range_exits_2(self, suffix, tmp_path, capsys):
+        # 1e308 + 1e308 overflows at theta = 0: exit 2 naming the grid index,
+        # no output file, and no numpy warning from the FFT
+        path, out = tmp_path / "s.json", tmp_path / f"g{suffix}"
+        write_system(path, [{(0,): 1e308, (1,): 1e308}])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spectrum", "--signal", str(path), "--grid", "4", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: spectrum value at grid index j = (0,) is not a finite double\n")
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_spectrum_csv_output(self, tmp_path):
         path = tmp_path / "s.json"
@@ -565,6 +597,24 @@ class TestDispatch:
         assert main(["moments-check", "--moments", '{"t":[[1,0]]}']) == 0
         assert main(["-h"]) == 0 and main([]) == 2
         assert built == ["moments-check", "-h", None]
+
+    def test_cached_parsers_keep_no_state(self, geometric_json, capsys):
+        # one process: a valid request, a usage error and help on the same
+        # cached parser leave the next valid request's report unchanged
+        request = ["analyze", "--property", "dissipative", "--system", geometric_json]
+        assert main(request) == 0
+        first = capsys.readouterr().out
+        assert main(["analyze", "--tol", "x"]) == 2
+        assert main(["analyze", "-h"]) == 0 and main(["-h"]) == 0
+        assert "--property" in capsys.readouterr().out
+        assert main(request) == 0
+        assert capsys.readouterr().out == first
+
+    def test_one_parser_per_command(self):
+        # unknown words share the parser of every command, so the cache is bounded
+        assert build_parser("analyze") is build_parser("analyze")
+        assert build_parser("frobnicate") is build_parser("-h") is build_parser()
+        assert build_parser("analyze") is not build_parser()
 
     @pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["frobnicate"], 2)])
     def test_no_command_lists_all_nine(self, argv, code, capsys):

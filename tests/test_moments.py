@@ -84,6 +84,26 @@ class TestToeplitzPsd:
             report = toeplitz_psd_check(density_moments(np.abs(f) ** 2, 8), tol=1e-10)
             assert report.is_psd
 
+    @settings(max_examples=100)
+    @given(data=st.data(), order=st.integers(1, 64))
+    def test_strided_matrix_matches_index_built(self, data, order):
+        # the real symmetric A - BJ handed to eigvalsh, bit for bit, against
+        # the matrix (t_{i-j}) gathered by index, t_{-m} = conj(t_m)
+        part = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+        zero = st.sampled_from([0.0, -0.0])
+        t = [complex(data.draw(part), data.draw(zero))]
+        t += [complex(data.draw(part), data.draw(part)) for _ in range(order)]
+        col = np.array(t)
+        diff = np.subtract.outer(np.arange(col.size), np.arange(col.size))
+        matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
+        expected = matrix.real - matrix.imag[:, ::-1]
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or np.zeros(len(a)))
+            toeplitz_psd_check(MomentSequence(tuple(t)))
+        assert seen[0].shape == expected.shape
+        assert seen[0].tobytes() == expected.tobytes()
+
 
 class TestHerglotz:
     def test_lebesgue_constant(self):

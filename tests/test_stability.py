@@ -594,6 +594,22 @@ class TestDissipativity:
         h = ScaleTimeSignal([delta((0,), 1, 0.3), delta((1,), 1, 0.4)], arity=1)
         assert dissipativity_check(h).details == dissipativity_check(h).details
 
+    @pytest.mark.parametrize("variables", [2, 3, 4])
+    def test_gram_sample_built_once_per_arity(self, variables):
+        # the cached points and kernels equal a fresh seed-0 build bit for
+        # bit, and no caller can write to them
+        pts, kern = stability._gram_sample(variables)
+        assert stability._gram_sample(variables)[1] is kern
+        draws = np.random.default_rng(0).random((20, 2, 12, variables))
+        fresh = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2.0 * math.pi * draws[:, 1]))
+        fresh_kern = np.prod(1.0 / (1.0 - fresh[:, :, None, :] * fresh[:, None, :, :].conj()),
+                             axis=3)
+        assert pts.tobytes() == fresh.reshape(240, variables).tobytes()
+        assert kern.shape == (20, 12, 12) and kern.tobytes() == fresh_kern.tobytes()
+        for array in (pts, kern):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
 
 def peaked_system(rng, p, time_len, width, sup, theta0):
     """Positive magnitudes summing to sup, phased so that the symbol
