@@ -217,11 +217,17 @@ def _write_chunks(chunks, out: list) -> None:
     out.append("]")
 
 
-def _write_rows(array: np.ndarray, out: list) -> None:
-    """The rows of a 2-D float array, one _table per chunk of rows."""
+def _refuse_non_finite(array: np.ndarray) -> None:
+    """ValueError naming the first non-finite float of a float array in C
+    order, as dumps refuses it."""
     finite = np.isfinite(array)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite float {float(array[~finite][0])!r}")
+
+
+def _write_rows(array: np.ndarray, out: list) -> None:
+    """The rows of a 2-D float array, one _table per chunk of rows."""
+    _refuse_non_finite(array)
     chunks = (array[i:i + _CHUNK_ROWS] for i in range(0, len(array), _CHUNK_ROWS))
     _write_chunks((_table(["[", *_interleave(c.T, ","), "]"], len(c), ",") for c in chunks), out)
 

@@ -173,7 +173,10 @@ COMMANDS = {
         ("--zs", dict(default="", help="JSON list of [re, im] pairs")))),
     "moments-check": ("Toeplitz positivity of moments", _cmd_moments_check, (
         ("--moments", dict(required=True, help='{"t": [[re,im], ...]} or path')),
-        ("--tol", dict(type=float, default=1e-9)))),
+        ("--tol", dict(type=float, default=1e-9,
+                       help="is_psd holds when the smallest eigenvalue of the Toeplitz matrix "
+                            "of t 2^-E is >= -tol, 2^E the power of two at or below the "
+                            "largest real or imaginary part: tol is relative to 2^E")))),
     "stieltjes": ("interval mass from boundary inversion", _cmd_stieltjes, (
         ("--moments", dict(required=True)),
         ("--a", dict(type=float, required=True)),

@@ -11,7 +11,17 @@ path of a large file.  Every float array and table (a complex array's
 [re, im] rows, a scale signal's entry list, the CSV rows) is written a
 chunk of rows at a time by _jsonfmt's table kernel, whose cells are
 '%.17g' byte for byte; only near-ties and extreme exponents are formatted
-one float at a time.
+one float at a time.  Both formats refuse a non-finite value before
+anything is written.
+
+A CSV signal read back by the process that wrote it is not parsed again.
+write_time_signal keeps one slot: the byte count and blake2b digest of
+the last CSV file it wrote, and the signal a read of those bytes builds.
+read_time_signal reads and hashes a CSV file only when its size is the
+slot's, and returns the slot's signal when the digests agree too.  The
+answer is a function of the file's bytes either way, so a file changed
+by another writer is parsed, and a process that reads only files it did
+not write never hashes.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from ._jsonfmt import EntryList, _keyed_chunks, dumps
+from ._jsonfmt import EntryList, _keyed_chunks, _refuse_non_finite, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
@@ -148,7 +158,9 @@ def signal_from_dict(obj) -> ScaleTimeSignal:
 def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     """A CSV header, then per row the key of cell flat[i] of a box of this
     shape and origin, and the real and imaginary part of values[i] as
-    '%.17g' writes them; the _jsonfmt table kernel writes each chunk."""
+    '%.17g' writes them; the _jsonfmt table kernel writes each chunk.  A
+    non-finite value raises dumps' ValueError before the header."""
+    _refuse_non_finite(np.ascontiguousarray(values).view(float))
     fh.write(",".join(header) + "\n")
     for text in _keyed_chunks(shape, origin, flat, values, "", ",", "\n"):
         fh.write(text)
@@ -221,12 +233,71 @@ def read_signal_csv(fh) -> ScaleTimeSignal:
 _BLOCK_READ_BYTES = 1 << 18
 
 
+# the last CSV file write_time_signal wrote: (byte count, blake2b digest
+# of the bytes, the signal _read_csv builds from them), or None.  It is
+# replaced whole and read once per call, and each triple holds for its own
+# bytes whatever file they are found in, so threads need no lock
+_written = None
+
+
+def _blake2b():
+    # from the extension that hashlib wraps: importing hashlib maps
+    # OpenSSL's libcrypto, 3.6 MB of RSS, for the same digest
+    from _blake2 import blake2b
+    return blake2b()
+
+
+class _HashedWrites:
+    """A binary file as a text handle: each string is written as its
+    bytes, which a blake2b digest takes and counts on the way."""
+
+    def __init__(self, fh):
+        self.fh, self.digest, self.size = fh, _blake2b(), 0
+
+    def write(self, text: str) -> None:
+        data = text.encode()
+        self.digest.update(data)
+        self.size += len(data)
+        self.fh.write(data)
+
+
+def _as_read(sig: ScaleTimeSignal) -> ScaleTimeSignal | None:
+    """The signal _read_csv builds from the CSV text of sig, made from
+    sig's stack: zero cells +0 (a copy only where one is -0), and time_len
+    the last time with a row plus 1, or 1 without rows.  None where the
+    text does not read back (a key outside int64)."""
+    stack, box = sig.stack, sig.stack.array
+    if not all(-2 ** 63 <= o and o + n <= 2 ** 63 for o, n in zip(stack.origin, box.shape)):
+        return None
+    signed = (box == 0) & (np.signbit(box.real) | np.signbit(box.imag))
+    if signed.any():
+        stack = ScaleSignal._from_box(np.where(signed, 0, box), stack.origin)
+    return ScaleTimeSignal._from_stack(stack, max(stack.origin[0] + len(box), 1))
+
+
 def read_time_signal(path: str) -> ScaleTimeSignal:
-    """Load a scale-time signal from .csv or .json by extension; numpy
-    reads a CSV file of at least _BLOCK_READ_BYTES from its path."""
+    """Load a scale-time signal from .csv or .json by extension.
+
+    A CSV file the size of the last one write_time_signal wrote is read
+    and hashed, and gives that write's signal when its digest is the
+    write's too; any other file is parsed, by numpy from its path at
+    _BLOCK_READ_BYTES or more and from the open handle below that.  The
+    size, the hashed bytes and a small file's rows all come from one open.
+    """
     if path.endswith(".csv"):
+        written = _written
         with open(path, newline="") as fh:
-            if os.fstat(fh.fileno()).st_size < _BLOCK_READ_BYTES:
+            size = os.fstat(fh.fileno()).st_size
+            if written is not None and size == written[0]:
+                # in blocks: a whole file held at once (4 MB for the largest
+                # benchmark output) set the process's peak RSS
+                digest = _blake2b()
+                while block := fh.buffer.read(1 << 18):
+                    digest.update(block)
+                if digest.digest() == written[1]:
+                    return written[2]
+                fh.seek(0)
+            if size < _BLOCK_READ_BYTES:
                 return _read_csv(fh)
             # absolute: numpy's DataSource never takes it for a URL
             return _read_csv(fh, os.path.abspath(path))
@@ -235,9 +306,23 @@ def read_time_signal(path: str) -> ScaleTimeSignal:
 
 
 def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
+    """Write a scale-time signal as .csv or .json by extension.
+
+    A CSV file's bytes are hashed (blake2b) as they are written, and once
+    the file has closed the slot read_time_signal checks holds their size,
+    their digest and the signal a read of them builds.  The slot is emptied first, so a failed write and a JSON write
+    leave it empty.  A non-finite value is refused before anything is
+    written (the file is left empty).
+    """
+    global _written
+    _written = None
     if path.endswith(".csv"):
-        with open(path, "w", newline="") as fh:
-            write_signal_csv(sig, fh)
+        with open(path, "wb") as fh:
+            out = _HashedWrites(fh)
+            write_signal_csv(sig, out)
+        read = _as_read(sig)
+        if read is not None:
+            _written = (out.size, out.digest.digest(), read)
         return
     with open(path, "w") as fh:
         fh.write(dumps(signal_to_dict(sig)))
@@ -250,8 +335,23 @@ def write_spectrum_csv(grid: SpectrumGrid, fh) -> None:
                  grid.grid_sizes, (0,) * grid.arity, range(values.size), values)
 
 
+def _moment_values(t) -> tuple:
+    """The moments of a list: in one numpy conversion for a list of
+    [re, im] lists of numbers; anything else through unpair one item at a
+    time, which accepts and refuses the same values with the same
+    messages."""
+    if isinstance(t, list) and set(map(type, t)) <= {list}:
+        try:
+            parts = np.asarray(t)
+        except (ValueError, TypeError):  # ragged rows
+            parts = None
+        if parts is not None and parts.dtype.kind in "biuf" and parts.shape[1:] == (2,):
+            return tuple(np.ascontiguousarray(parts, float).view(complex)[:, 0].tolist())
+    return tuple(unpair(z) for z in t)
+
+
 def moments_from_dict(obj) -> MomentSequence:
     try:
-        return MomentSequence(tuple(unpair(z) for z in obj["t"]))
+        return MomentSequence(_moment_values(obj["t"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed moments object: {obj!r}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signals import check_box
+from .signals import _scale_back, check_box
 from .spectral import _horner
 
 __all__ = ["MomentSequence", "PsdReport", "HerglotzValue", "toeplitz_psd_check",
@@ -33,7 +33,7 @@ class MomentSequence:
     t: tuple
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.t)
+        vals = tuple(map(complex, self.t))
         if not vals:
             raise ValueError("at least one moment is required")
         finite = np.isfinite(vals)
@@ -62,19 +62,30 @@ HerglotzValue = namedtuple("HerglotzValue", ["value", "order"])
 def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
     """Smallest eigenvalue of the full Toeplitz matrix (t_{n-m}).
 
-    is_psd holds when the smallest eigenvalue is >= -tol.
+    The question is asked of t 2^-E, 2^E the power of two at or below the
+    largest |Re t_n| or |Im t_n| (E = 0 for zeros), since a positive scale
+    does not change whether a matrix is positive: is_psd holds when the
+    smallest eigenvalue there is >= -tol, so tol is relative to 2^E, and
+    the eigenvalue is scaled back by 2^E (_scale_back).  t 2^k then gets
+    the same verdict, and 2^k times the eigenvalue, wherever both scalings
+    are exact; a sequence whose largest part is in [1, 2) is not scaled.
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     col = np.asarray(ms.t, complex)
     check_box((col.size, col.size))
+    top = float(np.abs(col.view(float)).max())
+    scale = math.frexp(top)[1] - 1 if top else 0
+    if scale:
+        col = np.ldexp(col.view(float), -scale).view(complex)
     # windows[i, j] = t_{i+j-N}, t_{-m} = conj(t_m): the Toeplitz matrix
     # A + iB = (t_{i-j}) with its columns reversed, as a strided view
     windows = sliding_window_view(np.concatenate((np.conj(col[:0:-1]), col)), col.size)
     # (I + iJ)/sqrt 2, J the exchange matrix, carries A + iB to real symmetric A - BJ
     eigs = np.linalg.eigvalsh(windows.real[:, ::-1] - windows.imag)
     min_eig = float(eigs[0])
-    return PsdReport(bool(min_eig >= -tol), min_eig, len(ms.t))
+    return PsdReport(bool(min_eig >= -tol), _scale_back(min_eig, scale, "min_eigenvalue"),
+                     len(ms.t))
 
 
 def herglotz_eval(ms: MomentSequence, z: complex) -> HerglotzValue:

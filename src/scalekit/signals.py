@@ -67,6 +67,15 @@ def energy(array: np.ndarray, axis=None):
     return np.sum(np.square(array.real), axis=axis) + np.sum(np.square(array.imag), axis=axis)
 
 
+def _scale_back(x: float, k: int, name: str, toward: float = 0.0) -> float:
+    """x 2^k, one ulp toward toward where that is inexact (subnormal);
+    ValueError naming the result where it is not a finite double."""
+    if not math.isfinite(x) or math.frexp(x)[1] + k > 1024:
+        raise ValueError(f"{name} {x!r} * 2^{k} is not a finite double")
+    y = math.ldexp(x, k)
+    return y if math.ldexp(y, -k) == x else math.nextafter(y, toward)
+
+
 def zeros_box(shape) -> np.ndarray:
     """Complex zeros of a checked box shape."""
     return np.zeros(check_box(shape), complex)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .convolve import double_convolve, group_convolve
-from .signals import MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, check_box, energy, zeros_box
+from .signals import (MAX_BOX_CELLS, ScaleSignal, ScaleTimeSignal, _scale_back, check_box,
+                      energy, zeros_box)
 from .spectral import _evaluate, _fft_error, _gamma, grid_shrink, torus_values
 
 __all__ = [
@@ -99,15 +100,6 @@ def _exponent(array: np.ndarray) -> int:
     if ((parts > 0) & (parts < math.ldexp(1.0, scale - 1022))).any():
         raise ValueError("coefficient parts span more than 2^1021")
     return scale
-
-
-def _scale_back(x: float, k: int, name: str, toward: float = 0.0) -> float:
-    """x 2^k, one ulp toward toward where that is inexact (subnormal);
-    ValueError naming the result where it is not a finite double."""
-    if not math.isfinite(x) or math.frexp(x)[1] + k > 1024:
-        raise ValueError(f"{name} {x!r} * 2^{k} is not a finite double")
-    y = math.ldexp(x, k)
-    return y if math.ldexp(y, -k) == x else math.nextafter(y, toward)
 
 
 def _difference_lattice(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,13 @@
+import _blake2
+import contextlib
 import io
 import json
 import math
+import os
 import re
 import struct
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -139,14 +143,16 @@ class TestTableKernel:
                 text = jsonfmt._table([(idx, origin), ";"], len(idx))
                 assert text == "".join(f"{i + origin};" for i in idx.tolist())
 
-    def test_non_finite_spectrum_csv_as_percent_writes_it(self):
+    def test_non_finite_cells_as_percent_writes_them(self):
+        # the CSV writers refuse such values (TestNonFiniteRefused), but the
+        # kernel under them writes them as '%' does
         values = np.array([[complex(np.inf, 1.5), complex(np.nan, -np.inf)],
                            [complex(-0.0, 1e-310), complex(0.25, np.nan)]])
-        buf = io.StringIO()
-        skio.write_spectrum_csv(SpectrumGrid((2, 2), values), buf)
+        text = "".join(jsonfmt._keyed_chunks(values.shape, (0, 0), range(values.size),
+                                             values.reshape(-1), "", ",", "\n"))
         rows = "".join(f"{j1},{j2},{'%.17g' % z.real},{'%.17g' % z.imag}\n"
                        for (j1, j2), z in np.ndenumerate(values))
-        assert buf.getvalue() == "j1,j2,re,im\n" + rows
+        assert text == rows
 
     def test_pow10_columns_built_on_demand_match_the_exact_table(self, monkeypatch):
         monkeypatch.setattr(jsonfmt, "_POW10", np.zeros_like(jsonfmt._POW10))
@@ -588,3 +594,177 @@ def test_jsonfmt_input_checks(obj, exc, message):
     with pytest.raises(exc) as info:
         dumps(obj)
     assert str(info.value) == message
+
+
+class TestNonFiniteRefused:
+    """Both CSV writers refuse a non-finite value with dumps' message,
+    before they write anything."""
+
+    def test_signal_csv(self):
+        sig = ScaleTimeSignal._from_box(np.array([[1.0, complex(0.5, np.inf)]]), (0,))
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            skio.write_signal_csv(sig, buf)
+        assert str(err.value) == "cannot serialize non-finite float inf"
+        assert buf.getvalue() == ""
+
+    def test_spectrum_csv(self):
+        values = np.array([[1.0, 2.0], [complex(np.nan, 1.0), 3.0]])
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            skio.write_spectrum_csv(SpectrumGrid((2, 2), values), buf)
+        assert str(err.value) == "cannot serialize non-finite float nan"
+        assert buf.getvalue() == ""
+
+    def test_time_signal_file_left_empty(self, tmp_path):
+        sig = ScaleTimeSignal._from_box(np.array([[complex(-np.inf, 0.0)]]), (3,))
+        for name in ("y.csv", "y.json"):
+            with pytest.raises(ValueError, match="cannot serialize non-finite float -inf"):
+                skio.write_time_signal(sig, str(tmp_path / name))
+            assert (tmp_path / name).read_bytes() == b""
+
+
+# the parts of a written signal: signed zeros in values and in zero cells,
+# subnormals and extremes among any finite double
+WRITTEN_PARTS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -1.7e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_signals(draw):
+    """A signal as a (T, w_1..w_p) box handed over whole: zero time slices
+    at either end, zero cells of either sign, negative origins, the zero
+    signal when every cell is a zero."""
+    arity = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 4)),) + tuple(draw(st.integers(1, 3)) for _ in range(arity))
+    cells = math.prod(shape)
+    parts = draw(st.lists(st.sampled_from([0.0, -0.0]) | WRITTEN_PARTS,
+                          min_size=2 * cells, max_size=2 * cells))
+    box = np.array(parts).view(complex).reshape(shape)
+    if draw(st.booleans()):
+        box[-1] = box[0] = 0  # the box then has zero slices at both ends
+    origin = tuple(draw(st.integers(-9, 9)) for _ in range(arity))
+    return ScaleTimeSignal._from_box(box, origin)
+
+
+def same_signal(a, b) -> None:
+    assert (a.arity, a.time_len, a.stack.origin) == (b.arity, b.time_len, b.stack.origin)
+    assert a.stack.array.shape == b.stack.array.shape
+    assert a.stack.array.tobytes() == b.stack.array.tobytes()
+
+
+class TestWrittenSlot:
+    """A CSV file write_time_signal wrote reads back from its slot as a
+    fresh parse of the same bytes would."""
+
+    @given(written_signals())
+    def test_read_after_write_is_a_fresh_parse(self, sig):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "y.csv")
+            skio.write_time_signal(sig, path)
+            slot = skio._written
+            hit = skio.read_time_signal(path)
+            assert hit is slot[2]
+            skio._written = None
+            same_signal(hit, skio.read_time_signal(path))
+            assert skio._written is None
+
+    @pytest.mark.parametrize("block", [None, 0])
+    def test_same_size_other_bytes_are_parsed(self, tmp_path, monkeypatch, block):
+        if block is not None:  # numpy then reads the path itself
+            monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", block)
+        sig = ScaleTimeSignal([ScaleSignal({(0,): 0.5, (2,): -1.25}, arity=1),
+                               ScaleSignal.delta((1,), 1, 3.0)])
+        path = tmp_path / "y.csv"
+        skio.write_time_signal(sig, str(path))
+        other = path.read_bytes().replace(b"0.5", b"0.7")
+        assert len(other) == skio._written[0] and other != path.read_bytes()
+        path.write_bytes(other)
+        got = skio.read_time_signal(str(path))
+        assert got is not skio._written[2]
+        same_signal(got, read_csv(other.decode()))
+        assert got.stack.get((0, 0)) == 0.7
+
+    def test_text_that_does_not_read_back_fills_no_slot(self, tmp_path):
+        # a key beyond int64 is written, and refused by the reader
+        sig = ScaleTimeSignal.from_dense(np.array([[1.0, 2.0]]), (2 ** 63 - 1,))
+        path = str(tmp_path / "y.csv")
+        skio.write_time_signal(sig, path)
+        assert skio._written is None
+        with pytest.raises(ValueError, match="line 3: could not convert"):
+            skio.read_time_signal(path)
+
+    def test_failed_and_json_writes_leave_the_slot_empty(self, tmp_path):
+        sig = ScaleTimeSignal([ScaleSignal.delta((0,), 1, 0.5)])
+        bad = ScaleTimeSignal._from_box(np.array([[complex(1.0, np.nan)]]), (0,))
+        writes = [(bad, tmp_path / "bad.csv"), (sig, tmp_path / "missing" / "y.csv"),
+                  (sig, tmp_path / "y.json")]
+        for value, path in writes:
+            skio.write_time_signal(sig, str(tmp_path / "y.csv"))
+            assert skio._written is not None
+            with contextlib.suppress(ValueError, OSError):
+                skio.write_time_signal(value, str(path))
+            assert skio._written is None
+        assert (tmp_path / "y.json").exists() and (tmp_path / "bad.csv").read_bytes() == b""
+
+    def test_empty_slot_never_hashes(self, tmp_path, monkeypatch):
+        calls, blake2b = [], _blake2.blake2b
+        monkeypatch.setattr(_blake2, "blake2b", lambda *a: calls.append(a) or blake2b(*a))
+        path = tmp_path / "s.csv"
+        path.write_text("n,k1,re,im\n0,1,0.5,0\n")
+        for limit in (0, 1 << 20):
+            monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", limit)
+            assert list(skio.read_time_signal(str(path)).items()) == [(0, (1,), 0.5 + 0j)]
+        assert calls == []
+        # a write hashes once, and a read of a file of the written size once
+        skio.write_time_signal(skio.read_time_signal(str(path)), str(tmp_path / "t.csv"))
+        skio.read_time_signal(str(path))
+        assert len(calls) == 2
+
+
+def unpair_moments(obj) -> MomentSequence:
+    """moments_from_dict item by item through unpair, as it was written
+    before its numpy conversion."""
+    try:
+        return MomentSequence(tuple(skio.unpair(z) for z in obj["t"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed moments object: {obj!r}") from exc
+
+
+def outcome(read, obj):
+    try:
+        ms = read(obj)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return np.array(ms.t, complex).tobytes()
+
+
+# JSON values: numbers of every size, numeric and other strings, null;
+# and Python values unpair judges by type: tuples, numpy scalars, a range
+MOMENT_SCALARS = (st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.booleans() | st.none()
+                  | st.sampled_from([0.0, -0.0, 1.0, "1.5", " 2", "nan", "1_0", "-0", "12",
+                                     "x", "nan(1)"])
+                  | st.text(max_size=2))
+NUMERIC_PAIRS = st.lists(st.integers(-2 ** 64, 2 ** 64) | st.floats() | st.booleans(),
+                         min_size=2, max_size=2)
+OTHER_ITEMS = (st.tuples(st.floats(), st.floats()) | st.builds(np.int64, st.integers(-9, 9))
+               | st.builds(np.float32, st.floats(width=32)) | st.just(range(2))
+               | st.builds(np.array, st.lists(st.floats(), min_size=2, max_size=2)))
+MOMENT_ITEMS = (MOMENT_SCALARS | NUMERIC_PAIRS | OTHER_ITEMS
+                | st.lists(MOMENT_SCALARS, min_size=2, max_size=2)
+                | st.lists(MOMENT_SCALARS, max_size=3)
+                | st.lists(st.lists(MOMENT_SCALARS, max_size=2), max_size=2)
+                | st.dictionaries(st.text(max_size=2), MOMENT_SCALARS, max_size=2))
+MOMENT_LISTS = (st.lists(MOMENT_ITEMS, max_size=5)
+                | st.lists(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+                           max_size=6)
+                | st.lists(st.floats(allow_nan=False) | st.integers() | st.booleans(), max_size=6)
+                | st.lists(NUMERIC_PAIRS | st.lists(MOMENT_SCALARS, min_size=2, max_size=2),
+                           min_size=1, max_size=3)
+                | st.lists(OTHER_ITEMS | NUMERIC_PAIRS | st.floats(), min_size=1, max_size=4))
+
+
+@given(MOMENT_LISTS | MOMENT_SCALARS | st.dictionaries(st.text(max_size=2), MOMENT_SCALARS))
+def test_moments_from_dict_matches_unpair(t):
+    obj = t if isinstance(t, dict) else {"t": t}
+    assert outcome(skio.moments_from_dict, obj) == outcome(unpair_moments, obj)

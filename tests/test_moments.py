@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -42,12 +43,14 @@ class TestMomentSequence:
         assert report.order == 2
         assert report.min_eigenvalue == pytest.approx(-1.5, rel=1e-15)
 
-    def test_negative_t0_within_tol_is_psd(self, tmp_path):
+    def test_negative_t0_is_refused_at_every_scale(self, tmp_path):
+        # tol is relative to the largest part's power of two, so -1e-12 is
+        # no longer within an absolute 1e-9 of zero
         report = toeplitz_psd_check(MomentSequence((-1e-12, 0.0)), tol=1e-9)
-        assert report.is_psd
+        assert not report.is_psd
         assert report.min_eigenvalue == pytest.approx(-1e-12, rel=1e-15)
         assert main(["moments-check", "--moments", '{"t": [[-1e-12, 0]]}', "--tol", "1e-9",
-                     "--out", str(tmp_path / "r.json")]) == 0
+                     "--out", str(tmp_path / "r.json")]) == 1
 
 
 class TestToeplitzPsd:
@@ -88,12 +91,16 @@ class TestToeplitzPsd:
     @given(data=st.data(), order=st.integers(1, 64))
     def test_strided_matrix_matches_index_built(self, data, order):
         # the real symmetric A - BJ handed to eigvalsh, bit for bit, against
-        # the matrix (t_{i-j}) gathered by index, t_{-m} = conj(t_m)
+        # the matrix (t_{i-j}) gathered by index, t_{-m} = conj(t_m), of t
+        # 2^-E, 2^E the power of two at or below its largest part
         part = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
         zero = st.sampled_from([0.0, -0.0])
         t = [complex(data.draw(part), data.draw(zero))]
         t += [complex(data.draw(part), data.draw(part)) for _ in range(order)]
-        col = np.array(t)
+        top = max(max(abs(z.real), abs(z.imag)) for z in t)
+        scale = math.frexp(top)[1] - 1 if top else 0
+        col = np.array([complex(math.ldexp(z.real, -scale), math.ldexp(z.imag, -scale))
+                        for z in t])
         diff = np.subtract.outer(np.arange(col.size), np.arange(col.size))
         matrix = np.where(diff >= 0, col[np.abs(diff)], np.conj(col)[np.abs(diff)])
         expected = matrix.real - matrix.imag[:, ::-1]
@@ -103,6 +110,24 @@ class TestToeplitzPsd:
             toeplitz_psd_check(MomentSequence(tuple(t)))
         assert seen[0].shape == expected.shape
         assert seen[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [-600, -30, -1, 1, 30, 500])
+    def test_signed_moments_refused_at_every_scale(self, tmp_path, k):
+        # a unit point mass at 0.3 less half of one at 2 is not positive at
+        # any scale; the question is asked of the same t 2^-E each time, so
+        # the eigenvalue scales by exactly 2^k
+        n = np.arange(7)
+        t = np.exp(-0.3j * n) - 0.5 * np.exp(-2j * n)
+        reports = []
+        for scale in (0, k):
+            moments = json.dumps({"t": [[math.ldexp(z.real, scale), math.ldexp(z.imag, scale)]
+                                        for z in [t[0].real, *t[1:].tolist()]]})
+            out = tmp_path / f"r{scale}.json"
+            assert main(["moments-check", "--moments", moments, "--out", str(out)]) == 1
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["min_eigenvalue"] < -1.0
+        assert reports[1]["is_psd"] is False
+        assert reports[1]["min_eigenvalue"] == math.ldexp(reports[0]["min_eigenvalue"], k)
 
 
 class TestHerglotz:
