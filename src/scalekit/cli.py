@@ -6,11 +6,9 @@ with 17 significant digits).  Exit codes: 0 success/pass, 1 property fail
 with witness, 2 usage or parse error, 3 uncertified (budget exceeded).
 
 COMMANDS is the one table of subcommands: name -> help, handler and
-argument specs.  main builds the parser of the command that its first
-argument names, and of all of them when it names none (-h, no arguments,
-an unknown word); the help, usage and error text are the same either way.
-Each parser is built once per process: parsing leaves it unchanged, and
-argparse formats help and errors only when it prints them.
+argument specs.  build_parser makes the parser of all of them once per
+process, on main's first call: parsing leaves it unchanged, and argparse
+formats help and errors only when it prints them.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from ._jsonfmt import dumps
 from .hardy import TruncationError, scale_transform
 from .convolve import brute_force_double_convolve, double_convolve
 from .moments import stieltjes_invert, toeplitz_psd_check
-from .signals import as_index
 from .spectral import generalized_transfer, scale_fourier
 from .stability import bibo_analysis, dissipativity_check, empirical_verify, l1l2_gain
 
@@ -61,7 +58,7 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_scale_transform(args) -> int:
     coeffs = skio.coeffseq_from_dict(_load_json_arg(args.signal))
     group = skio.group_from_dict(_load_json_arg(args.group))
-    window = [as_index(idx, group.p) for idx in _load_json_arg(args.window)]
+    window = _load_json_arg(args.window)
     result = scale_transform(group, coeffs, window, args.time_len, args.tol)
     if args.out:
         skio.write_time_signal(result, args.out)
@@ -198,26 +195,15 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of COMMANDS[command] alone, or of every command when
-    command names none.  A lone command's metavar lists every command, so
-    the top-level usage printed with an unrecognized-argument error is the
-    same either way.  Parsers are cached, one per command and one shared by
-    every other word, so the cache holds at most len(COMMANDS) + 1."""
-    return _parser(command if command in COMMANDS else None)
-
-
 @functools.cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    single = command is not None
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in COMMANDS, built once per process."""
     parser = argparse.ArgumentParser(
         prog="scalekit",
         description="Multi-scale discrete-time system toolbox (batch only).",
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if single else None)
-    for name in [command] if single else COMMANDS:
-        help_text, func, specs = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, specs) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         for flag, kwargs in specs:
             sp.add_argument(flag, **kwargs)
@@ -228,9 +214,8 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -238,8 +223,7 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (ValueError, TypeError, KeyError, OSError, OverflowError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

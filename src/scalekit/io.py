@@ -12,7 +12,7 @@ path of a large file.  Every float array and table (a complex array's
 chunk of rows at a time by _jsonfmt's table kernel, whose cells are
 '%.17g' byte for byte; only near-ties and extreme exponents are formatted
 one float at a time.  Both formats refuse a non-finite value before
-anything is written.
+anything is written, and write_time_signal before it opens the file.
 
 A CSV signal read back by the process that wrote it is not parsed again.
 write_time_signal keeps one slot: the byte count and blake2b digest of
@@ -124,10 +124,10 @@ def group_from_dict(obj) -> ScaleGroup:
 
 def coeffseq_from_dict(obj) -> CoeffSeq:
     try:
-        coeffs = [unpair(z) for z in obj["coeffs"]]
+        coeffs = _complex_values(obj["coeffs"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coefficient object: {obj!r}") from exc
-    return CoeffSeq(np.asarray(coeffs, complex), float(obj.get("tail_bound", 0.0)))
+    return CoeffSeq(coeffs, float(obj.get("tail_bound", 0.0)))
 
 
 def signal_to_dict(sig: ScaleTimeSignal) -> dict:
@@ -240,25 +240,17 @@ _BLOCK_READ_BYTES = 1 << 18
 _written = None
 
 
-def _blake2b():
+def _digest(fh) -> bytes:
+    """The blake2b digest of a binary handle's bytes from where it stands,
+    read in blocks: a whole file held at once (4 MB for the largest
+    benchmark output) set the process's peak RSS."""
     # from the extension that hashlib wraps: importing hashlib maps
     # OpenSSL's libcrypto, 3.6 MB of RSS, for the same digest
     from _blake2 import blake2b
-    return blake2b()
-
-
-class _HashedWrites:
-    """A binary file as a text handle: each string is written as its
-    bytes, which a blake2b digest takes and counts on the way."""
-
-    def __init__(self, fh):
-        self.fh, self.digest, self.size = fh, _blake2b(), 0
-
-    def write(self, text: str) -> None:
-        data = text.encode()
-        self.digest.update(data)
-        self.size += len(data)
-        self.fh.write(data)
+    digest = blake2b()
+    while block := fh.read(1 << 18):
+        digest.update(block)
+    return digest.digest()
 
 
 def _as_read(sig: ScaleTimeSignal) -> ScaleTimeSignal | None:
@@ -289,12 +281,7 @@ def read_time_signal(path: str) -> ScaleTimeSignal:
         with open(path, newline="") as fh:
             size = os.fstat(fh.fileno()).st_size
             if written is not None and size == written[0]:
-                # in blocks: a whole file held at once (4 MB for the largest
-                # benchmark output) set the process's peak RSS
-                digest = _blake2b()
-                while block := fh.buffer.read(1 << 18):
-                    digest.update(block)
-                if digest.digest() == written[1]:
+                if _digest(fh.buffer) == written[1]:
                     return written[2]
                 fh.seek(0)
             if size < _BLOCK_READ_BYTES:
@@ -308,24 +295,29 @@ def read_time_signal(path: str) -> ScaleTimeSignal:
 def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
     """Write a scale-time signal as .csv or .json by extension.
 
-    A CSV file's bytes are hashed (blake2b) as they are written, and once
-    the file has closed the slot read_time_signal checks holds their size,
-    their digest and the signal a read of them builds.  The slot is emptied first, so a failed write and a JSON write
-    leave it empty.  A non-finite value is refused before anything is
-    written (the file is left empty).
+    A CSV file is written by write_signal_csv, and its bytes are read
+    back and hashed (blake2b) through the same handle; once the file has
+    closed, the slot read_time_signal checks holds their size, their
+    digest and the signal a read of them builds.  The slot is emptied
+    first, so a failed write and a JSON write leave it empty.  A non-finite
+    value is refused before the file is opened.
     """
     global _written
     _written = None
     if path.endswith(".csv"):
-        with open(path, "wb") as fh:
-            out = _HashedWrites(fh)
-            write_signal_csv(sig, out)
+        _refuse_non_finite(np.ascontiguousarray(sig.stack.array).view(float))
+        with open(path, "w+", newline="") as fh:
+            write_signal_csv(sig, fh)
+            fh.seek(0)
+            digest = _digest(fh.buffer)
+            size = fh.buffer.tell()
         read = _as_read(sig)
         if read is not None:
-            _written = (out.size, out.digest.digest(), read)
+            _written = (size, digest, read)
         return
+    text = dumps(signal_to_dict(sig))
     with open(path, "w") as fh:
-        fh.write(dumps(signal_to_dict(sig)))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -335,10 +327,10 @@ def write_spectrum_csv(grid: SpectrumGrid, fh) -> None:
                  grid.grid_sizes, (0,) * grid.arity, range(values.size), values)
 
 
-def _moment_values(t) -> tuple:
-    """The moments of a list: in one numpy conversion for a list of
-    [re, im] lists of numbers; anything else through unpair one item at a
-    time, which accepts and refuses the same values with the same
+def _complex_values(t) -> np.ndarray:
+    """The complex numbers of a list: in one numpy conversion for a list
+    of [re, im] lists of numbers; anything else through unpair one item at
+    a time, which accepts and refuses the same values with the same
     messages."""
     if isinstance(t, list) and set(map(type, t)) <= {list}:
         try:
@@ -346,12 +338,12 @@ def _moment_values(t) -> tuple:
         except (ValueError, TypeError):  # ragged rows
             parts = None
         if parts is not None and parts.dtype.kind in "biuf" and parts.shape[1:] == (2,):
-            return tuple(np.ascontiguousarray(parts, float).view(complex)[:, 0].tolist())
-    return tuple(unpair(z) for z in t)
+            return np.ascontiguousarray(parts, float).view(complex)[:, 0]
+    return np.array([unpair(z) for z in t], complex)
 
 
 def moments_from_dict(obj) -> MomentSequence:
     try:
-        return MomentSequence(_moment_values(obj["t"]))
+        return MomentSequence(_complex_values(obj["t"]).tolist())
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed moments object: {obj!r}") from exc

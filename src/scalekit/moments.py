@@ -28,7 +28,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Moments t_0 .. t_N; t_0 must be real (sign checked by the PSD test)."""
+    """Moments t_0 .. t_N; t_0 must be real (sign checked by the PSD test).
+
+    Realness is asked of t 2^-E, with the E of toeplitz_psd_check, so t and
+    t 2^k pass or fail it together wherever the scaling is exact."""
 
     t: tuple
 
@@ -36,12 +39,13 @@ class MomentSequence:
         vals = tuple(map(complex, self.t))
         if not vals:
             raise ValueError("at least one moment is required")
-        finite = np.isfinite(vals)
+        col = np.array(vals)
+        finite = np.isfinite(col)
         if not finite.all():
             raise ValueError(f"moments must be finite, got {vals[finite.argmin()]!r}")
-        t0 = vals[0]
-        if abs(t0.imag) > 1e-12 * (1.0 + abs(t0)):
-            raise ValueError(f"t_0 must be real, got {t0!r}")
+        re, im = np.ldexp(col[:1].view(float), -_scale_exponent(col))
+        if abs(im) > 1e-12 * (1.0 + math.hypot(re, im)):
+            raise ValueError(f"t_0 must be real, got {vals[0]!r}")
         object.__setattr__(self, "t", vals)
 
     @property
@@ -53,6 +57,13 @@ class MomentSequence:
         coef = np.asarray(self.t, complex).copy()
         coef[1:] *= 2.0
         return coef
+
+
+def _scale_exponent(col: np.ndarray) -> int:
+    """E with 2^E the power of two at or below the largest |Re| or |Im| of
+    a complex array, and 0 for zeros."""
+    top = float(np.abs(col.view(float)).max())
+    return math.frexp(top)[1] - 1 if top else 0
 
 
 PsdReport = namedtuple("PsdReport", ["is_psd", "min_eigenvalue", "order"])
@@ -74,8 +85,7 @@ def toeplitz_psd_check(ms: MomentSequence, tol: float = 1e-10) -> PsdReport:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     col = np.asarray(ms.t, complex)
     check_box((col.size, col.size))
-    top = float(np.abs(col.view(float)).max())
-    scale = math.frexp(top)[1] - 1 if top else 0
+    scale = _scale_exponent(col)
     if scale:
         col = np.ldexp(col.view(float), -scale).view(complex)
     # windows[i, j] = t_{i+j-N}, t_{-m} = conj(t_m): the Toeplitz matrix

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ScaleGroup
 from .signals import ScaleSignal, ScaleTimeSignal, as_index, check_box, first_nonfinite, zeros_box
 
 __all__ = [

@@ -9,11 +9,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scalekit import ScaleSignal, ScaleTimeSignal, make_group, make_scale_shift
 from scalekit import io as skio
 from scalekit.cli import COMMANDS, build_parser, main
 from helpers import random_time_signal
+
+
+# parts of normal magnitude, and t_0 with an imaginary part from none to
+# well above the 1e-12 the realness check allows, relative to its real part
+NORMAL_PARTS = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.just(0.0)
+
+
+@st.composite
+def short_moments(draw):
+    re = draw(st.floats(1e-3, 1e3))
+    ratio = draw(st.sampled_from([0.0, 1e-14, 1e-13, -1e-12, 1e-11, 1e-6]))
+    rest = draw(st.lists(st.tuples(NORMAL_PARTS, NORMAL_PARTS), max_size=4))
+    return [[re, re * ratio], *map(list, rest)]
 
 
 def write_system(path, slices, arity=1):
@@ -303,6 +317,30 @@ class TestMomentsCommands:
                      "--a", "-1.5", "--b", "0.5", "--r", "0.5"]) == 0
         assert list(json.loads(capsys.readouterr().out)) == ["a", "b", "r", "mass"]
 
+    @given(short_moments(), st.integers(-500, 500))
+    def test_scaling_by_a_power_of_two(self, t, k):
+        # t and t 2^k are the same question: the same exit code and
+        # verdict, the eigenvalue and the mass exactly 2^k times
+        scaled = [[math.ldexp(re, k), math.ldexp(im, k)] for re, im in t]
+        reports = {}
+        for command, extra in (("moments-check", []),
+                               ("stieltjes", ["--a", "-1", "--b", "2", "--r", "0.7"])):
+            for moments in (t, scaled):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, "--moments", json.dumps({"t": moments}), *extra])
+                reports.setdefault(command, []).append(
+                    (code, json.loads(out.getvalue()) if code != 2 else None))
+        (code, check), (code_k, check_k) = reports["moments-check"]
+        assert code_k == code
+        if check is not None:
+            assert check_k["is_psd"] == check["is_psd"]
+            assert check_k["min_eigenvalue"] == math.ldexp(check["min_eigenvalue"], k)
+        (code, mass), (code_k, mass_k) = reports["stieltjes"]
+        assert code_k == code
+        if mass is not None:
+            assert mass_k["mass"] == math.ldexp(mass["mass"], k)
+
 
 class TestTransformCommands:
     def test_scale_transform_runs(self, tmp_path, capsys):
@@ -564,17 +602,15 @@ def parse(parser, argv):
 
 
 class TestDispatch:
-    """main builds only the named command's parser; everything it prints or
-    parses must be what the parser of all nine commands gives."""
+    """main parses every command on the one parser build_parser makes, once
+    per process."""
 
     def test_every_command_has_arguments(self):
         assert list(COMMAND_ARGS) == list(COMMANDS)
 
     @pytest.mark.parametrize("name", list(COMMANDS))
-    def test_single_command_parser_matches_full(self, name, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        single = build_parser(name)
-        assert list(single._subparsers._group_actions[0].choices) == [name]
+    def test_every_command_parses_on_the_one_parser(self, name):
+        parser = build_parser()
         args = COMMAND_ARGS[name]
         for argv, code in (([name, "-h"], 0),
                            ([name, *args], None),
@@ -582,21 +618,10 @@ class TestDispatch:
                            ([name, *args, "--bogus", "1"], 2),
                            ([name, "--tol", "x"], 2),
                            ([name], 2)):
-            got = parse(single, argv)
-            assert got == parse(build_parser(), argv)
-            assert got[1] == code
-        namespace = parse(single, [name, *args])[0]
+            assert parse(parser, argv)[1] == code
+        namespace = parse(parser, [name, *args])[0]
         assert namespace["command"] == name
-        assert single.parse_args([name, *args]).func is COMMANDS[name][1]
-
-    def test_main_names_the_command_to_build(self, monkeypatch, capsys):
-        from scalekit import cli
-        built = []
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command) or build_parser(command))
-        assert main(["moments-check", "--moments", '{"t":[[1,0]]}']) == 0
-        assert main(["-h"]) == 0 and main([]) == 2
-        assert built == ["moments-check", "-h", None]
+        assert parser.parse_args([name, *args]).func is COMMANDS[name][1]
 
     def test_cached_parsers_keep_no_state(self, geometric_json, capsys):
         # one process: a valid request, a usage error and help on the same
@@ -610,11 +635,15 @@ class TestDispatch:
         assert main(request) == 0
         assert capsys.readouterr().out == first
 
-    def test_one_parser_per_command(self):
-        # unknown words share the parser of every command, so the cache is bounded
-        assert build_parser("analyze") is build_parser("analyze")
-        assert build_parser("frobnicate") is build_parser("-h") is build_parser()
-        assert build_parser("analyze") is not build_parser()
+    def test_one_parser_per_command(self, monkeypatch, capsys):
+        # every command, -h and an unknown word are parsed by one object
+        from scalekit import cli
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+        assert main(["moments-check", "--moments", '{"t":[[1,0]]}']) == 0
+        assert main(["analyze", "-h"]) == 0 and main(["-h"]) == 0
+        assert main(["frobnicate"]) == 2 and main([]) == 2
+        assert len(built) == 5 and all(p is build_parser() for p in built)
 
     @pytest.mark.parametrize("argv, code", [(["-h"], 0), ([], 2), (["frobnicate"], 2)])
     def test_no_command_lists_all_nine(self, argv, code, capsys):
