@@ -37,7 +37,9 @@ import numpy as np
 
 __all__ = ["dumps", "EntryList"]
 
-_CHUNK_ROWS = 1 << 14
+# rows per _table call: its temporaries grow with it, and below about
+# 8,192 rows the per-call costs start to show
+_CHUNK_ROWS = 1 << 13
 
 # the standard escapes: quote, backslash, \b \f \n \r \t, other control
 # characters as \u00xx; everything else, non-ASCII included, as is
@@ -85,23 +87,31 @@ def _scaled_digits(a: np.ndarray):
     inside = (k >= _K_MIN) & (k <= _K_MAX)
     k = np.where(inside, k, 0).astype(np.intp)
     h, hh, hl, low = _pow10(_K_MAX - k)
+    # the module docstring's steps, one ufunc each and in place: t is
+    # scratch, e becomes s then pl, and frac takes pl's place
     with np.errstate(over="ignore", invalid="ignore"):  # outside: not decided
         p = a * h
         t = a * _SPLIT
-        ah = t - (t - a)
+        ah = t - a
+        np.subtract(t, ah, out=ah)
         al = a - ah
-        e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
-        s = e + a * low
-        ph = p + s
-        pl = s - (ph - p)
-        whole = np.floor(pl)
-        frac = pl - whole
-        d = ph.astype(np.int64) + whole.astype(np.int64)
+        e = ah * hh
+        e -= p
+        e += np.multiply(ah, hl, out=t)
+        e += np.multiply(al, hh, out=t)
+        e += np.multiply(al, hl, out=t)
+        e += np.multiply(a, low, out=t)
+        ph = p + e
+        e -= np.subtract(ph, p, out=p)
+        whole = np.floor(e)
+        frac = np.subtract(e, whole, out=e)
+        d = ph.astype(np.int64)
+        d += whole.astype(np.int64)
     # where 10^(16-k) is a double (L = 0) ph + pl is P exactly, and a tie
     # goes to the even neighbour
     decided = (inside & ((np.abs(frac - 0.5) > _TIE_ERR) | (low == 0))
                & (d >= 10 ** 16) & (d < 10 ** 17))
-    d += (frac > 0.5) | ((frac == 0.5) & (d % 2 == 1))
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1))
     top = d == 10 ** 17
     d[top] = 10 ** 16
     return decided, k + top, d

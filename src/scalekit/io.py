@@ -15,13 +15,14 @@ one float at a time.  Both formats refuse a non-finite value before
 anything is written, and write_time_signal before it opens the file.
 
 A CSV signal read back by the process that wrote it is not parsed again.
-write_time_signal keeps one slot: the byte count and blake2b digest of
-the last CSV file it wrote, and the signal a read of those bytes builds.
-read_time_signal reads and hashes a CSV file only when its size is the
-slot's, and returns the slot's signal when the digests agree too.  The
-answer is a function of the file's bytes either way, so a file changed
-by another writer is parsed, and a process that reads only files it did
-not write never hashes.
+write_time_signal keeps one slot: the byte count and the bytes, chunk by
+chunk, of the last CSV file it wrote, and the signal a read of those
+bytes builds.  read_time_signal compares a CSV file with the kept chunks
+only when its size is the slot's, and returns the slot's signal when
+every byte is equal too.  The answer is a function of the file's bytes
+either way, so a file changed by another writer is parsed, and a process
+that reads only files it did not write never compares.  Nothing is read
+back after a write, so any writable path takes a CSV signal.
 """
 
 from __future__ import annotations
@@ -233,24 +234,30 @@ def read_signal_csv(fh) -> ScaleTimeSignal:
 _BLOCK_READ_BYTES = 1 << 18
 
 
-# the last CSV file write_time_signal wrote: (byte count, blake2b digest
-# of the bytes, the signal _read_csv builds from them), or None.  It is
-# replaced whole and read once per call, and each triple holds for its own
-# bytes whatever file they are found in, so threads need no lock
+# the last CSV file write_time_signal wrote: (byte count, its bytes as the
+# chunks write_signal_csv wrote, the signal _read_csv builds from them),
+# or None.  It is replaced whole and read once per call, and each triple
+# holds for its own bytes whatever file they are found in, so threads
+# need no lock
 _written = None
 
 
-def _digest(fh) -> bytes:
-    """The blake2b digest of a binary handle's bytes from where it stands,
-    read in blocks: a whole file held at once (4 MB for the largest
-    benchmark output) set the process's peak RSS."""
-    # from the extension that hashlib wraps: importing hashlib maps
-    # OpenSSL's libcrypto, 3.6 MB of RSS, for the same digest
-    from _blake2 import blake2b
-    digest = blake2b()
-    while block := fh.read(1 << 18):
-        digest.update(block)
-    return digest.digest()
+class _KeptWrites(list):
+    """A text writer over a binary file: the list of the bytes of each
+    chunk it wrote."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text: str) -> None:
+        self.append(text.encode("ascii"))
+        self.fh.write(self[-1])
+
+
+def _holds(fh, chunks) -> bool:
+    """Whether a binary handle's bytes from where it stands begin with the
+    chunks, read and compared one chunk at a time."""
+    return all(fh.read(len(chunk)) == chunk for chunk in chunks)
 
 
 def _as_read(sig: ScaleTimeSignal) -> ScaleTimeSignal | None:
@@ -270,18 +277,19 @@ def _as_read(sig: ScaleTimeSignal) -> ScaleTimeSignal | None:
 def read_time_signal(path: str) -> ScaleTimeSignal:
     """Load a scale-time signal from .csv or .json by extension.
 
-    A CSV file the size of the last one write_time_signal wrote is read
-    and hashed, and gives that write's signal when its digest is the
-    write's too; any other file is parsed, by numpy from its path at
-    _BLOCK_READ_BYTES or more and from the open handle below that.  The
-    size, the hashed bytes and a small file's rows all come from one open.
+    A CSV file the size of the last one write_time_signal wrote is
+    compared with that write's bytes, a chunk at a time, and gives that
+    write's signal when every byte is equal; any other file is parsed, by
+    numpy from its path at _BLOCK_READ_BYTES or more and from the open
+    handle below that.  The size, the compared bytes and a small file's
+    rows all come from one open.
     """
     if path.endswith(".csv"):
         written = _written
         with open(path, newline="") as fh:
             size = os.fstat(fh.fileno()).st_size
             if written is not None and size == written[0]:
-                if _digest(fh.buffer) == written[1]:
+                if _holds(fh.buffer, written[1]):
                     return written[2]
                 fh.seek(0)
             if size < _BLOCK_READ_BYTES:
@@ -295,25 +303,24 @@ def read_time_signal(path: str) -> ScaleTimeSignal:
 def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
     """Write a scale-time signal as .csv or .json by extension.
 
-    A CSV file is written by write_signal_csv, and its bytes are read
-    back and hashed (blake2b) through the same handle; once the file has
-    closed, the slot read_time_signal checks holds their size, their
-    digest and the signal a read of them builds.  The slot is emptied
-    first, so a failed write and a JSON write leave it empty.  A non-finite
-    value is refused before the file is opened.
+    A CSV file is written by write_signal_csv into the binary file, whose
+    writer keeps the bytes of each chunk; once the file has closed, the
+    slot read_time_signal checks holds their count, the chunks and the
+    signal a read of them builds.  Nothing is read back, so the path need
+    not be seekable.  The slot is emptied first, so a failed write and a
+    JSON write leave it empty.  A non-finite value is refused before the
+    file is opened.
     """
     global _written
     _written = None
     if path.endswith(".csv"):
         _refuse_non_finite(np.ascontiguousarray(sig.stack.array).view(float))
-        with open(path, "w+", newline="") as fh:
-            write_signal_csv(sig, fh)
-            fh.seek(0)
-            digest = _digest(fh.buffer)
-            size = fh.buffer.tell()
+        with open(path, "wb") as fh:
+            kept = _KeptWrites(fh)
+            write_signal_csv(sig, kept)
         read = _as_read(sig)
         if read is not None:
-            _written = (size, digest, read)
+            _written = (sum(map(len, kept)), tuple(kept), read)
         return
     text = dumps(signal_to_dict(sig))
     with open(path, "w") as fh:

@@ -1,13 +1,32 @@
-"""Shared random generators for the test suite.
+"""Shared random generators for the test suite, and a named-pipe reader.
 
 Everything is seeded through numpy Generators so failures reproduce.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+
 import numpy as np
 
 from scalekit import CoeffSeq, ScaleSignal, ScaleTimeSignal, SuMatrix, make_scale_shift
+
+
+@contextlib.contextmanager
+def fifo_bytes(path):
+    """A named pipe made at path, read to its end by a thread: the list
+    yielded holds its bytes once the block has left (empty if nothing
+    opened the pipe within 10 s)."""
+    os.mkfifo(path)
+    got: list = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        yield got
+    finally:
+        reader.join(10)
 
 
 def random_hyperbolic(rng, mult_lo=0.1, mult_hi=0.9, theta_max=1.2) -> SuMatrix:

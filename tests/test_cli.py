@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from scalekit import ScaleSignal, ScaleTimeSignal, make_group, make_scale_shift
 from scalekit import io as skio
 from scalekit.cli import COMMANDS, build_parser, main
-from helpers import random_time_signal
+from helpers import fifo_bytes, random_time_signal
 
 
 # parts of normal magnitude, and t_0 with an imaginary part from none to
@@ -241,6 +241,19 @@ class TestFilterOracle:
             for a, b in zip(rows[0][1:], rows[1][1:]):
                 assert abs(complex(float(a[-2]), float(a[-1]))
                            - complex(float(b[-2]), float(b[-1]))) <= 1e-12
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_out_to_a_fifo(self, tmp_path):
+        # --out takes a path that cannot seek, and gets a regular file's bytes
+        rng = np.random.default_rng(8)
+        hp, up, ref = tmp_path / "h.csv", tmp_path / "u.csv", tmp_path / "ref.csv"
+        skio.write_time_signal(random_time_signal(rng, 2, time_len=3), str(hp))
+        skio.write_time_signal(random_time_signal(rng, 2, time_len=4), str(up))
+        argv = ["filter", "--h", str(hp), "--u", str(up), "--out"]
+        assert main(argv + [str(ref)]) == 0
+        with fifo_bytes(tmp_path / "y.csv") as got:
+            assert main(argv + [str(tmp_path / "y.csv")]) == 0
+        assert got == [ref.read_bytes()]
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         code = main(["filter", "--h", str(tmp_path / "no.csv"),

@@ -1,4 +1,3 @@
-import _blake2
 import contextlib
 import io
 import json
@@ -25,7 +24,7 @@ from scalekit import _jsonfmt as jsonfmt
 from scalekit._jsonfmt import dumps
 from scalekit.spectral import SpectrumGrid
 from scalekit.stability import OperatorNormBracket, StabilityReport
-from helpers import random_time_signal
+from helpers import fifo_bytes, random_time_signal
 
 
 class TestJsonFmt:
@@ -678,17 +677,28 @@ class TestWrittenSlot:
     def test_same_size_other_bytes_are_parsed(self, tmp_path, monkeypatch, block):
         if block is not None:  # numpy then reads the path itself
             monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", block)
-        sig = ScaleTimeSignal([ScaleSignal({(0,): 0.5, (2,): -1.25}, arity=1),
+        one = ScaleTimeSignal([ScaleSignal({(0,): 0.5, (2,): -1.25}, arity=1),
                                ScaleSignal.delta((1,), 1, 3.0)])
+        # in chunks of two rows: header, rows 0-1, rows 2-3; only row 3 holds 0.5
+        many = ScaleTimeSignal([ScaleSignal.delta((1,), 1, v) for v in (3.0, -1.25, 2.0, 0.5)])
         path = tmp_path / "y.csv"
-        skio.write_time_signal(sig, str(path))
-        other = path.read_bytes().replace(b"0.5", b"0.7")
-        assert len(other) == skio._written[0] and other != path.read_bytes()
-        path.write_bytes(other)
-        got = skio.read_time_signal(str(path))
-        assert got is not skio._written[2]
-        same_signal(got, read_csv(other.decode()))
-        assert got.stack.get((0, 0)) == 0.7
+        for sig, rows, changed in ((one, jsonfmt._CHUNK_ROWS, (0, 0)), (many, 2, (3, 1))):
+            monkeypatch.setattr(jsonfmt, "_CHUNK_ROWS", rows)
+            skio.write_time_signal(sig, str(path))
+            size, chunks, _ = skio._written
+            written = path.read_bytes()
+            other = written.replace(b"0.5", b"0.7")
+            assert len(other) == size and other != written
+            if sig is many:  # one byte differs, and it is in the last of several chunks
+                assert len(chunks) == 3
+                assert [i for i, (a, b) in enumerate(zip(written, other)) if a != b] == [
+                    written.index(b"0.5") + 2]
+                assert written.index(b"0.5") >= size - len(chunks[-1])
+            path.write_bytes(other)
+            got = skio.read_time_signal(str(path))
+            assert got is not skio._written[2]
+            same_signal(got, read_csv(other.decode()))
+            assert got.stack.get(changed) == 0.7
 
     def test_text_that_does_not_read_back_fills_no_slot(self, tmp_path):
         # a key beyond int64 is written, and refused by the reader
@@ -720,19 +730,32 @@ class TestWrittenSlot:
         skio.write_time_signal(sig, str(tmp_path / "y.csv"))
         assert calls == [sig]
 
-    def test_empty_slot_never_hashes(self, tmp_path, monkeypatch):
-        calls, blake2b = [], _blake2.blake2b
-        monkeypatch.setattr(_blake2, "blake2b", lambda *a: calls.append(a) or blake2b(*a))
+    def test_slot_compares_only_same_size_reads(self, tmp_path, monkeypatch):
+        calls, holds = [], skio._holds
+        monkeypatch.setattr(skio, "_holds", lambda fh, chunks: calls.append(chunks) or holds(fh, chunks))
         path = tmp_path / "s.csv"
         path.write_text("n,k1,re,im\n0,1,0.5,0\n")
         for limit in (0, 1 << 20):
             monkeypatch.setattr(skio, "_BLOCK_READ_BYTES", limit)
             assert list(skio.read_time_signal(str(path)).items()) == [(0, (1,), 0.5 + 0j)]
         assert calls == []
-        # a write hashes once, and a read of a file of the written size once
+        # a write compares nothing, a read of another size neither, and a
+        # read of the written size once
         skio.write_time_signal(skio.read_time_signal(str(path)), str(tmp_path / "t.csv"))
-        skio.read_time_signal(str(path))
-        assert len(calls) == 2
+        (tmp_path / "u.csv").write_text("n,k1,re,im\n0,1,0.25,0\n")
+        skio.read_time_signal(str(tmp_path / "u.csv"))
+        assert calls == []
+        assert skio.read_time_signal(str(path)) is skio._written[2]
+        assert calls == [skio._written[1]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_csv_written_to_a_fifo(self, tmp_path):
+        # nothing is read back after a write, so a pipe takes a CSV signal
+        sig = random_time_signal(np.random.default_rng(4), arity=2, time_len=3)
+        with fifo_bytes(tmp_path / "y.csv") as got:
+            skio.write_time_signal(sig, str(tmp_path / "y.csv"))
+        skio.write_time_signal(sig, str(tmp_path / "ref.csv"))
+        assert got == [(tmp_path / "ref.csv").read_bytes()]
 
 
 def unpair_moments(obj) -> MomentSequence:
