@@ -22,10 +22,17 @@ and P < 2^57, |P - (ph + pl)| <= 4.01 u^2 P < 2^-46, and where L = 0
 within 2^-46 of a rounding tie and L != 0, when log10 misjudged k (P
 outside [1e16, 1e17)), when x is not finite, and when k is outside
 [_K_MIN, _K_MAX] (subnormals, |x| near the overflow threshold), where a
-product of the table could underflow or overflow.  Zeros skip the
-scaling: they are the constant cells "0" and "-0".  An int key column is
-written from str(index + origin) of each distinct index, exact for any
-origin.
+product of the table could underflow or overflow.  A column more than
+half nonzero is scaled whole, its zeros never decided (log10 gives
+-inf); a sparser one is scaled at its nonzeros only.  Either way a zero
+is the constant cell "0" or "-0", in place.  The first digit is written alone
+and the other 16 as four groups of four, each group one take from
+_GROUPS, the 10,000 four-digit ASCII texts packed into uint32s.  An int
+key column is written from str(index + origin) of each distinct index,
+exact for any origin; a text of at most 8 bytes is gathered as one
+packed 1-, 2-, 4- or 8-byte integer per row.  _table gives ASCII bytes,
+which io's CSV writer hands to a binary file as they are, and dumps
+decodes once per chunk as it joins them.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ _PLACES = np.arange(18, dtype=np.int8)[:, None]
 
 _POW10 = np.zeros((4, _K_MAX - _K_MIN + 1))  # filled by _pow10
 
+# "%04d" % g for g < 10,000: its four ASCII digits, in memory order, as
+# one uint32
+_GROUPS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                   -1).view(np.uint32).reshape(-1)
+
 
 def _pow10(cols: np.ndarray) -> np.ndarray:
     """Columns cols of the table with rows H, H_hi, H_lo, L, whose column
@@ -81,29 +93,33 @@ def _pow10(cols: np.ndarray) -> np.ndarray:
 
 
 def _scaled_digits(a: np.ndarray):
-    """For nonzero |x| values a: the mask of the values decided here, and
-    their decimal exponents k and 17 digits as an int (valid where decided)."""
-    k = np.floor(np.log10(a))
+    """For |x| values a: the mask of the values decided here (never a
+    zero), and their decimal exponents k and 17 digits as an int (valid
+    where decided)."""
+    with np.errstate(divide="ignore"):  # log10(0) = -inf: outside
+        k = np.log10(a)
+    np.floor(k, out=k)
     inside = (k >= _K_MIN) & (k <= _K_MAX)
     k = np.where(inside, k, 0).astype(np.intp)
     h, hh, hl, low = _pow10(_K_MAX - k)
-    # the module docstring's steps, one ufunc each and in place: t is
-    # scratch, e becomes s then pl, and frac takes pl's place
+    # the module docstring's steps, one ufunc each and in place: p takes
+    # h's place, ph hh's and whole hl's, t and ah are scratch, e becomes s
+    # then pl, and frac takes pl's place
     with np.errstate(over="ignore", invalid="ignore"):  # outside: not decided
-        p = a * h
+        p = np.multiply(a, h, out=h)
         t = a * _SPLIT
         ah = t - a
         np.subtract(t, ah, out=ah)
-        al = a - ah
+        al = np.subtract(a, ah, out=t)
         e = ah * hh
         e -= p
-        e += np.multiply(ah, hl, out=t)
-        e += np.multiply(al, hh, out=t)
-        e += np.multiply(al, hl, out=t)
-        e += np.multiply(a, low, out=t)
-        ph = p + e
+        e += np.multiply(ah, hl, out=ah)
+        e += np.multiply(al, hh, out=ah)
+        e += np.multiply(al, hl, out=ah)
+        e += np.multiply(a, low, out=ah)
+        ph = np.add(p, e, out=hh)
         e -= np.subtract(ph, p, out=p)
-        whole = np.floor(e)
+        whole = np.floor(e, out=hl)
         frac = np.subtract(e, whole, out=e)
         d = ph.astype(np.int64)
         d += whole.astype(np.int64)
@@ -120,44 +136,63 @@ def _scaled_digits(a: np.ndarray):
 def _float_cells(x: np.ndarray, cells: np.ndarray) -> None:
     """Write '%.17g' % x[i] into the zeroed column i of cells (_WIDTH slots)."""
     n = len(x)
-    exp = np.zeros(n, np.int16)
-    scaled = np.zeros(n, np.int64)
+    # a cell not decided here, a zero among them, is "0" until '%' writes
+    # it; a column at most half nonzero is scaled at its nonzeros only
     nonzero = np.flatnonzero(x)
-    decided, k, d = _scaled_digits(np.abs(x[nonzero]))
-    at = nonzero[decided]
-    exp[at], scaled[at] = k[decided], d[decided]
-    # the 17 digits in rows 1..17, a zero cell's all "0"
+    if 2 * len(nonzero) > n:
+        decided, exp, scaled = _scaled_digits(np.abs(x))
+        exp *= decided
+        scaled *= decided
+    else:
+        decided, exp, scaled = np.zeros(n, bool), np.zeros(n, np.intp), np.zeros(n, np.int64)
+        ok, k, d = _scaled_digits(np.abs(x[nonzero]))
+        at = nonzero[ok]
+        decided[at], exp[at], scaled[at] = True, k[ok], d[ok]
+    # the 17 digits in rows 1..17: the first, then four groups of four,
+    # each one take of its packed text
     digits = np.zeros((19, n), np.uint8)
-    hi, lo = (part.astype(np.uint32) for part in np.divmod(scaled, 10 ** 8))
-    for part, rows in ((lo, range(17, 9, -1)), (hi, range(9, 0, -1))):
-        for j in rows:
-            q = part // 10
-            digits[j] = part - q * 10
-            part = q
-    nsig = ((digits[1:18] != 0) * _PLACES[1:18]).max(axis=0, initial=1)
-    digits[1:18] += 48
+    top = scaled // 10 ** 16
+    digits[1] = top + 48
+    scaled -= top * 10 ** 16
+    groups = np.empty((4, n), np.uint32)
+    for row, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4)):
+        part = scaled // unit
+        scaled -= part * unit
+        _GROUPS.take(part, out=groups[row])
+    _GROUPS.take(scaled, out=groups[3])
+    digits[2:18].reshape(4, 4, n)[:] = groups.view(np.uint8).reshape(4, n, 4).transpose(0, 2, 1)
+    nsig = ((digits[1:18] != 48) * _PLACES[1:18]).max(axis=0, initial=1)
     fixed = (exp >= -4) & (exp <= 16)
     last = np.where(fixed, exp, 0).astype(np.int8)  # of the integer part
     # the significant digits, and the trailing zeros of an integer part
-    digits[1:18] *= (_PLACES[:17] < nsig) | (_PLACES[:17] <= last)
-    # the point after digit last, if a kept digit follows it; 17 is none
+    digits[1:18] *= _PLACES[:17] < np.maximum(nsig, last + 1)
+    # the point after digit last, if a kept digit follows it; 17 is none.
+    # Slot c holds digit c (row c + 1) up to the point, then the point,
+    # then digit c - 1 (row c); uint8 arithmetic wraps, and is much
+    # cheaper than np.where here
     point = np.where((nsig > last + 1) & ((exp >= 0) | ~fixed), last, 17).astype(np.int8)
-    # per slot c: digit c up to the point, then the point, then digit c - 1
-    # (uint8 arithmetic wraps, and is much cheaper than np.where here)
-    shifted = digits[:18]
-    cells[6:24] = (shifted + (_PLACES <= point) * (digits[1:19] - shifted)
-                   + (_PLACES == point + 1) * (46 - shifted))
-    lead = np.where(fixed & (exp < 0), 1 - exp, 0).astype(np.int8)
-    cells[1:6] = (_PLACES[:5] < lead) * _LEAD[:, None]
-    cells[0] = np.signbit(x) * 45
-    sci = ~fixed
-    mag = np.abs(exp)
-    cells[24] = sci * 101
-    cells[25] = sci * np.where(exp < 0, 45, 43)
-    cells[26] = (sci & (mag >= 100)) * (48 + mag // 100)
-    cells[27] = sci * (48 + mag // 10 % 10)
-    cells[28] = sci * (48 + mag % 10)
-    rest = nonzero[~decided]
+    out = cells[6:24]
+    np.subtract(digits[:18], digits[1:19], out=out)
+    out *= _PLACES > point
+    out += digits[1:19]
+    at = np.flatnonzero(point < 17)
+    out[point[at] + 1, at] = 46
+    np.multiply(np.signbit(x), np.uint8(45), out=cells[0])
+    # "0." to "0.000" before the digits of 1e-4 <= |x| < 1: two ufuncs on
+    # every column cost less than a scatter to the columns that use them
+    lead = (1 - exp) * (fixed & (exp < 0))
+    np.multiply(_PLACES[:5] < lead, _LEAD[:, None], out=cells[1:6])
+    # the exponent slots, on the columns that use them only
+    sci = np.flatnonzero(~fixed)
+    if len(sci):
+        e = exp[sci]
+        mag = np.abs(e)
+        cells[24, sci] = 101
+        cells[25, sci] = np.where(e < 0, 45, 43)
+        cells[26, sci] = (mag >= 100) * (48 + mag // 100)
+        cells[27, sci] = 48 + mag // 10 % 10
+        cells[28, sci] = 48 + mag % 10
+    rest = np.flatnonzero(~decided & (x != 0))
     for i, value in zip(rest.tolist(), x[rest].tolist()):
         text = ("%.17g" % value).encode()
         cells[:, i] = 0
@@ -166,7 +201,8 @@ def _float_cells(x: np.ndarray, cells: np.ndarray) -> None:
 
 def _key_cells(index: np.ndarray, origin: int) -> np.ndarray:
     """The NUL-padded text of index + origin, one column per row, from the
-    str of each distinct index (of each in the span, if that is shorter)."""
+    str of each distinct index (of each in the span, if that is shorter).
+    A text of at most 8 bytes is gathered as one packed integer per row."""
     low, high = int(index.min()), int(index.max())
     if high - low < len(index):
         distinct, inverse = range(low, high + 1), index - low
@@ -174,14 +210,18 @@ def _key_cells(index: np.ndarray, origin: int) -> np.ndarray:
         distinct, inverse = np.unique(index, return_inverse=True)
         distinct = distinct.tolist()
     text = np.array([str(i + origin) for i in distinct], "S")
-    return text.view(np.uint8).reshape(len(text), text.itemsize).T[:, inverse]
+    if text.itemsize > 8:
+        return text.view(np.uint8).reshape(len(text), text.itemsize).T[:, inverse]
+    width = 1 << (text.itemsize - 1).bit_length()
+    packed = text.astype(f"S{width}").view(f"u{width}").take(inverse)
+    return packed.view(np.uint8).reshape(len(packed), width).T
 
 
-def _table(parts, n: int, sep: str = "") -> str:
+def _table(parts, n: int, sep: str = "") -> bytes:
     """n rows joined by sep, each the concatenation of parts: a str is a
     literal, an (index, origin) pair an int key column, a float64 array a
     column of '%.17g' cells.  The rows are built as columns of slots, NUL
-    where unused, and the NULs are dropped at the end."""
+    where unused, and the NULs are dropped at the end; the text is ASCII."""
     blocks = [np.frombuffer(part.encode(), np.uint8)[:, None] if isinstance(part, str)
               else _key_cells(*part) if isinstance(part, tuple) else None
               for part in parts]
@@ -199,7 +239,7 @@ def _table(parts, n: int, sep: str = "") -> str:
     used = buf.max(axis=1, initial=0) != 0
     if not used.all():
         buf = buf[used]
-    return buf.tobytes("F").translate(None, b"\0").decode("ascii")
+    return buf.tobytes("F").translate(None, b"\0")
 
 
 def _interleave(items, sep: str) -> list:
@@ -207,9 +247,9 @@ def _interleave(items, sep: str) -> list:
 
 
 def _keyed_chunks(shape, origin, flat, values: np.ndarray, head, mid, tail, sep=""):
-    """Per chunk of rows, the text of the rows (head k_1,...,k_d mid re,im
-    tail) joined by sep: the key of cell flat[i] of a box of this shape and
-    origin, and the real and imaginary part of values[i]."""
+    """Per chunk of rows, the ASCII bytes of the rows (head k_1,...,k_d mid
+    re,im tail) joined by sep: the key of cell flat[i] of a box of this
+    shape and origin, and the real and imaginary part of values[i]."""
     for start in range(0, len(values), _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
         keys = [(i, int(o)) for i, o in zip(np.unravel_index(flat[part], shape), origin)]
@@ -223,7 +263,7 @@ def _write_chunks(chunks, out: list) -> None:
     for i, text in enumerate(chunks):
         if i:
             out.append(",")
-        out.append(text)
+        out.append(text.decode("ascii"))
     out.append("]")
 
 

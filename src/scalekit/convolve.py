@@ -2,10 +2,10 @@
 convolution.
 
 All convolutions are non-circular (support-growing); circular wrap is never
-applied.  The direct paths add, for each nonzero of one operand in a fixed
-order, its products with the other operand's nonzeros (or a shifted copy of
-its whole box, when that is at least half full), so each output entry sums
-its products in the order of the lexicographic reference loop.
+applied.  The direct paths are one ordered add of every product of the two
+operands' nonzeros, one operand's nonzeros taken in a fixed order, so each
+output entry sums its products in the order of the lexicographic reference
+loop.
 """
 
 from __future__ import annotations
@@ -26,34 +26,39 @@ __all__ = [
 WORK_GUARD = 10 ** 8
 
 
-def box_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
-    """Full linear convolution of two boxes by shifted adds.
+# products per np.add.at call in box_convolve, 24 bytes each in its index
+# and product arrays: at 2^16 (1.5 MB) these came from fresh pages on
+# every call
+_BLOCK_PRODUCTS = 1 << 14
 
-    For each nonzero position of h (lexicographic unless positions gives
-    another order) adds h(k) * u into the output window at offset k.  When
-    u is less than half full, each step adds only at the cells of u's
-    nonzeros, at flat output offsets computed once, so the cost is
-    nnz(h) nnz(u) instead of nnz(h) |box(u)|; a fuller u keeps the slab
-    add, which is cheaper per product.  Both give the same bits: each
-    output cell sums its products in the same h order, and the skipped
-    terms h(k) * 0 are signed zeros, which leave unchanged a running sum
-    that starts at +0 (such a sum is never -0).  An empty operand gives an
-    empty box.
+
+def box_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
+    """Full linear convolution of two boxes by one ordered add.
+
+    Each product h(k) u(j), over the nonzeros k of h (lexicographic unless
+    positions gives another order) and j of u, is added at output cell
+    k + j by np.add.at, for blocks of h's nonzeros in turn.  ufunc.at
+    applies its terms in index order, so each output cell sums its
+    products in the given h order; the cost is nnz(h) nnz(u).  The
+    skipped terms h(k) * 0 are signed zeros, which leave unchanged a
+    running sum that starts at +0 (such a sum is never -0).  An empty
+    operand gives an empty box.
     """
-    out = zeros_box(a + b - 1 if h.size and u.size else 0
-                    for a, b in zip(h.shape, u.shape))
-    if positions is None:
-        positions = np.argwhere(h)
-    if len(positions) and 2 * np.count_nonzero(u) < u.size:
-        cells = np.nonzero(u)
-        offsets, u_nz = np.ravel_multi_index(cells, out.shape), u[cells]
-        flat = out.reshape(-1)
-        starts = np.ravel_multi_index(tuple(positions.T), out.shape).tolist()
-        for start, value in zip(starts, h[tuple(positions.T)].tolist()):
-            flat[offsets + start] += value * u_nz
+    out = zeros_box(a + b - 1 if h.size and u.size else 0 for a, b in zip(h.shape, u.shape))
+    positions = np.argwhere(h) if positions is None else positions
+    cells = np.nonzero(u)
+    if out.size == 0 or len(cells[0]) == 0:
         return out
-    for pos in map(tuple, positions.tolist()):
-        out[tuple(slice(k, k + n) for k, n in zip(pos, u.shape))] += h[pos] * u
+    offsets, u_nz = np.ravel_multi_index(cells, out.shape), u[cells]
+    starts, h_nz = np.ravel_multi_index(tuple(positions.T), out.shape), h[tuple(positions.T)]
+    flat, step = out.reshape(-1), max(1, _BLOCK_PRODUCTS // len(u_nz))
+    for i in range(0, len(starts), step):
+        block = slice(i, i + step)
+        # (b, 1) by (1, m): numpy broadcasts (1, 1) by (1,) into its generic
+        # loop, whose complex product can round unlike the vector loop that
+        # h(k) * u takes (the latter may fuse a multiply-add)
+        np.add.at(flat, (starts[block, None] + offsets).ravel(),
+                  (h_nz[block, None] * u_nz[None]).ravel())
     return out
 
 
@@ -73,9 +78,8 @@ def double_convolve(h: ScaleTimeSignal, u: ScaleTimeSignal,
     When both operands are supported on the scale-causal cone, so is the
     output.  method="direct" is the reference summation; method="fft" is
     the accelerated dense path.  The direct path runs box_convolve on the
-    (n, k) stacks with h's time index descending: it costs nnz(h) nnz(u)
-    products when u's stack is less than half full, and nnz(h) |box(u)|
-    slab products otherwise, with the same bits either way (box_convolve).
+    (n, k) stacks with h's time index descending: one ordered add of the
+    nnz(h) nnz(u) products.
     Both methods store entries only on the exact product support.  The FFT
     path agrees with the direct one to about 1e-10 (acceptance criterion
     5), but its error is spread over the whole box: it does not meet the

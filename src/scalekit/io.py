@@ -11,8 +11,10 @@ path of a large file.  Every float array and table (a complex array's
 [re, im] rows, a scale signal's entry list, the CSV rows) is written a
 chunk of rows at a time by _jsonfmt's table kernel, whose cells are
 '%.17g' byte for byte; only near-ties and extreme exponents are formatted
-one float at a time.  Both formats refuse a non-finite value before
-anything is written, and write_time_signal before it opens the file.
+one float at a time.  The kernel's chunks are ASCII bytes, which the CSV
+writers hand to a binary file as they are and decode for a text handle.
+Both formats refuse a non-finite value before anything is written, and
+write_time_signal before it opens the file.
 
 A CSV signal read back by the process that wrote it is not parsed again.
 write_time_signal keeps one slot: the byte count and the bytes, chunk by
@@ -32,6 +34,7 @@ import math
 import os
 import warnings
 from dataclasses import fields, is_dataclass
+from io import BufferedIOBase, RawIOBase
 
 import numpy as np
 
@@ -159,15 +162,21 @@ def signal_from_dict(obj) -> ScaleTimeSignal:
 def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     """A CSV header, then per row the key of cell flat[i] of a box of this
     shape and origin, and the real and imaginary part of values[i] as
-    '%.17g' writes them; the _jsonfmt table kernel writes each chunk.  A
-    non-finite value raises dumps' ValueError before the header."""
+    '%.17g' writes them; the _jsonfmt table kernel writes each chunk as
+    bytes, which a binary file takes as they are and any other handle
+    decoded.  A non-finite value raises dumps' ValueError before the
+    header."""
     _refuse_non_finite(np.ascontiguousarray(values).view(float))
-    fh.write(",".join(header) + "\n")
-    for text in _keyed_chunks(shape, origin, flat, values, "", ",", "\n"):
-        fh.write(text)
+    text = not isinstance(fh, (BufferedIOBase, RawIOBase, _KeptWrites))
+    head = ",".join(header) + "\n"
+    fh.write(head if text else head.encode("ascii"))
+    for chunk in _keyed_chunks(shape, origin, flat, values, "", ",", "\n"):
+        fh.write(chunk.decode("ascii") if text else chunk)
 
 
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:
+    """Write a signal's CSV table to a text handle, or as bytes to a binary
+    file."""
     box, flat = sig.stack.array, np.flatnonzero(sig.stack.array)
     _write_table(fh, ["n"] + [f"k{a + 1}" for a in range(sig.arity)] + ["re", "im"],
                  box.shape, sig.stack.origin, flat, box.reshape(-1)[flat])
@@ -243,15 +252,15 @@ _written = None
 
 
 class _KeptWrites(list):
-    """A text writer over a binary file: the list of the bytes of each
-    chunk it wrote."""
+    """A writer over a binary file: the list of the bytes of each chunk it
+    wrote."""
 
     def __init__(self, fh):
         self.fh = fh
 
-    def write(self, text: str) -> None:
-        self.append(text.encode("ascii"))
-        self.fh.write(self[-1])
+    def write(self, chunk: bytes) -> None:
+        self.append(chunk)
+        self.fh.write(chunk)
 
 
 def _holds(fh, chunks) -> bool:

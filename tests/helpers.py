@@ -92,3 +92,23 @@ def slab_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
     for pos in map(tuple, positions.tolist()):
         out[tuple(slice(k, k + n) for k, n in zip(pos, u.shape))] += h[pos] * u
     return out
+
+
+def two_branch_convolve(h: np.ndarray, u: np.ndarray, positions=None) -> np.ndarray:
+    """convolve.box_convolve as it was before its one ordered add, the
+    reference for it: when u is less than half full, h(k) * u_nz is added
+    at the flat output cells of u's nonzeros, one nonzero k of h at a time
+    (lexicographic unless positions gives another order); otherwise the
+    slab loop."""
+    if positions is None:
+        positions = np.argwhere(h)
+    if not (len(positions) and 2 * np.count_nonzero(u) < u.size):
+        return slab_convolve(h, u, positions)
+    out = np.zeros([a + b - 1 for a, b in zip(h.shape, u.shape)], complex)
+    cells = np.nonzero(u)
+    offsets, u_nz = np.ravel_multi_index(cells, out.shape), u[cells]
+    flat = out.reshape(-1)
+    starts = np.ravel_multi_index(tuple(positions.T), out.shape).tolist()
+    for start, value in zip(starts, h[tuple(positions.T)].tolist()):
+        flat[offsets + start] += value * u_nz
+    return out

@@ -10,7 +10,7 @@ from scalekit import (
     double_convolve,
     group_convolve,
 )
-from helpers import random_scale_signal, random_time_signal, slab_convolve
+from helpers import random_scale_signal, random_time_signal, slab_convolve, two_branch_convolve
 
 
 def delta(idx, arity, value=1.0):
@@ -152,9 +152,41 @@ def time_descending(h):
     return pos[np.argsort(-pos[:, 0], kind="stable")]
 
 
+def gaussian_box(rng, shape, fill):
+    """A complex Gaussian box whose nonzeros fill it to about fill."""
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    box[rng.random(shape) >= fill] = 0
+    return box
+
+
 class TestBoxConvolve:
-    """The cell loop (u less than half full) against the slab loop, bit
-    for bit: each output cell must sum the same products in the same order."""
+    """box_convolve's ordered add against the slab loop and the two-branch
+    loop it replaced, bit for bit: each output cell must sum the same
+    products in the same order."""
+
+    @pytest.mark.parametrize("shape", [(3000,), (60, 50), (14, 12, 12)])
+    @pytest.mark.parametrize("u_fill", [0.05, 1.0])
+    @pytest.mark.parametrize("order", ["time descending", "lexicographic"])
+    def test_matches_two_branch_loop_bit_for_bit(self, shape, u_fill, order):
+        # Gaussian products round in their last bits, and more than 2^14
+        # products make several add.at blocks
+        rng = np.random.default_rng(len(shape) + int(100 * u_fill))
+        for h_fill in (0.05, 1.0):
+            h, u = gaussian_box(rng, shape, h_fill), gaussian_box(rng, shape, u_fill)
+            positions = time_descending(h) if order == "time descending" else None
+            got = convolve.box_convolve(h, u, positions)
+            ref = two_branch_convolve(h, u, positions)
+            assert got.shape == ref.shape
+            assert got.view(float).tobytes() == ref.view(float).tobytes()
+
+    def test_empty_operand_matches_two_branch_loop(self):
+        rng = np.random.default_rng(8)
+        full = gaussian_box(rng, (4, 5), 1.0)
+        for h, u in ((np.zeros((0, 5), complex), full), (full, np.zeros((0, 0), complex))):
+            got, ref = convolve.box_convolve(h, u), two_branch_convolve(h, u)
+            assert got.shape == ref.shape == (0, 0)
+        # the slab loop could not broadcast h(k) * u into this window
+        assert convolve.box_convolve(full, np.zeros((3, 0), complex)).shape == (0, 0)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -166,7 +198,7 @@ class TestBoxConvolve:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("pad", [0, 3])  # u 3/4 full (slabs), 3/25 full (cells)
+    @pytest.mark.parametrize("pad", [0, 3])  # u 3/4 full, 3/25 full
     def test_exact_cancellation_leaves_plus_zero(self, pad):
         # h = [d0, d1], u = [d0 + d1, -d1] on (n, k): y_1(1) = 1 - 1
         h = np.array([[1, 0], [0, 1]], complex)
@@ -180,7 +212,7 @@ class TestBoxConvolve:
     @pytest.mark.parametrize("h_shape", [(0, 3), (2, 2)])
     def test_h_without_nonzeros_gives_zeros(self, h_shape):
         h, u = np.zeros(h_shape, complex), np.zeros((4, 4), complex)
-        u[1, 2] = 1  # under half full: the cell loop's side
+        u[1, 2] = 1
         got = convolve.box_convolve(h, u)
         assert got.shape == slab_convolve(h, u).shape and not got.any()
 

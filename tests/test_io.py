@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 import tempfile
+import unittest.mock
 import warnings
 from fractions import Fraction
 
@@ -89,7 +90,7 @@ def percent_cells(values) -> str:
 
 
 def kernel_cells(values) -> str:
-    return jsonfmt._table([np.asarray(values, float)], len(values), ",")
+    return jsonfmt._table([np.asarray(values, float)], len(values), ",").decode()
 
 
 # every finite double by its bit pattern, subnormals and -0.0 included
@@ -139,7 +140,7 @@ class TestTableKernel:
         index = np.array([0, 5, 5, 2, 9, 0, 3, 7, 1, 4])
         for origin in (-7, 2 ** 63, 2 ** 70, -(2 ** 64) - 3):
             for idx in (index, index * 1000):
-                text = jsonfmt._table([(idx, origin), ";"], len(idx))
+                text = jsonfmt._table([(idx, origin), ";"], len(idx)).decode()
                 assert text == "".join(f"{i + origin};" for i in idx.tolist())
 
     def test_non_finite_cells_as_percent_writes_them(self):
@@ -147,11 +148,45 @@ class TestTableKernel:
         # kernel under them writes them as '%' does
         values = np.array([[complex(np.inf, 1.5), complex(np.nan, -np.inf)],
                            [complex(-0.0, 1e-310), complex(0.25, np.nan)]])
-        text = "".join(jsonfmt._keyed_chunks(values.shape, (0, 0), range(values.size),
-                                             values.reshape(-1), "", ",", "\n"))
+        text = b"".join(jsonfmt._keyed_chunks(values.shape, (0, 0), range(values.size),
+                                              values.reshape(-1), "", ",", "\n")).decode()
         rows = "".join(f"{j1},{j2},{'%.17g' % z.real},{'%.17g' % z.imag}\n"
                        for (j1, j2), z in np.ndenumerate(values))
         assert text == rows
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_rows_match_per_row_format(self, data):
+        # full rows through _keyed_chunks, chunks of 1-8 rows so that rows
+        # cross chunk boundaries; key texts of every packed width (1, 2, 4
+        # and 8 bytes) and wider, index spans shorter and longer than the
+        # row count (the range and the unique path)
+        n = data.draw(st.integers(1, 24))
+        arity = data.draw(st.integers(1, 3))
+        origin = data.draw(st.lists(st.one_of(
+            st.integers(-9, 9), st.integers(-10 ** 3, 10 ** 3), st.integers(-10 ** 7, 10 ** 7),
+            st.integers(-(2 ** 63), 2 ** 63 + 10), st.integers(-(2 ** 80), 2 ** 80)),
+            min_size=arity, max_size=arity))
+        shape = data.draw(st.lists(st.one_of(st.integers(1, n), st.integers(n + 1, 1000)),
+                                   min_size=arity, max_size=arity))
+        index = [np.array(data.draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n)))
+                 for s in shape]
+        # a column at most half nonzero is scaled at its nonzeros only
+        zeros = st.sampled_from([0.0, -0.0])
+        parts = data.draw(st.sampled_from([
+            st.one_of(FINITE_BITS, st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308])),
+            st.one_of(zeros, zeros, zeros, FINITE_BITS)]))
+        values = np.array([complex(*data.draw(st.tuples(parts, parts))) for _ in range(n)])
+        head, mid, tail, sep = data.draw(st.sampled_from(
+            [("", ",", "\n", ""), ('{"k":[', '],"value":[', "]}", ",")]))
+        flat = np.ravel_multi_index(index, shape)
+        with unittest.mock.patch.object(jsonfmt, "_CHUNK_ROWS", data.draw(st.integers(1, 8))):
+            text = sep.join(c.decode() for c in jsonfmt._keyed_chunks(
+                shape, origin, flat, values, head, mid, tail, sep))
+        rows = [head + ",".join("%d" % (i + o) for i, o in zip(key, origin)) + mid
+                + "%.17g,%.17g" % (z.real, z.imag) + tail
+                for *key, z in zip(*(i.tolist() for i in index), values.tolist())]
+        assert text == sep.join(rows)
 
     def test_pow10_columns_built_on_demand_match_the_exact_table(self, monkeypatch):
         monkeypatch.setattr(jsonfmt, "_POW10", np.zeros_like(jsonfmt._POW10))
@@ -219,6 +254,14 @@ class TestSignalFormats:
         skio.write_signal_csv(sig, buf)
         back = skio.read_signal_csv(io.StringIO(buf.getvalue()))
         assert back.distance(sig) < 1e-16
+
+    def test_csv_to_a_binary_file_is_the_text_encoded(self):
+        rng = np.random.default_rng(7)
+        sig = random_time_signal(rng, 2, time_len=4)
+        text, raw = io.StringIO(), io.BytesIO()
+        skio.write_signal_csv(sig, text)
+        skio.write_signal_csv(sig, raw)
+        assert raw.getvalue() == text.getvalue().encode("ascii")
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError, match="header"):
