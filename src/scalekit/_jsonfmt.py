@@ -29,10 +29,10 @@ is the constant cell "0" or "-0", in place.  The first digit is written alone
 and the other 16 as four groups of four, each group one take from
 _GROUPS, the 10,000 four-digit ASCII texts packed into uint32s.  An int
 key column is written from str(index + origin) of each distinct index,
-exact for any origin; a text of at most 8 bytes is gathered as one
-packed 1-, 2-, 4- or 8-byte integer per row.  _table gives ASCII bytes,
-which io's CSV writer hands to a binary file as they are, and dumps
-decodes once per chunk as it joins them.
+exact for any origin; each row's text is gathered as packed 1-, 2-, 4-
+or 8-byte words.  _table gives ASCII bytes, which io's CSV writer hands
+to its binary file as they are, and dumps decodes once per chunk as it
+joins them.
 """
 
 from __future__ import annotations
@@ -201,8 +201,9 @@ def _float_cells(x: np.ndarray, cells: np.ndarray) -> None:
 
 def _key_cells(index: np.ndarray, origin: int) -> np.ndarray:
     """The NUL-padded text of index + origin, one column per row, from the
-    str of each distinct index (of each in the span, if that is shorter).
-    A text of at most 8 bytes is gathered as one packed integer per row."""
+    str of each distinct index (of each in the span, if that is shorter),
+    padded to a power of two bytes and gathered as whole 1-, 2-, 4- or
+    8-byte words."""
     low, high = int(index.min()), int(index.max())
     if high - low < len(index):
         distinct, inverse = range(low, high + 1), index - low
@@ -210,11 +211,9 @@ def _key_cells(index: np.ndarray, origin: int) -> np.ndarray:
         distinct, inverse = np.unique(index, return_inverse=True)
         distinct = distinct.tolist()
     text = np.array([str(i + origin) for i in distinct], "S")
-    if text.itemsize > 8:
-        return text.view(np.uint8).reshape(len(text), text.itemsize).T[:, inverse]
     width = 1 << (text.itemsize - 1).bit_length()
-    packed = text.astype(f"S{width}").view(f"u{width}").take(inverse)
-    return packed.view(np.uint8).reshape(len(packed), width).T
+    packed = text.astype(f"S{width}").view(f"u{min(width, 8)}").reshape(len(text), -1)
+    return packed.take(inverse, axis=0).view(np.uint8)[:, :text.itemsize].T
 
 
 def _table(parts, n: int, sep: str = "") -> bytes:

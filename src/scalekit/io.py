@@ -11,10 +11,10 @@ path of a large file.  Every float array and table (a complex array's
 [re, im] rows, a scale signal's entry list, the CSV rows) is written a
 chunk of rows at a time by _jsonfmt's table kernel, whose cells are
 '%.17g' byte for byte; only near-ties and extreme exponents are formatted
-one float at a time.  The kernel's chunks are ASCII bytes, which the CSV
-writers hand to a binary file as they are and decode for a text handle.
-Both formats refuse a non-finite value before anything is written, and
-write_time_signal before it opens the file.
+one float at a time.  The kernel's chunks are ASCII bytes, which
+write_time_signal's CSV file takes as they are and a text handle gets
+decoded.  Both formats refuse a non-finite value before anything is
+written, and write_time_signal before it opens the file.
 
 A CSV signal read back by the process that wrote it is not parsed again.
 write_time_signal keeps one slot: the byte count and the bytes, chunk by
@@ -34,7 +34,6 @@ import math
 import os
 import warnings
 from dataclasses import fields, is_dataclass
-from io import BufferedIOBase, RawIOBase
 
 import numpy as np
 
@@ -163,11 +162,11 @@ def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
     """A CSV header, then per row the key of cell flat[i] of a box of this
     shape and origin, and the real and imaginary part of values[i] as
     '%.17g' writes them; the _jsonfmt table kernel writes each chunk as
-    bytes, which a binary file takes as they are and any other handle
-    decoded.  A non-finite value raises dumps' ValueError before the
-    header."""
+    bytes, which write_time_signal's _KeptWrites takes as they are and a
+    text handle decoded.  A non-finite value raises dumps' ValueError
+    before the header."""
     _refuse_non_finite(np.ascontiguousarray(values).view(float))
-    text = not isinstance(fh, (BufferedIOBase, RawIOBase, _KeptWrites))
+    text = not isinstance(fh, _KeptWrites)
     head = ",".join(header) + "\n"
     fh.write(head if text else head.encode("ascii"))
     for chunk in _keyed_chunks(shape, origin, flat, values, "", ",", "\n"):
@@ -175,8 +174,7 @@ def _write_table(fh, header, shape, origin, flat, values: np.ndarray) -> None:
 
 
 def write_signal_csv(sig: ScaleTimeSignal, fh) -> None:
-    """Write a signal's CSV table to a text handle, or as bytes to a binary
-    file."""
+    """Write a signal's CSV table to a text handle."""
     box, flat = sig.stack.array, np.flatnonzero(sig.stack.array)
     _write_table(fh, ["n"] + [f"k{a + 1}" for a in range(sig.arity)] + ["re", "im"],
                  box.shape, sig.stack.origin, flat, box.reshape(-1)[flat])

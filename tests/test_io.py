@@ -255,13 +255,15 @@ class TestSignalFormats:
         back = skio.read_signal_csv(io.StringIO(buf.getvalue()))
         assert back.distance(sig) < 1e-16
 
-    def test_csv_to_a_binary_file_is_the_text_encoded(self):
+    def test_csv_file_is_the_text_encoded(self, tmp_path):
+        # write_time_signal's file takes the kernel's bytes as they are, a
+        # text handle gets them decoded
         rng = np.random.default_rng(7)
         sig = random_time_signal(rng, 2, time_len=4)
-        text, raw = io.StringIO(), io.BytesIO()
+        text, path = io.StringIO(), tmp_path / "s.csv"
         skio.write_signal_csv(sig, text)
-        skio.write_signal_csv(sig, raw)
-        assert raw.getvalue() == text.getvalue().encode("ascii")
+        skio.write_time_signal(sig, str(path))
+        assert path.read_bytes() == text.getvalue().encode("ascii")
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError, match="header"):
