@@ -3,13 +3,13 @@
 Field order follows construction order; every float is printed as
 Python's ``'%.17g' %`` prints it, so repeated runs are byte-identical
 across platforms; a 2-D float array gives the bytes of its nested lists,
-and an EntryList those of its entry dicts.  NaN and infinity are
-rejected.
+and a ScaleSignal those of its entry list, which io.to_dict leaves to
+dumps as it is.  NaN and infinity are rejected.
 
 _table writes a chunk of rows (int key columns and float64 columns
-between literal separators) with numpy: the rows of a float array, of an
-EntryList and of io's CSV tables.  Each float cell is the text of
-``'%.17g' % x`` byte for byte.  For |x| with decimal exponent k the 17
+between literal separators) with numpy: the rows of a float array, of a
+scale signal's entry list and of io's CSV tables.  Each float cell is the
+text of ``'%.17g' % x`` byte for byte.  For |x| with decimal exponent k the 17
 digits are round(P), half to even, of P = |x| 10^(16-k) in [1e16, 1e17).
 P is a double-double: 10^(16-k) is the pair H = fl(10^(16-k)),
 L = fl(10^(16-k) - H) of a table built from exact integers (Dekker,
@@ -42,7 +42,9 @@ import math
 
 import numpy as np
 
-__all__ = ["dumps", "EntryList"]
+from .signals import ScaleSignal
+
+__all__ = ["dumps"]
 
 # rows per _table call: its temporaries grow with it, and below about
 # 8,192 rows the per-call costs start to show
@@ -281,30 +283,13 @@ def _write_rows(array: np.ndarray, out: list) -> None:
     _write_chunks((_table(["[", *_interleave(c.T, ","), "]"], len(c), ",") for c in chunks), out)
 
 
-class EntryList:
-    """The entry list [{"k": [k_1..k_p], "value": [re, im]}, ...] of the
-    nonzeros of a finite complex box (array, origin), in C order: the JSON
-    value of a scale signal.  dumps writes it one _table per chunk of
-    rows; iterating gives the entries as dicts, the generic walk's value.
-    A -0.0 part is written as 0, as in io.pair."""
-
-    def __init__(self, array: np.ndarray, origin):
-        self.array, self.origin = array, tuple(origin)
-
-    def _nonzeros(self):
-        flat = np.flatnonzero(self.array)
-        return flat, self.array.reshape(-1)[flat] + 0.0
-
-    def __iter__(self):
-        flat, values = self._nonzeros()
-        keys = [[i + int(o) for i in idx.tolist()]
-                for idx, o in zip(np.unravel_index(flat, self.array.shape), self.origin)]
-        for *k, z in zip(*keys, values.tolist()):
-            yield {"k": k, "value": [z.real, z.imag]}
-
-
-def _write_entries(entries: EntryList, out: list) -> None:
-    _write_chunks(_keyed_chunks(entries.array.shape, entries.origin, *entries._nonzeros(),
+def _write_entries(sig: ScaleSignal, out: list) -> None:
+    """The entry list [{"k": [k_1..k_p], "value": [re, im]}, ...] of a scale
+    signal's nonzeros in C order, one _table per chunk of rows.  A -0.0
+    part is written as 0, as in io.pair."""
+    box = sig.array
+    flat = np.flatnonzero(box)
+    _write_chunks(_keyed_chunks(box.shape, sig.origin, flat, box.reshape(-1)[flat] + 0.0,
                                 '{"k":[', '],"value":[', "]}", ","), out)
 
 
@@ -338,7 +323,7 @@ def _write(obj, out: list) -> None:
         out.append("}")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64:
         _write_rows(obj, out)
-    elif isinstance(obj, EntryList):
+    elif isinstance(obj, ScaleSignal):
         _write_entries(obj, out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")

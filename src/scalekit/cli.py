@@ -20,7 +20,6 @@ import math
 import sys
 
 from . import io as skio
-from ._jsonfmt import dumps
 from .hardy import TruncationError, scale_transform
 from .convolve import brute_force_double_convolve, double_convolve
 from .moments import stieltjes_invert, toeplitz_psd_check
@@ -42,19 +41,6 @@ def _load_json_arg(text: str):
         return json.load(fh)
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    # the text and its newline are written apart: text + "\n" would copy
-    # the whole report once more
-    text = dumps(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
-
-
 def _cmd_scale_transform(args) -> int:
     coeffs = skio.coeffseq_from_dict(_load_json_arg(args.signal))
     group = skio.group_from_dict(_load_json_arg(args.group))
@@ -63,7 +49,7 @@ def _cmd_scale_transform(args) -> int:
     if args.out:
         skio.write_time_signal(result, args.out)
     else:
-        _emit(skio.signal_to_dict(result), None)
+        skio.write_json(skio.signal_to_dict(result), None)
     return EXIT_OK
 
 
@@ -89,7 +75,7 @@ def _cmd_spectrum(args) -> int:
         with open(args.out, "w", newline="") as fh:
             skio.write_spectrum_csv(grid, fh)
     else:
-        _emit(skio.spectrum_to_dict(grid), args.out)
+        skio.write_json(skio.spectrum_to_dict(grid), args.out)
     return EXIT_OK
 
 
@@ -98,21 +84,21 @@ def _cmd_gtf_eval(args) -> int:
     z = skio.unpair(json.loads(args.z))
     zs = [skio.unpair(w) for w in json.loads(args.zs)] if args.zs else []
     value = generalized_transfer(h, z, zs)
-    _emit(skio.to_dict({"z": z, "zs": zs, "value": value}), args.out)
+    skio.write_json(skio.to_dict({"z": z, "zs": zs, "value": value}), args.out)
     return EXIT_OK
 
 
 def _cmd_moments_check(args) -> int:
     ms = skio.moments_from_dict(_load_json_arg(args.moments))
     report = toeplitz_psd_check(ms, tol=args.tol)
-    _emit(report._asdict(), args.out)
+    skio.write_json(report._asdict(), args.out)
     return EXIT_OK if report.is_psd else EXIT_FAIL
 
 
 def _cmd_stieltjes(args) -> int:
     ms = skio.moments_from_dict(_load_json_arg(args.moments))
     mass = stieltjes_invert(ms, args.a, args.b, args.r)
-    _emit({"a": args.a, "b": args.b, "r": args.r, "mass": mass}, args.out)
+    skio.write_json({"a": args.a, "b": args.b, "r": args.r, "mass": mass}, args.out)
     return EXIT_OK
 
 
@@ -129,7 +115,7 @@ def _cmd_analyze(args) -> int:
         report = l1l2_gain(h)
     doc = skio.report_to_dict(report)
     doc["tol"] = args.tol
-    _emit(doc, args.out)
+    skio.write_json(doc, args.out)
     if report.details.get("gram_bug"):
         print(f"warning: the Gram kernel contradicts the pass: minimum eigenvalue "
               f"{report.details['gram_min_eigenvalue']!r} < -tol", file=sys.stderr)
@@ -139,7 +125,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     h = skio.read_time_signal(args.system)
     report = empirical_verify(h, args.property, args.trials, args.seed)
-    _emit(skio.empirical_to_dict(report), args.out)
+    skio.write_json(skio.empirical_to_dict(report), args.out)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ScaleGroup
 from .moebius import SuMatrix
 from .signals import MAX_BOX_CELLS, ScaleTimeSignal, as_index, energy, zeros_box
 from .spectral import _fft_error, _horner, grid_shrink

@@ -4,17 +4,19 @@ Complex numbers are always [re, im] pairs.  Signals travel either as CSV
 with columns (n, k1..kp, re, im) sorted lexicographically, or as a dense
 JSON tensor {arity, shape, origin, data} with data flattened in C order.
 CSV rows are the signal's stack on (n, k); the JSON tensor is its to_dense
-layout.  One codec per format: every value but a group and a signal goes
-to JSON through the to_dict walk, every CSV table is written by
-_write_table, and numpy parses CSV rows in one pass, in blocks from the
-path of a large file.  Every float array and table (a complex array's
-[re, im] rows, a scale signal's entry list, the CSV rows) is written a
-chunk of rows at a time by _jsonfmt's table kernel, whose cells are
-'%.17g' byte for byte; only near-ties and extreme exponents are formatted
-one float at a time.  The kernel's chunks are ASCII bytes, which
-write_time_signal's CSV file takes as they are and a text handle gets
-decoded.  Both formats refuse a non-finite value before anything is
-written, and write_time_signal before it opens the file.
+layout.  One codec per format: every value but a group and a time signal
+goes to JSON through to_dict, which leaves a scale signal to dumps as it
+is, and every JSON file is written by write_json (stdout for an empty
+path); every CSV table is written by _write_table, and numpy parses CSV
+rows in one pass, in blocks from the path of a large file.  Every float
+array and table (a complex array's [re, im] rows, a scale signal's entry
+list, the CSV rows) is written a chunk of rows at a time by _jsonfmt's
+table kernel, whose cells are '%.17g' byte for byte; only near-ties and
+extreme exponents are formatted one float at a time.  The kernel's
+chunks are ASCII bytes, which write_time_signal's CSV file takes as they
+are and a text handle gets decoded.  Both formats refuse a non-finite
+value before anything is written, and write_time_signal before it opens
+the file.
 
 A CSV signal read back by the process that wrote it is not parsed again.
 write_time_signal keeps one slot: the byte count and the bytes, chunk by
@@ -29,21 +31,22 @@ back after a write, so any writable path takes a CSV signal.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from ._jsonfmt import EntryList, _keyed_chunks, _refuse_non_finite, dumps
+from ._jsonfmt import _keyed_chunks, _refuse_non_finite, dumps
 from .group import ScaleGroup, make_group
 from .hardy import CoeffSeq
 from .moebius import SuMatrix
 from .moments import MomentSequence
 from .signals import ScaleSignal, ScaleTimeSignal
-from .spectral import SpectrumGrid
 
 __all__ = [
     "pair", "unpair", "to_dict",
@@ -54,7 +57,7 @@ __all__ = [
     "write_signal_csv", "read_signal_csv",
     "spectrum_to_dict", "write_spectrum_csv",
     "moments_from_dict", "report_to_dict", "empirical_to_dict",
-    "read_time_signal", "write_time_signal",
+    "read_time_signal", "write_time_signal", "write_json",
 ]
 
 
@@ -76,24 +79,27 @@ def to_dict(value):
     """The JSON value of a scalekit value: a dataclass becomes its fields in
     declaration order minus those that are None, a complex number an
     [re, im] pair, an array the (n, 2) float array of its [re, im] rows in
-    C order, a ScaleSignal its entry list (an EntryList); dumps writes
-    both by chunks of rows.  Adding 0.0 writes -0.0 as 0, since JSON
-    readers parse "-0" as the integer 0 and its sign could not come back.
-    Lists, tuples and dicts are walked, numpy scalars become Python's."""
+    C order, and a ScaleSignal stays as it is; dumps writes the array by
+    chunks of rows and the signal as its entry list, the same way.  Adding
+    0.0 writes -0.0 as 0, since JSON readers parse "-0" as the integer 0
+    and its sign could not come back.  Lists, tuples and dicts are walked,
+    numpy scalars become Python's."""
+    return _walk(value)
+
+
+def _walk(value):
     if is_dataclass(value):
-        return {f.name: to_dict(v) for f in fields(value)
+        return {f.name: _walk(v) for f in fields(value)
                 if (v := getattr(value, f.name)) is not None}
     if isinstance(value, complex):
         return pair(value)
     if isinstance(value, np.ndarray):
         pairs = np.stack((value.real, value.imag), -1).reshape(-1, 2)
         return pairs.astype(float, copy=False) + 0.0
-    if isinstance(value, ScaleSignal):
-        return EntryList(value.array, value.origin)
     if isinstance(value, (list, tuple)):
-        return [to_dict(v) for v in value]
+        return [_walk(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): to_dict(v) for k, v in value.items()}
+        return {str(k): _walk(v) for k, v in value.items()}
     if isinstance(value, np.generic):
         return value.item()
     return value
@@ -110,7 +116,7 @@ def sumatrix_from_dict(obj) -> SuMatrix:
 
 
 def group_to_dict(g: ScaleGroup) -> dict:
-    return {"p": g.p, "generators": to_dict(g.generators)}
+    return {"p": g.p, "generators": _walk(g.generators)}
 
 
 def group_from_dict(obj) -> ScaleGroup:
@@ -136,7 +142,7 @@ def coeffseq_from_dict(obj) -> CoeffSeq:
 def signal_to_dict(sig: ScaleTimeSignal) -> dict:
     dense, origin = sig.to_dense()
     return {"arity": sig.arity, "shape": list(dense.shape), "origin": list(origin),
-            "data": to_dict(dense)}
+            "data": _walk(dense)}
 
 
 def signal_from_dict(obj) -> ScaleTimeSignal:
@@ -315,8 +321,8 @@ def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
     slot read_time_signal checks holds their count, the chunks and the
     signal a read of them builds.  Nothing is read back, so the path need
     not be seekable.  The slot is emptied first, so a failed write and a
-    JSON write leave it empty.  A non-finite value is refused before the
-    file is opened.
+    JSON write leave it empty.  A JSON file is written by write_json.  A
+    non-finite value is refused before the file is opened.
     """
     global _written
     _written = None
@@ -329,8 +335,16 @@ def write_time_signal(sig: ScaleTimeSignal, path: str) -> None:
         if read is not None:
             _written = (sum(map(len, kept)), tuple(kept), read)
         return
-    text = dumps(signal_to_dict(sig))
-    with open(path, "w") as fh:
+    write_json(signal_to_dict(sig), path)
+
+
+def write_json(doc, path) -> None:
+    """Write dumps(doc) and a newline to the file at path, or to stdout
+    where path is empty.  dumps runs before the file opens, so a refused
+    value creates no file; the text and its newline are written apart, as
+    text + "\n" would copy the whole report once more."""
+    text = dumps(doc)
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(text)
         fh.write("\n")
 

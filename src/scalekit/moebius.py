@@ -152,9 +152,6 @@ class SuMatrix:
         """Entrywise sup distance between the sign-normalized pairs."""
         return max(abs(self.a - other.a), abs(self.b - other.b))
 
-    def __repr__(self) -> str:
-        return f"SuMatrix(a={self.a!r}, b={self.b!r})"
-
 
 def make_scale_shift(alpha: float, theta: float = 0.0) -> SuMatrix:
     """Disc form of the half-plane scale map s -> alpha * s.

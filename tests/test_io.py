@@ -71,7 +71,6 @@ class TestJsonFmt:
             sig = ScaleSignal._from_box(array.copy(), origin)
             walk = [{"k": list(idx), "value": skio.pair(v)} for idx, v in sig.items()]
             assert dumps(skio.to_dict(sig)) == dumps(walk)
-            assert list(skio.to_dict(sig)) == walk
             monkeypatch.setattr(jsonfmt, "_CHUNK_ROWS", 7)
             assert dumps(skio.to_dict(sig)) == dumps(walk)
             monkeypatch.undo()
@@ -333,7 +332,7 @@ class TestJsonLayouts:
     """Key order and nesting of every JSON value the writers produce."""
 
     def test_bibo_report(self):
-        doc = skio.report_to_dict(bibo_analysis(H_TWO_STEPS, tol=1e-3))
+        doc = json.loads(dumps(skio.report_to_dict(bibo_analysis(H_TWO_STEPS, tol=1e-3))))
         maximizer = doc["witnesses"].pop("maximizer")
         assert {masked(entry) for entry in maximizer} == {'{"k":[#],"value":[#,#]}'}
         assert masked(doc) == (
@@ -343,6 +342,16 @@ class TestJsonLayouts:
             '"evaluations":#},{"lower":#,"upper":#,"certified":true,"grid_sizes":[],'
             '"witness_angles":[#],"evaluations":#}],'
             '"certified":true,"window_spans":[[#,#]]}}')
+
+    def test_to_dict_is_entered_once(self, monkeypatch):
+        # the walk recurses privately, so a wrapped to_dict (as a tracer
+        # wraps it) sees one call for a whole report
+        calls = []
+        walk = skio.to_dict
+        monkeypatch.setattr(skio, "to_dict", lambda value: calls.append(value) or walk(value))
+        report = bibo_analysis(H_TWO_STEPS, tol=1e-3)
+        skio.to_dict(report)
+        assert calls == [report]
 
     def test_dissipative_pass(self):
         # the terms at (0, 0) and (1, 1) lie on a line: a one-axis coarse grid
@@ -671,6 +680,18 @@ class TestNonFiniteRefused:
                 with pytest.raises(ValueError, match="cannot serialize non-finite float -inf"):
                     skio.write_time_signal(sig, str(path))
                 assert (path.read_bytes() if path.exists() else None) == before
+
+    def test_json_opens_no_file(self, tmp_path, capsys):
+        # a refused value creates no file; an empty path is stdout
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="cannot serialize non-finite float nan"):
+            skio.write_json({"x": math.nan}, str(path))
+        assert not path.exists()
+        for out in (None, ""):
+            skio.write_json({"x": [0.1, 2]}, out)
+        skio.write_json({"x": [0.1, 2]}, str(path))
+        text = '{"x":[0.10000000000000001,2]}\n'
+        assert capsys.readouterr().out == 2 * text and path.read_text() == text
 
 
 # the parts of a written signal: signed zeros in values and in zero cells,
