@@ -19,7 +19,13 @@ from scalekit import (
     scale_transform,
     transform_coeffs,
 )
-from helpers import random_elliptic, random_hyperbolic, random_unit_coeffs
+from helpers import (
+    _column_head_grid,
+    per_column_scale_transform,
+    random_elliptic,
+    random_hyperbolic,
+    random_unit_coeffs,
+)
 
 
 def padded_distance(x: CoeffSeq, y: CoeffSeq) -> float:
@@ -364,13 +370,13 @@ class TestScaleTransform:
         # multiplier 0.6, degree 15, scale 12: about 18k coefficients are
         # certified, which the unit circle would sample at 65,536 points
         sizes = []
-        sample = hardy._sample_head
+        sample = hardy._sample_heads
 
-        def counted(m, f, n, size, rho):
-            sizes.append(size)
-            return sample(m, f, n, size, rho)
+        def counted(mats, f, n, column_sizes, rhos):
+            sizes.extend(column_sizes.tolist())
+            return sample(mats, f, n, column_sizes, rhos)
 
-        monkeypatch.setattr(hardy, "_sample_head", counted)
+        monkeypatch.setattr(hardy, "_sample_heads", counted)
         rng = np.random.default_rng(27)
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         f /= np.linalg.norm(f)
@@ -384,9 +390,9 @@ class TestScaleTransform:
         calls = []
         sampled = hardy._sampled_ladder
 
-        def counted(circles):
-            calls.append(len(circles[0]))
-            return sampled(circles)
+        def counted(f, center, rad, log_p):
+            calls.append(len(f))
+            return sampled(f, center, rad, log_p)
 
         monkeypatch.setattr(hardy, "_sampled_ladder", counted)
         g = make_group([make_scale_shift(0.6, 0.2)])
@@ -451,7 +457,7 @@ class TestScaleTransform:
         with mock.patch.object(hardy, "_head_grid", recorded):
             col = scale_transform(g, f, [(scale,)], time_len, tol).to_dense()[0][:, 0]
         assert len(grids) == (abs(m.b) > 0.0)
-        excess = grids[0][2] if grids else 0.0
+        excess = grids[0][2][0] if grids else 0.0
         size = 8 << (2 * max(n_out, time_len) - 1).bit_length()
         z = np.exp(2j * np.pi * np.arange(size) / size)
         den = m.c * z + m.d
@@ -459,6 +465,111 @@ class TestScaleTransform:
                          norm="forward")[:time_len]
         m1 = np.abs(f).sum() * (abs(m.a) + abs(m.b))
         assert np.linalg.norm(col - ref) <= tol + excess + 64 * 2.2e-16 * len(f) * m1
+
+
+def transform_outcome(transform, *args):
+    """The bytes of a scale_transform result (float view, origin, time_len),
+    or the type, message and achieved bound of the error it raises."""
+    try:
+        out = transform(*args)
+    except (TruncationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "achieved_bound", None)
+    return out.stack.array.view(float).tobytes(), out.stack.origin, out.time_len
+
+
+class TestWindowPass:
+    """scale_transform against its column-by-column reference, bit for bit."""
+
+    @settings(max_examples=40)
+    @given(two=st.booleans(), mult=st.floats(0.5, 0.9), theta=st.floats(-0.99, 0.99),
+           window=st.lists(st.tuples(st.integers(-4, 7), st.integers(-3, 4)),
+                           min_size=1, max_size=6, unique_by=lambda idx: idx[0]),
+           identity=st.booleans(), degree=st.integers(0, 300), trailing=st.integers(0, 4),
+           time_len=st.integers(1, 300), log_tol=st.floats(-12.0, -3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_matches_column_by_column(self, two, mult, theta, window, identity,
+                                             degree, trailing, time_len, log_tol, seed):
+        # one- and two-generator groups, the identity element (an exact image,
+        # b = 0) beside sampled columns, trailing zeros in the input
+        gens = [make_scale_shift(mult, theta)]
+        if two:
+            gens.append(make_scale_shift(mult * 0.9, theta))
+        g = make_group(gens)
+        window = [idx[:len(gens)] for idx in window]
+        if identity and (0,) * len(gens) not in window:
+            window.insert(len(window) // 2, (0,) * len(gens))
+        rng = np.random.default_rng(seed)
+        f = np.zeros(degree + 1 + trailing, complex)
+        f[: degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f /= np.linalg.norm(f)
+        args = (g, f, window, time_len, 10.0 ** log_tol)
+        assert (transform_outcome(scale_transform, *args)
+                == transform_outcome(per_column_scale_transform, *args))
+
+    @pytest.mark.parametrize("window, named", [
+        ([(3,), (32,), (5,)], (32,)),    # the bound at scale 32 is beyond double range
+        ([(3,), (32,), (65,)], (32,)),   # ... and comes before the exponent guard's column
+        ([(3,), (65,), (32,)], (65,)),   # the exponent guard's column comes first
+        ([(0,), (3,), (33,), (32,)], (33,)),
+    ])
+    def test_first_failing_column_raises(self, window, named):
+        # multiplier 0.3 as in test_bound_beyond_double_range_is_truncation_error
+        rng = np.random.default_rng(255)
+        f = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        f /= np.linalg.norm(f)
+        args = (make_group([make_scale_shift(0.3, 0.2)]), f, window, 64, 1e-10)
+        got = transform_outcome(scale_transform, *args)
+        assert got == transform_outcome(per_column_scale_transform, *args)
+        assert got[1].startswith(f"scale index {named}: ")
+
+    def test_head_grid_keeps_each_columns_sizes_and_radii(self):
+        # the first column's C = e^300 leaves no N up to its own 2 n_out
+        # within tol, so it falls back to rho = 1 at its last N, as alone,
+        # though the second column's N reach 2^17; the third column's radii
+        # that certify nothing (C not finite, R rounded onto 1) stay out of
+        # its choice
+        g = make_group([make_scale_shift(0.6, 0.2)])
+        mats = [g.element((1,)), g.element((9,)), g.element((3,))]
+        f = np.array([1.0, 0.5j, 0.25])
+        n_out = np.array([8, 40000, 300])
+        ladder = [np.array([np.full(9, 300.0), np.zeros(9), np.zeros(9)]), np.full((3, 9), 0.05)]
+        ladder[0][2, 2], ladder[0][2, 5], ladder[1][2, 5] = np.nan, -50.0, 0.0
+        got = hardy._head_grid(mats, f, 16, n_out, ladder, 1e-9)
+        for c, m in enumerate(mats):
+            want = _column_head_grid(m, f, 16, int(n_out[c]), [v[c] for v in ladder], 1e-9)
+            assert (got[0][c], got[1][c], got[2][c]) == want
+        assert got[0][0] == 1.0 and got[1][0] == 16 and got[1][1] > 16
+
+    def test_caps_keep_bytes(self, monkeypatch):
+        # blocks of the ladder's plain sums, of _head_grid's maps and of the
+        # Horner passes far smaller than the window: the same bytes
+        g = make_group([make_scale_shift(0.6, 0.2), make_scale_shift(0.8, 0.2)])
+        rng = np.random.default_rng(63)
+        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        f /= np.linalg.norm(f)
+        window = [(0, 0), (1, 1), (2, 3), (4, 4), (5, 6), (7, 7), (0, 1), (3, 0)]
+        args = (g, f, window, 200, 1e-9)
+        want = transform_outcome(per_column_scale_transform, *args)
+        assert transform_outcome(scale_transform, *args) == want
+        points = []
+
+        def counted(x, coeffs):
+            points.append(x.size)
+            return _horner(x, coeffs)
+
+        monkeypatch.setattr(hardy, "_horner", counted)
+        monkeypatch.setattr(hardy, "_POINTS", 300)
+        assert transform_outcome(scale_transform, *args) == want
+        assert len(points) > 2 and sum(points) > 300   # several passes, where one was
+        for name, cap in (("_SUM_TERMS", 300), ("_GRID_MAPS", 3)):
+            monkeypatch.setattr(hardy, name, cap)
+            assert transform_outcome(scale_transform, *args) == want
+        # one sample point per column (time_len 1 at tol 1e-3), trailing
+        # zeros: each such column has a pass of its own
+        f_trailing = np.concatenate([f, np.zeros(3)])
+        args = (g, f_trailing, window, 1, 1e-3)
+        assert (transform_outcome(scale_transform, *args)
+                == transform_outcome(per_column_scale_transform, *args))
 
 
 G1 = make_group([make_scale_shift(0.5)])
